@@ -3,9 +3,10 @@
 Channel A is modeled as a decohering birefringent element followed by an
 inherent mode filter; channel B holds the operator-controlled compensating
 filter. Filters are partial polarizers P = exp(g/2 axis.sigma) in Jones
-space; the decoherence is a probabilistic Pauli map obtained either directly
-(mixing weight p) or from the spectral average of a fixed birefringence over
-the photon bandwidth.
+space, applied in the physically normalized form e^(-g/2) P whose favored
+mode passes with unit probability; the decoherence is a probabilistic Pauli
+map obtained either directly (mixing weight p) or from the spectral average
+of a fixed birefringence over the photon bandwidth.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .qmat import _dagger
 from .qstate import (
     IDENTITY_2,
     bell_state,
@@ -26,8 +28,8 @@ X_AXIS = (1.0, 0.0, 0.0)
 Y_AXIS = (0.0, 1.0, 0.0)
 Z_AXIS = (0.0, 0.0, 1.0)
 
-# A filter pair that leaves the state with less trace than this has blocked it.
-_BLOCKED_TRACE = 1e-14
+# Log of the trace below which a filter pair P_A x P_B has blocked the state.
+_LOG_BLOCKED_TRACE = np.log(1e-14)
 
 
 class FilterBlockedError(ValueError):
@@ -45,7 +47,7 @@ class FilterElement:
     """A partial polarizer: magnitude g >= 0 and a unit Stokes orientation.
 
     The orientation points at the favored polarization mode; the orthogonal
-    mode is attenuated by e^(-g) in power.
+    mode is attenuated by e^(-g) in amplitude, e^(-2g) in power.
     """
 
     magnitude: float
@@ -117,21 +119,19 @@ class BirefringenceSpec:
         object.__setattr__(self, "axis", _as_unit_tuple(self.axis))
 
 
+def _normalized_filters(gammas: np.ndarray, axis) -> np.ndarray:
+    # (N, 2, 2) stack of e^(-g/2) P = P+ + e^-g P- with P+- = (I +- axis.sigma)/2: no cancellation
+    n = pauli_dot(axis)
+    return (IDENTITY_2 + n) / 2 + np.exp(-gammas)[:, None, None] * ((IDENTITY_2 - n) / 2)
+
+
 def filter_operator(f: FilterElement) -> np.ndarray:
-    """Jones operator of a filter: cosh(g/2) I + sinh(g/2) (axis . sigma).
+    """Jones operator of a filter: P = cosh(g/2) I + sinh(g/2) (axis . sigma).
 
     Hermitian and positive definite with eigenvalues e^(+-g/2), hence
     determinant 1.
     """
-    half = f.magnitude / 2
-    return np.cosh(half) * IDENTITY_2 + np.sinh(half) * pauli_dot(f.orientation)
-
-
-def unitary_operator(axis, angle: float) -> np.ndarray:
-    """Jones rotation about a Stokes axis: cos(a/2) I - i sin(a/2) (axis . sigma)."""
-    axis = unit_stokes_vector(axis)
-    half = angle / 2
-    return np.cos(half) * IDENTITY_2 - 1j * np.sin(half) * pauli_dot(axis)
+    return np.exp(f.magnitude / 2) * _normalized_filters(np.array([f.magnitude]), f.orientation)[0]
 
 
 def pauli_channel_state(spec: PauliNoiseSpec) -> np.ndarray:
@@ -176,17 +176,29 @@ def apply_filters(
     rho_in = validate_density_matrix(rho_in)
     if rho_in.shape != (4, 4):
         raise ValueError("apply_filters expects a 4x4 two-qubit state")
-    pair = np.kron(filter_operator(f_a), filter_operator(f_b))
-    out = pair @ rho_in @ pair.conj().T
-    trace = float(np.trace(out).real)
-    if trace < _BLOCKED_TRACE:
+    gamma_a, gamma_b = np.array([f_a.magnitude]), np.array([f_b.magnitude])
+    states, transmission = _filter_pairs(rho_in, gamma_a, f_a.orientation, gamma_b, f_b.orientation)
+    return states[0], float(transmission[0])
+
+
+def _filter_pairs(rho, gamma_a, axis_a, gamma_b, axis_b) -> tuple[np.ndarray, np.ndarray]:
+    # apply_filters of a valid 4x4 state over arrays of magnitudes: N states, N transmissions
+    q_a = _normalized_filters(gamma_a, axis_a)
+    q_b = _normalized_filters(gamma_b, axis_b)
+    pairs = (q_a[:, :, None, :, None] * q_b[:, None, :, None, :]).reshape(-1, 4, 4)
+    out = pairs @ rho @ _dagger(pairs)
+    trace = out.trace(axis1=1, axis2=2).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the trace P_A x P_B leaves, in logs so that large magnitudes cannot overflow
+        log_trace = np.log(trace) + gamma_a + gamma_b
+    blocked = ~(log_trace >= _LOG_BLOCKED_TRACE)  # NaN counts as blocked
+    if blocked.any():
         raise FilterBlockedError(
-            f"filters block the state entirely (normalization trace {trace:.3e})"
+            "filters block the state entirely (normalization trace "
+            f"{np.exp(log_trace[blocked][0]):.3e})"
         )
-    transmission = min(1.0, float(np.exp(-f_a.magnitude - f_b.magnitude) * trace))
-    rho_f = out / trace
-    rho_f = (rho_f + rho_f.conj().T) / 2
-    return rho_f, transmission
+    states = out / trace[:, None, None]
+    return (states + _dagger(states)) / 2, np.minimum(1.0, trace)
 
 
 def bloch_ellipsoid(spec: PauliNoiseSpec) -> tuple[float, float, float]:

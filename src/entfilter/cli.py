@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -60,6 +61,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _finite_float(text: str) -> float:
+    # nan and inf parse as floats but no flag has a meaning for them
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _noise_spec(noise: str, p: float) -> PauliNoiseSpec:
@@ -205,13 +217,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     curves = sub.add_parser("curves", help="mutual-information sweep over the filter-A magnitude")
     curves.add_argument("--noise", choices=NOISE_TYPES, required=True)
-    curves.add_argument("--p", type=float, default=0.33, help="noise mixing weight (default 0.33)")
-    curves.add_argument("--gamma-a-max", type=float, default=1.2)
+    curves.add_argument(
+        "--p", type=_finite_float, default=0.33, help="noise mixing weight (default 0.33)"
+    )
+    curves.add_argument("--gamma-a-max", type=_finite_float, default=1.2)
     curves.add_argument("--steps", type=int, default=60, help="grid points over [0, gamma-a-max]")
     curves.add_argument("--strategy", choices=STRATEGIES, default="none")
     curves.add_argument(
         "--normalization",
-        type=float,
+        type=_finite_float,
         default=0.9,
         help="scale on reported mutual information (default 0.9; use 1.0 for pure theory)",
     )
@@ -222,22 +236,22 @@ def build_parser() -> argparse.ArgumentParser:
     inset = sub.add_parser("inset", help="mutual information vs gamma_B/gamma_A ratio")
     inset.add_argument(
         "--gamma-a",
-        type=float,
+        type=_finite_float,
         action="append",
         help="filter-A magnitude; repeatable (default: %.3f %.3f %.3f)" % INSET_GAMMA_A,
     )
-    inset.add_argument("--ratio-max", type=float, default=1.2)
+    inset.add_argument("--ratio-max", type=_finite_float, default=1.2)
     inset.add_argument("--steps", type=int, default=121, help="ratio grid points over [0, ratio-max]")
     inset.add_argument("--noise", choices=NOISE_TYPES, default="bitflip")
-    inset.add_argument("--p", type=float, default=0.33)
+    inset.add_argument("--p", type=_finite_float, default=0.33)
     inset.add_argument("--output", required=True)
     inset.add_argument("--format", choices=("csv", "json"), default="csv")
     inset.set_defaults(func=cmd_inset)
 
     optimize = sub.add_parser("optimize", help="print the optimal compensating filter as JSON")
     optimize.add_argument("--noise", choices=NOISE_TYPES, required=True)
-    optimize.add_argument("--p", type=float, default=0.33)
-    optimize.add_argument("--gamma-a", type=float, required=True)
+    optimize.add_argument("--p", type=_finite_float, default=0.33)
+    optimize.add_argument("--gamma-a", type=_finite_float, required=True)
     optimize.set_defaults(func=cmd_optimize)
 
     tomo = sub.add_parser("tomo", help="simulated polarization tomography")
@@ -245,9 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = tomo_sub.add_parser("simulate", help="write a coincidence-count record")
     simulate.add_argument("--state", choices=STATE_NAMES, required=True)
-    simulate.add_argument("--p", type=float, default=0.33, help="noise weight for bitflip/phaseflip states")
-    simulate.add_argument("--exposure", type=float, default=1e5, help="expected pairs per setting")
-    simulate.add_argument("--dark-prob", type=float, default=4e-5, help="accidental probability per gate")
+    simulate.add_argument("--p", type=_finite_float, default=0.33, help="noise weight for bitflip/phaseflip states")
+    simulate.add_argument("--exposure", type=_finite_float, default=1e5, help="expected pairs per setting")
+    simulate.add_argument("--dark-prob", type=_finite_float, default=4e-5, help="accidental probability per gate")
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--exact", action="store_true", help="store expected values instead of sampling")
     simulate.add_argument("--output", required=True)

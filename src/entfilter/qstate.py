@@ -5,7 +5,9 @@ Conventions, used consistently across the package:
 * computational basis order |HH>, |HV>, |VH>, |VV>, with |H> = (1, 0);
 * Pauli order sigma_1 = X, sigma_2 = Y, sigma_3 = Z, so |H> sits at +z in
   Stokes space;
-* entropies are base-2 (bits).
+* entropies are base-2 (bits);
+* validation, entropy, mutual information, concurrence, correlations and Bell
+  weights also take an (N, d, d) stack and return arrays where one state gives floats.
 """
 
 from __future__ import annotations
@@ -13,13 +15,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import qmat
-from .qmat import hermitian_eig, kron, matrix_sqrt_psd, partial_trace
+from .qmat import _dagger, _float_or_array, kron, matrix_sqrt_psd, partial_trace
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 IDENTITY_2 = np.eye(2, dtype=complex)
+_SPIN_FLIP = kron(SIGMA_Y, SIGMA_Y)
+_PAULI_PAIRS = np.array([[kron(sj, sk) for sk in PAULIS] for sj in PAULIS])
 
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 
@@ -76,40 +80,45 @@ def bell_state(label: str) -> np.ndarray:
 
 
 def validate_density_matrix(rho) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; return the coerced array."""
+    """Check Hermiticity, unit trace and positivity of each state; return the coerced array."""
     rho = qmat.as_matrix(rho)
-    if qmat.hermitian_defect(rho) > qmat.HERMITICITY_TOL:
+    if (qmat.hermitian_defect(rho) > qmat.HERMITICITY_TOL).any():
         raise ValueError("density matrix is not Hermitian within 1e-10")
-    trace = float(np.trace(rho).real)
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise ValueError(f"density matrix trace {trace!r} is not 1 within 1e-10")
-    eigenvalues = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if eigenvalues[0] < -qmat.PSD_TOL:
-        raise ValueError(f"density matrix has negative eigenvalue {eigenvalues[0]:.3e}")
+    trace = rho.trace(axis1=-2, axis2=-1).real
+    off = abs(trace - 1.0) > TRACE_TOL
+    if off.any():
+        raise ValueError(f"density matrix trace {float(trace[off][0])!r} is not 1 within 1e-10")
+    eigenvalues = np.linalg.eigvalsh((rho + _dagger(rho)) / 2)
+    if (eigenvalues < -qmat.PSD_TOL).any():
+        raise ValueError(f"density matrix has negative eigenvalue {eigenvalues.min():.3e}")
     return rho
 
 
 def _require_two_qubit(rho) -> np.ndarray:
     rho = validate_density_matrix(rho)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError("expected a 4x4 two-qubit density matrix")
     return rho
 
 
-def von_neumann_entropy(rho) -> float:
+def von_neumann_entropy(rho) -> float | np.ndarray:
     """Entropy -sum(w log2 w) over the eigenvalues, in bits.
 
     Eigenvalues below 1e-12 are dropped (0 log 0 = 0); the result is clamped
     to [0, log2(dim)] to absorb roundoff at the boundaries.
     """
-    rho = validate_density_matrix(rho)
-    w = hermitian_eig(rho).values
-    w = w[w > _ENTROPY_EIG_FLOOR]
-    entropy = float(-np.sum(w * np.log2(w)))
-    return min(max(entropy, 0.0), float(np.log2(rho.shape[0])))
+    return _float_or_array(_entropy_bits(validate_density_matrix(rho)))
 
 
-def mutual_information(rho) -> float:
+def _entropy_bits(rho) -> np.ndarray:
+    # von_neumann_entropy of already validated states, eigenvalues descending
+    w = np.linalg.eigh((rho + _dagger(rho)) / 2)[0][..., ::-1]
+    w = np.where(w > _ENTROPY_EIG_FLOOR, w, 1.0)  # 1 log 1 = 0 drops it from the sum
+    entropy = -(w * np.log2(w)).sum(axis=-1)
+    return entropy.clip(0.0, np.log2(rho.shape[-1]))
+
+
+def mutual_information(rho) -> float | np.ndarray:
     """Mutual quantum information S(A) + S(B) - S(AB) in bits.
 
     Always in [0, 2] for a valid two-qubit state; tiny negative roundoff
@@ -117,16 +126,14 @@ def mutual_information(rho) -> float:
     """
     rho = _require_two_qubit(rho)
     mi = (
-        von_neumann_entropy(partial_trace(rho, 0))
-        + von_neumann_entropy(partial_trace(rho, 1))
-        - von_neumann_entropy(rho)
+        _entropy_bits(partial_trace(rho, 0))
+        + _entropy_bits(partial_trace(rho, 1))
+        - _entropy_bits(rho)
     )
-    if -1e-12 < mi < 0.0:
-        return 0.0
-    return mi
+    return _float_or_array(np.where((-1e-12 < mi) & (mi < 0.0), 0.0, mi))
 
 
-def concurrence(rho) -> float:
+def concurrence(rho) -> float | np.ndarray:
     """Wootters concurrence max(0, l1 - l2 - l3 - l4) of a two-qubit state.
 
     The l_i are the descending square roots of the eigenvalues of the
@@ -139,20 +146,15 @@ def concurrence(rho) -> float:
     otherwise introduce for low-rank states.
     """
     rho = _require_two_qubit(rho)
-    spin_flip = kron(SIGMA_Y, SIGMA_Y)
     root = matrix_sqrt_psd(rho)
-    lam = np.linalg.svd(root @ spin_flip @ root.conj(), compute_uv=False)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    lam = np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
+    return _float_or_array(np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]))
 
 
 def correlation_matrix(rho) -> np.ndarray:
     """Stokes correlation matrix t_jk = Tr[rho (sigma_j x sigma_k)], 3x3 real."""
     rho = _require_two_qubit(rho)
-    t = np.empty((3, 3))
-    for j, sj in enumerate(PAULIS):
-        for k, sk in enumerate(PAULIS):
-            t[j, k] = float(np.trace(rho @ kron(sj, sk)).real)
-    return t
+    return (rho[..., None, None, :, :] @ _PAULI_PAIRS).trace(axis1=-2, axis2=-1).real
 
 
 def bell_diagonal_weights(rho) -> dict[str, float]:
@@ -164,7 +166,7 @@ def bell_diagonal_weights(rho) -> dict[str, float]:
     """
     rho = _require_two_qubit(rho)
     return {
-        label: float(np.real(w.conj() @ rho @ w)) / 2
+        label: _float_or_array(np.real(w.conj() @ rho @ w) / 2)
         for label, w in _BELL_COMPONENTS.items()
     }
 

@@ -9,7 +9,7 @@ state with concurrence
 so the best channel-B filter points along -T a and has magnitude
 atanh(||T a|| tanh(gA)). The sweep and ratio-scan drivers evaluate mutual
 information, concurrence and transmission along the curves an experiment
-would trace out.
+would trace out, filtering the whole curve as one stack of states.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import FilterElement, PauliNoiseSpec, Z_AXIS, apply_filters, pauli_channel_state
+from .channel import _filter_pairs
+from .qmat import _float_or_array
 from .qstate import concurrence, correlation_matrix, mutual_information, unit_stokes_vector
 
 #: Stokes direction of the channel-A inherent filter. |H> of photon A defines
@@ -69,18 +71,19 @@ def concurrence_after_filtering(
 
     ``c0`` is the concurrence and ``t`` the diagonal correlation matrix of the
     unfiltered state. Agrees with the Wootters concurrence of the numerically
-    filtered state to within roundoff.
+    filtered state to within roundoff. Evaluated divided through by e^(gA+gB),
+    with x, y = e^(-2gA), e^(-2gB) and d = T a . b, as 4 c0 e^(-gA-gB) /
+    [(1+d)(1+xy) + (1-d)(x+y)]: no term overflows or, for |d| <= 1, cancels.
     """
     if not -1e-12 <= c0 <= 1.0 + 1e-9:
         raise ValueError("c0 must lie in [0, 1]")
     t = _as_correlation(t)
     dot = float((t @ f_a.axis) @ f_b.axis)
-    denom = np.cosh(f_a.magnitude) * np.cosh(f_b.magnitude) + dot * np.sinh(
-        f_a.magnitude
-    ) * np.sinh(f_b.magnitude)
+    x, y = np.exp(-2 * f_a.magnitude), np.exp(-2 * f_b.magnitude)
+    denom = (1 + dot) * (1 + x * y) + (1 - dot) * (x + y)
     if denom <= 0:
         raise ValueError("unphysical filter configuration (denominator <= 0)")
-    return float(max(0.0, c0) / denom)
+    return float(4 * max(0.0, c0) * np.exp(-f_a.magnitude - f_b.magnitude) / denom)
 
 
 def optimal_orientation(t, gamma_a_hat) -> np.ndarray:
@@ -93,20 +96,22 @@ def optimal_orientation(t, gamma_a_hat) -> np.ndarray:
     return -v / norm
 
 
-def optimal_magnitude(t, gamma_a_hat, gamma_a: float) -> float:
+def optimal_magnitude(t, gamma_a_hat, gamma_a) -> float | np.ndarray:
     """Concurrence-maximizing filter-B magnitude atanh(||T a|| tanh(gA)).
 
-    Never exceeds ``gamma_a`` since ||T a|| <= 1 for any physical correlation
-    matrix.
+    ``gamma_a`` may be an array. Never exceeds ``gamma_a`` since ||T a|| <= 1
+    for any physical correlation matrix; equals it when ||T a|| = 1 (phase flip).
     """
-    if gamma_a < 0:
+    gamma_a = np.asarray(gamma_a, dtype=float)
+    if not (gamma_a >= 0).all():
         raise ValueError("gamma_a must be >= 0")
     a = unit_stokes_vector(gamma_a_hat)
     gain = float(np.linalg.norm(np.asarray(t, dtype=float) @ a))
     if gain > 1.0 + 1e-9:
         raise ValueError(f"invalid correlation matrix: ||T a|| = {gain} exceeds 1")
-    gain = min(gain, 1.0)
-    return float(np.arctanh(gain * np.tanh(gamma_a)))
+    # atanh(tanh(gA)) would round above gA, and reach inf from gA ~ 19
+    gamma_b = gamma_a if gain >= 1.0 else np.arctanh(gain * np.tanh(gamma_a))
+    return _float_or_array(gamma_b)
 
 
 def plan_recovery(rho, f_a: FilterElement) -> RecoveryPlan:
@@ -137,6 +142,15 @@ def _compensator_orientation(t, gamma_a_hat) -> tuple[float, float, float]:
     return tuple(float(x) + 0.0 for x in orientation)
 
 
+def _evaluate(rho, t, gamma_a, gamma_b, strategy, normalization) -> list[SweepPoint]:
+    # filter -> normalize -> (MI, C, T) over arrays of magnitudes; t is rho's correlation matrix
+    orientation = _compensator_orientation(t, GAMMA_A_AXIS)
+    states, transmission = _filter_pairs(rho, gamma_a, GAMMA_A_AXIS, gamma_b, orientation)
+    mutual_info = normalization * mutual_information(states)
+    rows = np.column_stack([gamma_a, gamma_b, mutual_info, concurrence(states), transmission])
+    return [SweepPoint(a, b, strategy, mi, c, tr) for a, b, mi, c, tr in rows.tolist()]
+
+
 def sweep(
     noise: PauliNoiseSpec,
     gamma_a_grid,
@@ -151,41 +165,24 @@ def sweep(
     concurrence-optimal one. ``normalization`` scales the reported mutual
     information only (concurrence and transmission are never rescaled).
 
-    Points are mutually independent pure computations; the returned list
-    follows the input grid order.
+    The returned list follows the input grid order.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if not 0.0 < normalization <= 1.0:
         raise ValueError("normalization must lie in (0, 1]")
+    gamma_a = np.asarray(gamma_a_grid, dtype=float)
+    if not (gamma_a >= 0).all():
+        raise ValueError("gamma_a grid values must be >= 0")
     rho = pauli_channel_state(noise)
     t = correlation_matrix(rho)
-    orientation = _compensator_orientation(t, GAMMA_A_AXIS)
-    points = []
-    for gamma_a in gamma_a_grid:
-        gamma_a = float(gamma_a)
-        if gamma_a < 0:
-            raise ValueError("gamma_a grid values must be >= 0")
-        if strategy == "none":
-            gamma_b = 0.0
-        elif strategy == "match":
-            gamma_b = gamma_a
-        else:
-            gamma_b = optimal_magnitude(t, GAMMA_A_AXIS, gamma_a)
-        rho_f, transmission = apply_filters(
-            rho, FilterElement(gamma_a, GAMMA_A_AXIS), FilterElement(gamma_b, orientation)
-        )
-        points.append(
-            SweepPoint(
-                gamma_a=gamma_a,
-                gamma_b=gamma_b,
-                strategy=strategy,
-                mutual_info=normalization * mutual_information(rho_f),
-                concurrence=concurrence(rho_f),
-                transmission=transmission,
-            )
-        )
-    return points
+    if strategy == "none":
+        gamma_b = np.zeros_like(gamma_a)
+    elif strategy == "match":
+        gamma_b = gamma_a
+    else:
+        gamma_b = optimal_magnitude(t, GAMMA_A_AXIS, gamma_a)
+    return _evaluate(rho, t, gamma_a, gamma_b, strategy, normalization)
 
 
 def ratio_scan(noise: PauliNoiseSpec, gamma_a: float, ratio_grid) -> list[SweepPoint]:
@@ -196,30 +193,14 @@ def ratio_scan(noise: PauliNoiseSpec, gamma_a: float, ratio_grid) -> list[SweepP
     peak sits close to (but not exactly at) the same ratio.
     """
     gamma_a = float(gamma_a)
-    if gamma_a <= 0:
+    if not gamma_a > 0:
         raise ValueError("ratio_scan requires gamma_a > 0")
+    ratios = np.asarray(ratio_grid, dtype=float)
+    if not (ratios >= 0).all():
+        raise ValueError("ratios must be >= 0")
     rho = pauli_channel_state(noise)
-    t = correlation_matrix(rho)
-    orientation = _compensator_orientation(t, GAMMA_A_AXIS)
-    f_a = FilterElement(gamma_a, GAMMA_A_AXIS)
-    points = []
-    for ratio in ratio_grid:
-        ratio = float(ratio)
-        if ratio < 0:
-            raise ValueError("ratios must be >= 0")
-        f_b = FilterElement(ratio * gamma_a, orientation)
-        rho_f, transmission = apply_filters(rho, f_a, f_b)
-        points.append(
-            SweepPoint(
-                gamma_a=gamma_a,
-                gamma_b=f_b.magnitude,
-                strategy="ratio",
-                mutual_info=mutual_information(rho_f),
-                concurrence=concurrence(rho_f),
-                transmission=transmission,
-            )
-        )
-    return points
+    gamma_a_grid = np.full_like(ratios, gamma_a)
+    return _evaluate(rho, correlation_matrix(rho), gamma_a_grid, ratios * gamma_a, "ratio", 1.0)
 
 
 def argmax_ratio(points: list[SweepPoint], metric: str = "mutual_info") -> float:

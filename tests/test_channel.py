@@ -13,7 +13,6 @@ from entfilter.channel import (
     dephasing_from_spectrum,
     filter_operator,
     pauli_channel_state,
-    unitary_operator,
 )
 from entfilter.qstate import (
     IDENTITY_2,
@@ -33,8 +32,7 @@ MINUS_Z = (0.0, 0.0, -1.0)
 def spectral_average_channel(rho, axis, dgd, width, nodes=2001, span=10.0):
     """Quadrature oracle: integrate U(w) rho U(w)^dag over a Gaussian spectrum.
 
-    U is built from first principles here (cos/sin), independent of the
-    channel module's unitary_operator.
+    U is the Jones rotation built from first principles here (cos/sin).
     """
     omega = np.linspace(-span * width, span * width, nodes)
     weight = np.exp(-(omega**2) / (2 * width**2))
@@ -91,23 +89,6 @@ class TestFilterOperator:
             assert abs(np.linalg.det(p).real - 1.0) < 1e-12
             expected = sorted([math.exp(f.magnitude / 2), math.exp(-f.magnitude / 2)])
             assert np.allclose(np.sort(w), expected, rtol=1e-12)
-
-
-class TestUnitaryOperator:
-    def test_zero_angle(self):
-        assert np.allclose(unitary_operator(Z, 0.0), np.eye(2))
-
-    def test_full_turn_flips_sign(self):
-        assert np.allclose(unitary_operator((1.0, 0.0, 0.0), 2 * math.pi), -np.eye(2), atol=1e-15)
-
-    def test_half_turn_about_z(self):
-        assert np.allclose(unitary_operator(Z, math.pi), np.diag([-1j, 1j]), atol=1e-15)
-
-    def test_unitarity(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            u = unitary_operator(tuple(random_unit_vector(rng)), rng.uniform(-10, 10))
-            assert np.linalg.norm(u @ u.conj().T - np.eye(2)) < 1e-12
 
 
 class TestPauliChannelState:

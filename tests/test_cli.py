@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -11,6 +12,30 @@ from entfilter.qstate import bell_state, density_matrix_from_json, fidelity_pure
 from entfilter.recover import sweep
 
 MI_UNFILTERED = 2.0 + 0.835 * math.log2(0.835) + 0.165 * math.log2(0.165)
+
+# SHA-256 of the CSVs the commands write at their defaults. Sweep artifacts
+# must stay byte-identical at the %.12g float format.
+PINNED_CSV_SHA256 = {
+    ("curves", "--noise", "bitflip", "--strategy", "none"): (
+        "29aa21e55ee6079b36873bcda437c1a49908b62138d1f7ce9f6711e969b8f5f7"
+    ),
+    ("curves", "--noise", "bitflip", "--strategy", "match"): (
+        "7544d94ada858efaf27c585d8c57d870aa1af136884fbd6dcb29cd1f63eb5436"
+    ),
+    ("curves", "--noise", "bitflip", "--strategy", "optimal"): (
+        "b3b1d73cb7d153acdee2eec64533c1904fae04130caefc5aadd37845d36917f2"
+    ),
+    ("curves", "--noise", "phaseflip", "--strategy", "none"): (
+        "55c16ee4130d0419ff712cb4166b99f334bdae9a291d9a1e98d4c52b1312558a"
+    ),
+    ("curves", "--noise", "phaseflip", "--strategy", "match"): (
+        "8a26e577066ecd899c0952cb03bdac63204c71d8c9b184fece4af7ded2687b41"
+    ),
+    ("curves", "--noise", "phaseflip", "--strategy", "optimal"): (
+        "f20121edf8cf272d87cadc94e0a490a1b353438e62a03a564d613ea045aea50d"
+    ),
+    ("inset",): "8d014694a7f5cb5c02ee73c875a899b0b974e129c64f18cfce84527de34503df",
+}
 
 
 def read_csv_rows(path):
@@ -180,6 +205,44 @@ class TestCurves:
         assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", sorted(PINNED_CSV_SHA256))
+def test_default_csv_matches_pinned_digest(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CSV_SHA256[argv]
+
+
+def test_phaseflip_optimum_holds_at_large_filter_strength(tmp_path):
+    out = tmp_path / "pf.csv"
+    argv = ["curves", "--noise", "phaseflip", "--strategy", "optimal", "--gamma-a-max", "20"]
+    assert main([*argv, "--output", str(out)]) == 0
+    rows, _ = read_csv_rows(out)
+    assert float(rows[-1]["gamma_a"]) == 20.0
+    for row in rows:
+        assert row["gamma_b"] == row["gamma_a"]
+        assert float(row["concurrence"]) == pytest.approx(0.67, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--noise", "bitflip", "--gamma-a", "{}"],
+        ["inset", "--gamma-a", "{}", "--output", "{out}"],
+        ["curves", "--noise", "bitflip", "--gamma-a-max", "{}", "--output", "{out}"],
+        ["inset", "--ratio-max", "{}", "--output", "{out}"],
+        ["tomo", "simulate", "--state", "phi+", "--exposure", "{}", "--output", "{out}"],
+        ["tomo", "simulate", "--state", "phi+", "--dark-prob", "{}", "--output", "{out}"],
+    ],
+)
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_float_is_usage_error(tmp_path, capsys, argv, value):
+    out = tmp_path / "out"
+    code = main([arg.format(value, out=out) for arg in argv])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestInset:
     def test_default_series_peak_near_059(self, tmp_path):
         out = tmp_path / "inset.csv"
@@ -265,6 +328,16 @@ class TestOptimize:
     def test_zero_gamma_a(self, capsys):
         report = self.run_json(capsys, "--noise", "bitflip", "--gamma-a", "0")
         assert report["gamma_b_opt"] == 0.0
+
+    def test_huge_gamma_a_gives_finite_json(self, capsys):
+        code = main(["optimize", "--noise", "bitflip", "--gamma-a", "800"])
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"non-finite {constant} in JSON output")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert report["predicted_concurrence"] == pytest.approx(0.0, abs=1e-300)
 
 
 class TestTomo:

@@ -18,6 +18,7 @@ from entfilter.qstate import (
 )
 
 from helpers import (
+    BELL_PROJECTORS,
     random_bell_diagonal,
     random_density_matrix,
     random_unitary,
@@ -131,6 +132,28 @@ class TestConcurrence:
             assert concurrence(rho) == pytest.approx(
                 max(0.0, 2 * w_max - 1), abs=1e-9
             )
+
+
+class TestStacks:
+    def test_stack_matches_per_state_calls(self):
+        rng = np.random.default_rng(43)
+        states = np.array([random_density_matrix(rng) for _ in range(40)] + list(BELL_PROJECTORS))
+        for measure in (mutual_information, concurrence, von_neumann_entropy):
+            single = [measure(rho) for rho in states]
+            assert all(type(value) is float for value in single)
+            stacked = measure(states)
+            assert stacked.shape == (len(states),)
+            assert np.max(np.abs(stacked - single)) <= 1e-15
+        single_t = [correlation_matrix(rho) for rho in states]
+        assert np.max(np.abs(correlation_matrix(states) - single_t)) <= 1e-15
+        stacked_w = bell_diagonal_weights(states)
+        for rho, *weights in zip(states, *stacked_w.values()):
+            assert list(bell_diagonal_weights(rho).values()) == pytest.approx(weights, abs=1e-15)
+
+    def test_one_invalid_state_rejects_the_stack(self):
+        states = np.array([bell_state("phi+"), 2 * bell_state("psi-")])
+        with pytest.raises(ValueError, match="trace 2.0"):
+            validate_density_matrix(states)
 
 
 class TestCorrelationMatrix:

@@ -50,7 +50,7 @@ class TestConcurrenceAfterFiltering:
         # cosh^2 - sinh^2 = 1 for every magnitude
         p = 0.33
         t = np.diag([1 - p, -(1 - p), 1.0])
-        for gamma in (0.2, 0.857, 1.5):
+        for gamma in (0.2, 0.857, 1.5, 18.0, 300.0):
             out = concurrence_after_filtering(
                 1 - p, t, FilterElement(gamma, Z), FilterElement(gamma, MINUS_Z)
             )
@@ -125,8 +125,8 @@ class TestOptimalOrientation:
 class TestOptimalMagnitude:
     def test_phaseflip_matches_gamma_a(self):
         t = np.diag([0.67, -0.67, 1.0])
-        for gamma_a in (0.3, 0.857, 2.0):
-            assert optimal_magnitude(t, Z, gamma_a) == pytest.approx(gamma_a, abs=1e-12)
+        for gamma_a in (0.3, 0.857, 2.0, 18.0, 25.0):
+            assert optimal_magnitude(t, Z, gamma_a) == gamma_a
 
     def test_zero_gamma_a(self):
         t = np.diag([1.0, -0.67, 0.67])
