@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import _dagger
+from .qmat import _dagger, kron
 from .qstate import (
     IDENTITY_2,
     bell_state,
@@ -54,7 +54,7 @@ class FilterElement:
     orientation: tuple[float, float, float]
 
     def __post_init__(self):
-        if self.magnitude < 0:
+        if not self.magnitude >= 0:  # also rejects NaN
             raise ValueError("filter magnitude must be >= 0")
         object.__setattr__(self, "magnitude", float(self.magnitude))
         object.__setattr__(self, "orientation", _as_unit_tuple(self.orientation))
@@ -183,9 +183,7 @@ def apply_filters(
 
 def _filter_pairs(rho, gamma_a, axis_a, gamma_b, axis_b) -> tuple[np.ndarray, np.ndarray]:
     # apply_filters of a valid 4x4 state over arrays of magnitudes: N states, N transmissions
-    q_a = _normalized_filters(gamma_a, axis_a)
-    q_b = _normalized_filters(gamma_b, axis_b)
-    pairs = (q_a[:, :, None, :, None] * q_b[:, None, :, None, :]).reshape(-1, 4, 4)
+    pairs = kron(_normalized_filters(gamma_a, axis_a), _normalized_filters(gamma_b, axis_b))
     out = pairs @ rho @ _dagger(pairs)
     trace = out.trace(axis1=1, axis2=2).real
     with np.errstate(divide="ignore", invalid="ignore"):

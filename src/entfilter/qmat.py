@@ -1,7 +1,7 @@
 """Dense complex linear algebra for the 2x2 and 4x4 matrices used everywhere else.
 
 All functions are pure and operate on plain ``numpy`` arrays coerced to
-complex; all but ``kron`` also take an ``(N, d, d)`` stack. Matrices larger
+complex; each also takes an ``(N, d, d)`` stack. Matrices larger
 than 4x4 are rejected on purpose; nothing in this package needs them.
 """
 
@@ -59,12 +59,12 @@ class EigenDecomposition:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices (row-major block convention)."""
+    """Kronecker product (row-major blocks) of two 2x2 matrices or two (N, 2, 2) stacks, pairwise."""
     a = as_matrix(a)
     b = as_matrix(b)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValueError("kron expects two 2x2 matrices")
-    return np.kron(a, b)
+    if a.shape[-2:] != (2, 2) or b.shape != a.shape:
+        raise ValueError("kron expects two 2x2 matrices or two (N, 2, 2) stacks of one length")
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(a.shape[:-2] + (4, 4))
 
 
 def hermitian_eig(m) -> EigenDecomposition:

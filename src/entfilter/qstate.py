@@ -55,14 +55,9 @@ def unit_stokes_vector(v) -> np.ndarray:
 
 
 def pauli_dot(axis) -> np.ndarray:
-    """The 2x2 operator axis . sigma for a Stokes-space direction."""
-    a = np.asarray(axis, dtype=float)
-    return a[0] * SIGMA_X + a[1] * SIGMA_Y + a[2] * SIGMA_Z
-
-
-def stokes_projector(axis) -> np.ndarray:
-    """Rank-1 projector (I + axis . sigma) / 2 onto an analyzer direction."""
-    return (IDENTITY_2 + pauli_dot(unit_stokes_vector(axis))) / 2
+    """Operator axis . sigma: 2x2 for one Stokes direction, (..., 2, 2) for (..., 3) directions."""
+    a = np.asarray(axis, dtype=float)[..., None, None]
+    return a[..., 0, :, :] * SIGMA_X + a[..., 1, :, :] * SIGMA_Y + a[..., 2, :, :] * SIGMA_Z
 
 
 def bell_state(label: str) -> np.ndarray:
@@ -187,6 +182,8 @@ def fidelity_pure(rho, target) -> float:
 def density_matrix_to_json(rho) -> dict:
     """JSON-ready dict: nested [re, im] pairs plus the basis ordering."""
     rho = qmat.as_matrix(rho)
+    if rho.ndim != 2:
+        raise ValueError(f"expected one 2x2 or 4x4 matrix, got shape {rho.shape}")
     return {
         "basis": list(_BASIS_LABELS[rho.shape[0]]),
         "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in rho],

@@ -3,6 +3,9 @@
 Coincidence counts are drawn per analyzer setting from Poisson statistics
 (with an optional uniform dark-count rate), and the state is re-estimated by
 linear inversion of the Stokes parameters with a physicality projection.
+Both run on stacks over all settings: the projector pairs are built and
+traced at once, and the counts are classified and pooled at once. Only the
+Poisson draw runs per setting, each from its own seeded generator.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from . import qmat
 from .qstate import (
     IDENTITY_2,
     PAULIS,
-    stokes_projector,
+    pauli_dot,
     unit_stokes_vector,
     validate_density_matrix,
 )
@@ -34,6 +37,22 @@ ANALYZER_DIRECTIONS = (
     (0.0, 1.0, 0.0),
     (0.0, -1.0, 0.0),
 )
+
+# Signed axes +x, -x, +y, -y, +z, -z: row 2j + (0 or 1) is +e_j or -e_j.
+_SIGNED_AXES = np.array([sign * unit for unit in np.eye(3) for sign in (1.0, -1.0)])
+
+# Stations used by each Pauli-basis cell a setting's counts pool into: none
+# (the normalization), both (correlations t_jk), A alone and B alone.
+_STATIONS = np.array([[0, 0], [1, 1], [1, 0], [0, 1]])
+
+# Pauli-basis terms sigma_mu x sigma_nu (0 = identity) in the order the
+# estimate sums them: the identity, then per axis j of A its A term, the B
+# term of the same axis and the three correlations (j, k).
+_MU, _NU = np.array(
+    [(0, 0)] + [t for j in (1, 2, 3) for t in ((j, 0), (0, j), (j, 1), (j, 2), (j, 3))]
+).T
+_SIGMAS = np.array([IDENTITY_2, *PAULIS])
+_TERM_BASIS = qmat.kron(_SIGMAS[_MU], _SIGMAS[_NU])
 
 
 @dataclass(frozen=True)
@@ -66,12 +85,13 @@ class TomographyRecord:
     def __post_init__(self):
         if len(self.counts) != len(self.settings):
             raise ValueError("counts length must equal settings length")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be non-negative")
-        if self.exposure <= 0:
-            raise ValueError("exposure must be > 0")
-        if self.dark_prob < 0:
-            raise ValueError("dark_prob must be >= 0")
+        # chained comparisons are False for NaN
+        if not all(0 <= c < np.inf for c in self.counts):
+            raise ValueError("counts must be finite and non-negative")
+        if not 0 < self.exposure < np.inf:
+            raise ValueError("exposure must be finite and > 0")
+        if not 0 <= self.dark_prob < np.inf:
+            raise ValueError("dark_prob must be finite and >= 0")
 
 
 def standard_settings() -> list[MeasurementSetting]:
@@ -86,11 +106,16 @@ def standard_settings() -> list[MeasurementSetting]:
     ]
 
 
-def coincidence_probability(rho, setting: MeasurementSetting) -> float:
-    """Tr[rho (Pi_A x Pi_B)] for rank-1 analyzer projectors."""
-    pa = stokes_projector(setting.proj_a)
-    pb = stokes_projector(setting.proj_b)
-    return float(np.trace(rho @ np.kron(pa, pb)).real)
+def _directions(settings) -> np.ndarray:
+    # (S, 2, 3) analyzer directions, station A then B
+    return np.array([(s.proj_a, s.proj_b) for s in settings], dtype=float).reshape(-1, 2, 3)
+
+
+def coincidence_probability(rho, settings) -> np.ndarray:
+    """Tr[rho (Pi_A x Pi_B)] for each setting's rank-1 analyzer projectors, as an (S,) array."""
+    projectors = (IDENTITY_2 + pauli_dot(_directions(settings))) / 2
+    pairs = qmat.kron(projectors[:, 0], projectors[:, 1])
+    return (rho @ pairs).trace(axis1=-2, axis2=-1).real
 
 
 def simulate_counts(
@@ -119,15 +144,10 @@ def simulate_counts(
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     settings = tuple(settings)
-    counts = []
-    for index, setting in enumerate(settings):
-        mu = exposure * (coincidence_probability(rho, setting) + dark_prob)
-        mu = max(mu, 0.0)  # roundoff can push a dark-free zero slightly negative
-        if exact:
-            counts.append(float(mu))
-        else:
-            rng = np.random.default_rng([int(seed), index])
-            counts.append(float(rng.poisson(mu)))
+    mu = exposure * (coincidence_probability(rho, settings) + dark_prob)
+    counts = np.maximum(mu, 0.0).tolist()  # roundoff can push a dark-free zero slightly negative
+    if not exact:
+        counts = [float(np.random.default_rng([int(seed), i]).poisson(m)) for i, m in enumerate(counts)]
     return TomographyRecord(
         settings=settings,
         counts=tuple(counts),
@@ -137,18 +157,13 @@ def simulate_counts(
     )
 
 
-def _axis_and_sign(direction) -> tuple[int, int]:
-    a = np.asarray(direction, dtype=float)
-    for j in range(3):
-        unit = np.zeros(3)
-        unit[j] = 1.0
-        if np.allclose(a, unit, atol=1e-9):
-            return j, +1
-        if np.allclose(a, -unit, atol=1e-9):
-            return j, -1
-    raise ValueError(
-        "linear inversion requires analyzer directions along signed Pauli axes"
-    )
+def _signed_axes(settings) -> tuple[np.ndarray, np.ndarray]:
+    # (S, 2) Pauli axis index and sign of each analyzer; directions must lie along +-e_j
+    hits = np.isclose(_directions(settings)[..., None, :], _SIGNED_AXES, atol=1e-9).all(axis=-1)
+    if not hits.any(axis=-1).all():
+        raise ValueError("linear inversion requires analyzer directions along signed Pauli axes")
+    first = hits.argmax(axis=-1)
+    return first // 2, 1.0 - 2.0 * (first % 2)
 
 
 def reconstruct(record: TomographyRecord) -> np.ndarray:
@@ -163,37 +178,23 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
     Raises :class:`InsufficientStatisticsError` when any axis-pair group is
     missing or has zero total counts.
     """
-    corr_signed = np.zeros((3, 3))
-    group_total = np.zeros((3, 3))
-    a_signed = np.zeros(3)
-    a_total = np.zeros(3)
-    b_signed = np.zeros(3)
-    b_total = np.zeros(3)
-    for setting, n in zip(record.settings, record.counts):
-        j, sign_a = _axis_and_sign(setting.proj_a)
-        k, sign_b = _axis_and_sign(setting.proj_b)
-        corr_signed[j, k] += sign_a * sign_b * n
-        group_total[j, k] += n
-        a_signed[j] += sign_a * n
-        a_total[j] += n
-        b_signed[k] += sign_b * n
-        b_total[k] += n
-    if np.any(group_total <= 0):
-        j, k = np.argwhere(group_total <= 0)[0]
+    axis, sign = _signed_axes(record.settings)
+    used = _STATIONS[:, None, :]
+    cells = tuple((used * (axis + 1)).transpose(2, 0, 1))  # (4, S) row and column indices
+    signs = np.where(used, sign, 1.0).prod(axis=-1)
+    counts = np.broadcast_to(np.asarray(record.counts, dtype=float), signs.shape)
+    signed = np.zeros((4, 4))
+    pooled = np.zeros((4, 4))
+    # unbuffered, so each cell sums its counts in setting order
+    np.add.at(signed, cells, signs * counts)
+    np.add.at(pooled, cells, counts)
+    if np.any(pooled[1:, 1:] <= 0):
+        j, k = np.argwhere(pooled[1:, 1:] <= 0)[0]
         raise InsufficientStatisticsError(
             f"setting group (axis {j}, axis {k}) has zero total counts"
         )
-    corr = corr_signed / group_total
-    stokes_a = a_signed / a_total
-    stokes_b = b_signed / b_total
-
-    rho = np.eye(4, dtype=complex)
-    for j in range(3):
-        rho += stokes_a[j] * np.kron(PAULIS[j], IDENTITY_2)
-        rho += stokes_b[j] * np.kron(IDENTITY_2, PAULIS[j])
-        for k in range(3):
-            rho += corr[j, k] * np.kron(PAULIS[j], PAULIS[k])
-    rho /= 4.0
+    stokes = signed / pooled  # the identity's own cell gives exactly 1
+    rho = (stokes[_MU, _NU][:, None, None] * _TERM_BASIS).sum(axis=0) / 4.0
 
     eig = qmat.hermitian_eig(rho)
     clipped = np.clip(eig.values, 0.0, None)

@@ -51,6 +51,10 @@ class TestFilterElement:
         with pytest.raises(ValueError):
             FilterElement(-0.1, Z)
 
+    def test_rejects_nan_magnitude(self):
+        with pytest.raises(ValueError, match="magnitude"):
+            FilterElement(float("nan"), Z)
+
     def test_rejects_non_unit_orientation(self):
         with pytest.raises(ValueError):
             FilterElement(0.5, (1.0, 1.0, 0.0))

@@ -37,6 +37,35 @@ PINNED_CSV_SHA256 = {
     ("inset",): "8d014694a7f5cb5c02ee73c875a899b0b974e129c64f18cfce84527de34503df",
 }
 
+# SHA-256 of the record `tomo simulate` writes with these flags, then of the
+# state `tomo reconstruct` writes from it. Records stay identical for a seed.
+PINNED_TOMO_SHA256 = {
+    ("--state", "phi+", "--seed", "7"): (
+        "551d4aa4cb3ba3379f03fbac57cafec401f213792c63bcbcca94377ea914dd55",
+        "589571cf2836ea65dc83e8d9a0dc64e542e682089b9d350a3286e557d5447b30",
+    ),
+    ("--state", "phi+", "--exact"): (
+        "47a81344328622c4442d4b4bbf619a2974c7df039bb69cdbd341c5877903bd67",
+        "5fb91233f0c8039f4d349b5054f29516bfb90b6b402bffdc76532fa6ab1dc8f5",
+    ),
+    ("--state", "bitflip", "--seed", "7"): (
+        "632fdcaed1c5c89efff7052d0b73d7541540793e831c82141044115b52ff09b0",
+        "dfe76fb831fc7600e61aeef370f538d3dd84ffa29bf1f8033f2db1d1111b9d16",
+    ),
+    ("--state", "bitflip", "--exact"): (
+        "dc4041363718152ec64edbe8d4d9141ba6fb0bbfb69853f72737afd257ea69c6",
+        "7b250e1f840b3aa3922294f5b2f7eeb5dd285eeb085de433e0339d301b04acb8",
+    ),
+    ("--state", "phaseflip", "--seed", "7"): (
+        "e2d33730e37a864f697b2201722dcf2ab394dbd32890854f89fed84a0ea6b606",
+        "1153eb70d9bdc595cd6e770b6746d61dd6054ab0ce4fba1db03d904d19f762a7",
+    ),
+    ("--state", "phaseflip", "--exact"): (
+        "bfab4d8d9c360d03169b70cb0fa75be5a4dc1767b80e559d7c818269801823ee",
+        "1e34c5305f93bfe81414b5851e23089dbf0fafeba5115c139d5a77134f93f2da",
+    ),
+}
+
 
 def read_csv_rows(path):
     lines = path.read_text().strip().split("\n")
@@ -210,6 +239,15 @@ def test_default_csv_matches_pinned_digest(tmp_path, argv):
     out = tmp_path / "out.csv"
     assert main([*argv, "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CSV_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_TOMO_SHA256))
+def test_tomo_artifacts_match_pinned_digests(tmp_path, argv):
+    record, state = tmp_path / "record.json", tmp_path / "state.json"
+    assert main(["tomo", "simulate", *argv, "--output", str(record)]) == 0
+    assert main(["tomo", "reconstruct", "--input", str(record), "--output", str(state)]) == 0
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (record, state))
+    assert digests == PINNED_TOMO_SHA256[argv]
 
 
 def test_phaseflip_optimum_holds_at_large_filter_strength(tmp_path):
@@ -446,6 +484,25 @@ class TestTomo:
         )
         assert code == 2
         assert "zero total counts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, text", [("counts", "[NaN]"), ("exposure", "NaN")])
+    def test_non_finite_record_is_runtime_error(self, tmp_path, capsys, field, text):
+        # Python's json module reads NaN, so the record itself must reject it
+        fields = {
+            "settings": "[[[0, 0, 1], [0, 0, 1]]]",
+            "counts": "[5]",
+            "exposure": "100.0",
+            "dark_prob": "0.0",
+            "seed": "0",
+        }
+        fields[field] = text
+        record_path = tmp_path / "nan.json"
+        record_path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+        out = tmp_path / "out.json"
+        code = main(["tomo", "reconstruct", "--input", str(record_path), "--output", str(out)])
+        assert code == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_json_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -24,6 +24,16 @@ class TestKron:
         with pytest.raises(ValueError):
             kron(np.eye(4), I2)
 
+    def test_stacks_pair_by_pair_as_np_kron(self):
+        rng = np.random.default_rng(13)
+        a, b = (rng.normal(size=(7, 2, 2)) + 1j * rng.normal(size=(7, 2, 2)) for _ in range(2))
+        stacked = kron(a, b)
+        assert stacked.shape == (7, 4, 4)
+        for x, y, pair in zip(a, b, stacked):
+            assert np.array_equal(pair, np.kron(x, y))
+        with pytest.raises(ValueError):
+            kron(a, b[:3])
+
     def test_mixed_product_property(self):
         rng = np.random.default_rng(11)
         for _ in range(50):

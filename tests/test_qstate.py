@@ -5,6 +5,9 @@ import pytest
 
 from entfilter.channel import PauliNoiseSpec, pauli_channel_state
 from entfilter.qstate import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     bell_diagonal_weights,
     bell_state,
     concurrence,
@@ -13,6 +16,7 @@ from entfilter.qstate import (
     density_matrix_to_json,
     fidelity_pure,
     mutual_information,
+    pauli_dot,
     validate_density_matrix,
     von_neumann_entropy,
 )
@@ -150,6 +154,14 @@ class TestStacks:
         for rho, *weights in zip(states, *stacked_w.values()):
             assert list(bell_diagonal_weights(rho).values()) == pytest.approx(weights, abs=1e-15)
 
+    def test_pauli_dot_of_stacked_directions(self):
+        rng = np.random.default_rng(47)
+        directions = rng.normal(size=(5, 2, 3))
+        stacked = pauli_dot(directions)
+        assert stacked.shape == (5, 2, 2, 2)
+        for d, op in zip(directions.reshape(-1, 3), stacked.reshape(-1, 2, 2)):
+            assert np.array_equal(op, d[0] * SIGMA_X + d[1] * SIGMA_Y + d[2] * SIGMA_Z)
+
     def test_one_invalid_state_rejects_the_stack(self):
         states = np.array([bell_state("phi+"), 2 * bell_state("psi-")])
         with pytest.raises(ValueError, match="trace 2.0"):
@@ -247,6 +259,11 @@ class TestJsonFormat:
     def test_entries_are_re_im_pairs(self):
         obj = density_matrix_to_json(bell_state("phi+"))
         assert obj["matrix"][0][3] == [0.5, 0.0]
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_rejects_stacks(self, count):
+        with pytest.raises(ValueError, match="one 2x2 or 4x4 matrix"):
+            density_matrix_to_json(np.array(BELL_PROJECTORS[:count]))
 
     def test_rejects_bad_basis(self):
         obj = density_matrix_to_json(bell_state("phi+"))

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings, strategies as st
 
 from entfilter.channel import PauliNoiseSpec, pauli_channel_state
-from entfilter.qmat import matrix_sqrt_psd
-from entfilter.qstate import bell_diagonal_weights, bell_state, fidelity_pure, validate_density_matrix
+from entfilter.qmat import hermitian_eig, matrix_sqrt_psd
+from entfilter.qstate import (
+    IDENTITY_2,
+    PAULIS,
+    bell_diagonal_weights,
+    bell_state,
+    fidelity_pure,
+    validate_density_matrix,
+)
 from entfilter.tomo import (
     InsufficientStatisticsError,
     MeasurementSetting,
@@ -20,6 +28,51 @@ from helpers import random_density_matrix
 
 PLUS_Z = (0.0, 0.0, 1.0)
 MINUS_Z = (0.0, 0.0, -1.0)
+STANDARD = tuple(standard_settings())
+
+
+def loop_counts(rho, settings, exposure, dark_prob, seed, exact):
+    """Per-setting reference for simulate_counts: one projector pair and trace per setting."""
+    counts = []
+    for index, setting in enumerate(settings):
+        pa, pb = (
+            (IDENTITY_2 + v[0] * PAULIS[0] + v[1] * PAULIS[1] + v[2] * PAULIS[2]) / 2
+            for v in (setting.proj_a, setting.proj_b)
+        )
+        mu = max(exposure * (float(np.trace(rho @ np.kron(pa, pb)).real) + dark_prob), 0.0)
+        counts.append(mu if exact else float(np.random.default_rng([seed, index]).poisson(mu)))
+    return tuple(counts)
+
+
+def signed_axis(direction):
+    j = int(np.argmax(np.abs(direction)))
+    return j, int(np.sign(direction[j]))
+
+
+def loop_reconstruct(record):
+    """Per-setting reference for reconstruct: running sums, then one term per Pauli pair."""
+    corr_signed, group_total = np.zeros((3, 3)), np.zeros((3, 3))
+    signed, total = np.zeros((2, 3)), np.zeros((2, 3))
+    for setting, n in zip(record.settings, record.counts):
+        (j, sign_a), (k, sign_b) = signed_axis(setting.proj_a), signed_axis(setting.proj_b)
+        corr_signed[j, k] += sign_a * sign_b * n
+        group_total[j, k] += n
+        for station, axis, sign in ((0, j, sign_a), (1, k, sign_b)):
+            signed[station, axis] += sign * n
+            total[station, axis] += n
+    corr, (stokes_a, stokes_b) = corr_signed / group_total, signed / total
+    rho = np.eye(4, dtype=complex)
+    for j in range(3):
+        rho += stokes_a[j] * np.kron(PAULIS[j], IDENTITY_2)
+        rho += stokes_b[j] * np.kron(IDENTITY_2, PAULIS[j])
+        for k in range(3):
+            rho += corr[j, k] * np.kron(PAULIS[j], PAULIS[k])
+    rho /= 4.0
+    eig = hermitian_eig(rho)
+    clipped = np.clip(eig.values, 0.0, None)
+    clipped /= float(clipped.sum())
+    out = (eig.vectors * clipped) @ eig.vectors.conj().T
+    return (out + out.conj().T) / 2
 
 
 def uhlmann_fidelity(rho, sigma):
@@ -51,7 +104,7 @@ class TestSimulateCounts:
     def test_cross_polarized_on_phi_plus_is_dark(self):
         phi = bell_state("phi+")
         setting = MeasurementSetting(PLUS_Z, MINUS_Z)
-        assert coincidence_probability(phi, setting) == pytest.approx(0.0, abs=1e-15)
+        assert coincidence_probability(phi, [setting]) == pytest.approx([0.0], abs=1e-15)
         record = simulate_counts(phi, [setting], exposure=1e5, dark_prob=0.0, exact=True)
         assert record.counts[0] == 0.0
 
@@ -155,21 +208,16 @@ class TestReconstruct:
         with pytest.raises(InsufficientStatisticsError):
             reconstruct(record)
 
-    def test_output_always_physical(self):
-        # adversarial counts must still give a valid density matrix
-        rng = np.random.default_rng(67)
-        settings = standard_settings()
-        for _ in range(50):
-            counts = tuple(float(c) for c in rng.integers(0, 50, size=36))
-            if sum(counts) == 0:
-                continue
-            try:
-                estimate = reconstruct(
-                    TomographyRecord(tuple(settings), counts, 1e3, 0.0, 0)
-                )
-            except InsufficientStatisticsError:
-                continue
-            validate_density_matrix(estimate)
+    @hypothesis_settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=36, max_size=36))
+    def test_output_always_physical(self, counts):
+        # any non-negative counts give a valid density matrix or a statistics error
+        record = TomographyRecord(STANDARD, tuple(counts), 1e3, 0.0, 0)
+        try:
+            estimate = reconstruct(record)
+        except InsufficientStatisticsError:
+            return
+        validate_density_matrix(estimate)
 
     def test_error_decreases_with_exposure(self):
         rho = pauli_channel_state(PauliNoiseSpec.bit_flip(0.33))
@@ -189,6 +237,35 @@ class TestReconstruct:
         record = TomographyRecord((tilted,), (10.0,), 1e3, 0.0, 0)
         with pytest.raises(ValueError, match="signed Pauli axes"):
             reconstruct(record)
+
+    def test_analyzer_axis_tolerance(self):
+        # an analyzer counts as +-e_j within 1e-9 off-axis; 1e-7 is a tilt
+        def record(tilt):
+            tilted = MeasurementSetting((tilt, 0.0, -np.sqrt(1 - tilt**2)), PLUS_Z)
+            settings = (tilted,) + STANDARD[1:]
+            return TomographyRecord(settings, (10.0,) * len(settings), 1e3, 0.0, 0)
+
+        assert np.array_equal(reconstruct(record(1e-10)), reconstruct(record(0.0)))
+        with pytest.raises(ValueError, match="signed Pauli axes"):
+            reconstruct(record(1e-7))
+
+
+class TestStackedMatchesLoop:
+    """simulate_counts and reconstruct equal their per-setting references bit for bit."""
+
+    def test_random_records(self):
+        rng = np.random.default_rng(71)
+        for index in range(16):
+            rank = 1 + index % 4
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+            # shuffled, partly repeated settings exercise the pooling order
+            order = np.concatenate([rng.permutation(36), rng.integers(0, 36, size=index % 5)])
+            chosen = [STANDARD[i] for i in order]
+            for exposure, dark_prob, exact in ((1e5, 4e-5, False), (1e3, 0.0, False), (1e4, 4e-5, True)):
+                record = simulate_counts(rho, chosen, exposure, dark_prob, seed=index, exact=exact)
+                assert record.counts == loop_counts(rho, chosen, exposure, dark_prob, index, exact)
+                assert np.array_equal(reconstruct(record), loop_reconstruct(record))
 
 
 class TestRecordJson:
@@ -229,3 +306,17 @@ class TestRecordJson:
                 dark_prob=0.0,
                 seed=0,
             )
+
+    @pytest.mark.parametrize("field", ["counts", "exposure", "dark_prob"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_fields(self, field, value):
+        fields = dict(
+            settings=(MeasurementSetting(PLUS_Z, PLUS_Z),),
+            counts=(1.0,),
+            exposure=10.0,
+            dark_prob=0.0,
+            seed=0,
+        )
+        fields[field] = (value,) if field == "counts" else value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TomographyRecord(**fields)
