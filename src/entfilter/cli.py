@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime/domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -208,7 +209,9 @@ def cmd_tomo_reconstruct(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it."""
     parser = _Parser(
         prog="entfilter",
         description="Bell-pair polarization channels: noise, filtering, recovery, tomography.",

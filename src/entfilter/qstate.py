@@ -12,6 +12,8 @@ Conventions, used consistently across the package:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import qmat
@@ -49,7 +51,8 @@ def unit_stokes_vector(v) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected a Stokes 3-vector, got shape {a.shape}")
-    if abs(np.linalg.norm(a) - 1.0) > 1e-12:
+    # the norm np.linalg.norm takes of a real vector; the negated test rejects NaN
+    if not abs(math.sqrt(a.dot(a)) - 1.0) <= 1e-12:
         raise ValueError("Stokes vector must have unit norm within 1e-12")
     return a
 

@@ -4,12 +4,15 @@ Coincidence counts are drawn per analyzer setting from Poisson statistics
 (with an optional uniform dark-count rate), and the state is re-estimated by
 linear inversion of the Stokes parameters with a physicality projection.
 Both run on stacks over all settings: the projector pairs are built and
-traced at once, and the counts are classified and pooled at once. Only the
-Poisson draw runs per setting, each from its own seeded generator.
+traced at once, and the counts are classified and pooled at once. Setting i
+of a record seeded with s draws its count from the PCG64 stream of
+SeedSequence([s, i]); the generator states of all settings are derived in
+one vectorized pass, and only the Poisson draw runs per setting.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,10 +91,19 @@ class TomographyRecord:
         # chained comparisons are False for NaN
         if not all(0 <= c < np.inf for c in self.counts):
             raise ValueError("counts must be finite and non-negative")
-        if not 0 < self.exposure < np.inf:
-            raise ValueError("exposure must be finite and > 0")
-        if not 0 <= self.dark_prob < np.inf:
-            raise ValueError("dark_prob must be finite and >= 0")
+        _check_acquisition(self.exposure, self.dark_prob)
+
+
+def _check_acquisition(exposure, dark_prob) -> None:
+    if not 0 < exposure < np.inf:
+        raise ValueError("exposure must be finite and > 0")
+    if not 0 <= dark_prob < np.inf:
+        raise ValueError("dark_prob must be finite and >= 0")
+
+
+_STANDARD_SETTINGS = tuple(
+    MeasurementSetting(a, b) for a in ANALYZER_DIRECTIONS for b in ANALYZER_DIRECTIONS
+)
 
 
 def standard_settings() -> list[MeasurementSetting]:
@@ -99,11 +111,7 @@ def standard_settings() -> list[MeasurementSetting]:
 
     Deterministic A-major order; the first setting is (+z, +z).
     """
-    return [
-        MeasurementSetting(a, b)
-        for a in ANALYZER_DIRECTIONS
-        for b in ANALYZER_DIRECTIONS
-    ]
+    return list(_STANDARD_SETTINGS)
 
 
 def _directions(settings) -> np.ndarray:
@@ -129,32 +137,130 @@ def simulate_counts(
     """Simulate coincidence counts for each setting.
 
     The expected count is mu = exposure * (Tr[rho Pi_A x Pi_B] + dark_prob).
-    Each setting draws from its own NumPy PCG64 generator seeded with
-    SeedSequence([seed, setting_index]), so records are reproducible for a
-    fixed seed and settings may be simulated independently. With
-    ``exact=True`` the expected values are stored without sampling.
+    Each setting draws from the NumPy PCG64 stream of
+    SeedSequence([seed, setting_index]), the stream of
+    ``np.random.default_rng([seed, setting_index])``, so records are
+    reproducible for a fixed seed and settings may be simulated
+    independently. With ``exact=True`` the expected values are stored
+    without sampling.
     """
     rho = validate_density_matrix(rho)
     if rho.shape != (4, 4):
         raise ValueError("simulate_counts expects a 4x4 two-qubit state")
-    if exposure <= 0:
-        raise ValueError("exposure must be > 0")
-    if dark_prob < 0:
-        raise ValueError("dark_prob must be >= 0")
+    _check_acquisition(exposure, dark_prob)
+    if isinstance(seed, bool):
+        raise TypeError("seed must be an integer, not bool")
+    seed = operator.index(seed)
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     settings = tuple(settings)
     mu = exposure * (coincidence_probability(rho, settings) + dark_prob)
     counts = np.maximum(mu, 0.0).tolist()  # roundoff can push a dark-free zero slightly negative
     if not exact:
-        counts = [float(np.random.default_rng([int(seed), i]).poisson(m)) for i, m in enumerate(counts)]
+        bit_generator = np.random.PCG64(0)  # each draw below sets its own state
+        poisson = np.random.Generator(bit_generator).poisson
+        sampled = []
+        for (state, inc), m in zip(_pcg64_states(seed, len(counts)), counts):
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            sampled.append(float(poisson(m)))
+        counts = sampled
     return TomographyRecord(
         settings=settings,
         counts=tuple(counts),
         exposure=float(exposure),
         dark_prob=float(dark_prob),
-        seed=int(seed),
+        seed=seed,
     )
+
+
+# NumPy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding; NEP 19
+# freezes both, so the derived states stay those of default_rng([seed, i]).
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_XSHIFT = 16
+_POOL_SIZE = 4
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_MULT_A = 0x931E8875
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    # (n + 1, 1) products init * mult**k mod 2**32, k = 0..n
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+# Hash call t of the pool mixing xors with _HASH_A[t] and multiplies by
+# _HASH_A[t + 1]; output word k of generate_state uses _HASH_B[k], _HASH_B[k + 1].
+# _HASH_A covers the pool's own 16 calls; entropy beyond the pool continues it.
+_HASH_A = _hash_constants(0x43B0D7E5, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL_SIZE)
+_OUTPUT_ROWS = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
+
+
+def _cross_constants() -> list[tuple[np.ndarray, np.ndarray]]:
+    # per source row s: the hash constants its calls use, placed at the
+    # destination rows d != s in order (row s itself is left unmixed)
+    t, out = _POOL_SIZE, []
+    for s in range(_POOL_SIZE):
+        calls = np.zeros(_POOL_SIZE, dtype=int)
+        calls[np.arange(_POOL_SIZE) != s] = np.arange(t, t + _POOL_SIZE - 1)
+        out.append((_HASH_A[calls], _HASH_A[calls + 1]))
+        t += _POOL_SIZE - 1
+    return out
+
+
+_CROSS = _cross_constants()
+
+
+def _hashmix(values, xor, mult):
+    values = (values ^ xor) * mult
+    return values ^ (values >> _XSHIFT)
+
+
+def _mix(x, y):
+    out = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return out ^ (out >> _XSHIFT)
+
+
+def _pcg64_states(seed: int, count: int) -> list[tuple[int, int]]:
+    """(state, inc) of PCG64(SeedSequence([seed, i])) for i < count, in one pass over i."""
+    seed_words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        seed_words.append(seed & _MASK32)
+    # entropy words: the seed's, then the index's (one word below 2**32), zero-padded to the pool
+    entropy = np.zeros((max(len(seed_words) + 1, _POOL_SIZE), count), dtype=np.uint32)
+    entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy[len(seed_words)] = np.arange(count)
+    pool = _hashmix(entropy[:_POOL_SIZE], _HASH_A[:_POOL_SIZE], _HASH_A[1 : _POOL_SIZE + 1])
+    for s, (xor, mult) in enumerate(_CROSS):
+        mixed = _mix(pool, _hashmix(pool[s], xor, mult))
+        mixed[s] = pool[s]
+        pool = mixed
+    extra = entropy[_POOL_SIZE:]
+    if len(extra):
+        tail = _hash_constants(int(_HASH_A[-1, 0]), _MULT_A, _POOL_SIZE * len(extra))
+        for t, word in zip(range(0, len(tail), _POOL_SIZE), extra):
+            pool = _mix(pool, _hashmix(word, tail[t : t + _POOL_SIZE], tail[t + 1 : t + _POOL_SIZE + 1]))
+    # generate_state(4, uint64): 8 words, little-endian pairs into 4 uint64
+    out = _hashmix(pool[_OUTPUT_ROWS], _HASH_B[:-1], _HASH_B[1:])
+    words = (out[1::2].astype(np.uint64) << np.uint64(32) | out[0::2]).T.tolist()
+    states = []
+    for seed_hi, seed_lo, seq_hi, seq_lo in words:
+        # PCG64 srandom: inc = 2 seq + 1, step, add the seed, step
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = (((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
 
 
 def _signed_axes(settings) -> tuple[np.ndarray, np.ndarray]:

@@ -59,6 +59,10 @@ class TestFilterElement:
         with pytest.raises(ValueError):
             FilterElement(0.5, (1.0, 1.0, 0.0))
 
+    def test_rejects_nan_orientation(self):
+        with pytest.raises(ValueError, match="unit norm"):
+            FilterElement(0.5, (float("nan"), 0.0, 0.0))
+
     def test_along_normalizes(self):
         f = FilterElement.along(0.5, (3.0, 0.0, 4.0))
         assert np.allclose(f.axis, [0.6, 0.0, 0.8])

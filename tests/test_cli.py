@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from entfilter.channel import PauliNoiseSpec
-from entfilter.cli import main
+from entfilter.cli import INSET_GAMMA_A, build_parser, main
 from entfilter.qstate import bell_state, density_matrix_from_json, fidelity_pure
 from entfilter.recover import sweep
 
@@ -504,6 +504,18 @@ class TestTomo:
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_analyzer_record_is_runtime_error(self, tmp_path, capsys):
+        record_path = tmp_path / "nan.json"
+        record_path.write_text(
+            '{"settings": [[[NaN, 0, 0], [0, 0, 1]]], "counts": [5], '
+            '"exposure": 100.0, "dark_prob": 0.0, "seed": 0}'
+        )
+        out = tmp_path / "out.json"
+        code = main(["tomo", "reconstruct", "--input", str(record_path), "--output", str(out)])
+        assert code == 2
+        assert "unit norm" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_json_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -563,3 +575,24 @@ def test_module_entry_point_runs(tmp_path):
 
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 1
+
+
+class TestParserReuse:
+    """main() parses with one parser per process; no call leaks state into the next."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_append_flag_does_not_carry_over(self, tmp_path):
+        one, default = tmp_path / "one.csv", tmp_path / "default.csv"
+        assert main(["inset", "--gamma-a", "0.5", "--steps", "3", "--output", str(one)]) == 0
+        assert main(["inset", "--steps", "3", "--output", str(default)]) == 0
+        for path, gamma_a in ((one, (0.5,)), (default, INSET_GAMMA_A)):
+            _, comments = read_csv_rows(path)
+            series = [float(c.split("gamma_a=")[1].split()[0]) for c in comments]
+            assert series == list(gamma_a)
+
+    def test_usage_error_then_valid_call(self, capsys):
+        assert main(["optimize", "--noise", "bogus", "--gamma-a", "0.5"]) == 1
+        assert main(["optimize", "--noise", "bitflip", "--gamma-a", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["gamma_a"] == 0.5

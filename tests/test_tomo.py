@@ -20,6 +20,7 @@ from entfilter.tomo import (
     reconstruct,
     record_from_json,
     record_to_json,
+    _pcg64_states,
     simulate_counts,
     standard_settings,
 )
@@ -99,6 +100,14 @@ class TestStandardSettings:
         with pytest.raises(ValueError):
             MeasurementSetting((1.0, 1.0, 0.0), PLUS_Z)
 
+    def test_rejects_nan_directions(self):
+        with pytest.raises(ValueError, match="unit norm"):
+            MeasurementSetting((float("nan"), 0.0, 0.0), PLUS_Z)
+
+    def test_returns_a_fresh_list(self):
+        standard_settings().clear()
+        assert standard_settings() == list(STANDARD)
+
 
 class TestSimulateCounts:
     def test_cross_polarized_on_phi_plus_is_dark(self):
@@ -140,6 +149,29 @@ class TestSimulateCounts:
     def test_rejects_bad_exposure(self):
         with pytest.raises(ValueError):
             simulate_counts(bell_state("phi+"), standard_settings(), 0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, error, message",
+        [
+            ({"exposure": float("nan")}, ValueError, "exposure must be finite"),
+            ({"exposure": float("inf")}, ValueError, "exposure must be finite"),
+            ({"dark_prob": float("nan")}, ValueError, "dark_prob must be finite"),
+            ({"dark_prob": float("inf")}, ValueError, "dark_prob must be finite"),
+            ({"seed": 1.7}, TypeError, "integer"),
+            ({"seed": True}, TypeError, "integer"),
+            ({"seed": -1}, ValueError, "non-negative"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, kwargs, error, message):
+        args = {"exposure": 1e3, "dark_prob": 0.0, "seed": 0, **kwargs}
+        with pytest.raises(error, match=message):
+            simulate_counts(bell_state("phi+"), STANDARD, **args)
+
+    def test_numpy_integer_seed(self):
+        rho = bell_state("phi+")
+        record = simulate_counts(rho, STANDARD, 1e3, seed=np.int64(9))
+        assert record.seed == 9 and type(record.seed) is int
+        assert record == simulate_counts(rho, STANDARD, 1e3, seed=9)
 
     def test_accepts_settings_generator(self):
         record = simulate_counts(
@@ -268,6 +300,21 @@ class TestStackedMatchesLoop:
                 assert np.array_equal(reconstruct(record), loop_reconstruct(record))
 
 
+class TestSeeding:
+    """The vectorized derivation gives each setting the PCG64 state of default_rng([seed, i])."""
+
+    @pytest.mark.parametrize(
+        "seed",
+        # 1, 2, 3 and 5 entropy words; 5 words run past SeedSequence's 4-word pool
+        [0, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 1]
+        + [int(s) for s in np.random.default_rng(83).integers(0, 2**63, size=4)],
+    )
+    def test_states_match_default_rng(self, seed):
+        for index, (state, inc) in enumerate(_pcg64_states(seed, 40)):
+            reference = np.random.default_rng([seed, index]).bit_generator.state["state"]
+            assert (state, inc) == (reference["state"], reference["inc"])
+
+
 class TestRecordJson:
     def test_round_trip(self):
         rho = pauli_channel_state(PauliNoiseSpec.phase_flip(0.33))
@@ -306,6 +353,12 @@ class TestRecordJson:
                 dark_prob=0.0,
                 seed=0,
             )
+
+    def test_rejects_nan_analyzer(self):
+        obj = record_to_json(simulate_counts(bell_state("phi+"), STANDARD[:1], 1e3, seed=1))
+        obj["settings"][0][1] = [0.0, float("nan"), 1.0]
+        with pytest.raises(ValueError, match="unit norm"):
+            record_from_json(obj)
 
     @pytest.mark.parametrize("field", ["counts", "exposure", "dark_prob"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
