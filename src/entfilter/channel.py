@@ -25,7 +25,6 @@ from .qstate import (
 )
 
 X_AXIS = (1.0, 0.0, 0.0)
-Y_AXIS = (0.0, 1.0, 0.0)
 Z_AXIS = (0.0, 0.0, 1.0)
 
 # Log of the trace below which a filter pair P_A x P_B has blocked the state.
@@ -58,15 +57,6 @@ class FilterElement:
             raise ValueError("filter magnitude must be >= 0")
         object.__setattr__(self, "magnitude", float(self.magnitude))
         object.__setattr__(self, "orientation", _as_unit_tuple(self.orientation))
-
-    @classmethod
-    def along(cls, magnitude: float, direction) -> "FilterElement":
-        """Build a filter along an arbitrary direction, normalizing it first."""
-        d = np.asarray(direction, dtype=float)
-        norm = float(np.linalg.norm(d))
-        if norm == 0.0:
-            raise ValueError("filter direction must be nonzero")
-        return cls(float(magnitude), tuple(d / norm))
 
     @property
     def axis(self) -> np.ndarray:
@@ -112,10 +102,11 @@ class BirefringenceSpec:
     spectral_width: float
 
     def __post_init__(self):
-        if self.dgd < 0:
-            raise ValueError("differential group delay must be >= 0")
-        if self.spectral_width <= 0:
-            raise ValueError("spectral width must be > 0")
+        # chained comparisons are False for NaN
+        if not 0 <= self.dgd < np.inf:
+            raise ValueError("differential group delay must be finite and >= 0")
+        if not 0 < self.spectral_width < np.inf:
+            raise ValueError("spectral width must be finite and > 0")
         object.__setattr__(self, "axis", _as_unit_tuple(self.axis))
 
 
@@ -197,13 +188,3 @@ def _filter_pairs(rho, gamma_a, axis_a, gamma_b, axis_b) -> tuple[np.ndarray, np
         )
     states = out / trace[:, None, None]
     return (states + _dagger(states)) / 2, np.minimum(1.0, trace)
-
-
-def bloch_ellipsoid(spec: PauliNoiseSpec) -> tuple[float, float, float]:
-    """Semi-axes of the Bloch-sphere image of the single-qubit noise map.
-
-    The component along the noise axis is preserved; the two transverse
-    components shrink by 1 - p, so the sphere becomes a prolate spheroid
-    aligned with the axis. Returned as (along axis, transverse, transverse).
-    """
-    return (1.0, 1.0 - spec.p, 1.0 - spec.p)

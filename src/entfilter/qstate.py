@@ -38,8 +38,12 @@ _BELL_COMPONENTS = {
     "psi-": np.array([0, 1, -1, 0], dtype=complex),
 }
 
+#: Frobenius-norm tolerance for accepting a matrix as Hermitian.
+HERMITICITY_TOL = 1e-10
 #: Tolerance on |Tr(rho) - 1| when validating a density matrix.
 TRACE_TOL = 1e-10
+#: Eigenvalues above this (negative) floor are roundoff; kernels clip them to 0.
+PSD_TOL = 1e-10
 # Eigenvalues below this floor are excluded from entropy sums.
 _ENTROPY_EIG_FLOOR = 1e-12
 
@@ -78,16 +82,22 @@ def bell_state(label: str) -> np.ndarray:
 
 
 def validate_density_matrix(rho) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of each state; return the coerced array."""
+    """Check Hermiticity, unit trace and positivity of each state; return the coerced array.
+
+    The one place a state is judged: the ``qmat`` kernels and the measures
+    below take what this accepts without checking it again.
+    """
     rho = qmat.as_matrix(rho)
-    if (qmat.hermitian_defect(rho) > qmat.HERMITICITY_TOL).any():
+    # Frobenius distance of each matrix from its conjugate transpose
+    defect = np.sqrt((abs(rho - _dagger(rho)) ** 2).sum(axis=(-2, -1)))
+    if (defect > HERMITICITY_TOL).any():
         raise ValueError("density matrix is not Hermitian within 1e-10")
     trace = rho.trace(axis1=-2, axis2=-1).real
     off = abs(trace - 1.0) > TRACE_TOL
     if off.any():
         raise ValueError(f"density matrix trace {float(trace[off][0])!r} is not 1 within 1e-10")
     eigenvalues = np.linalg.eigvalsh((rho + _dagger(rho)) / 2)
-    if (eigenvalues < -qmat.PSD_TOL).any():
+    if (eigenvalues < -PSD_TOL).any():
         raise ValueError(f"density matrix has negative eigenvalue {eigenvalues.min():.3e}")
     return rho
 

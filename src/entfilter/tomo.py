@@ -12,6 +12,7 @@ one vectorized pass, and only the Poisson draw runs per setting.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -77,6 +78,7 @@ class TomographyRecord:
 
     ``counts`` are non-negative; Poisson sampling produces integers while the
     exact-expectation mode stores the expected values themselves (floats).
+    ``seed`` is a non-negative integer (not a bool), stored as a Python int.
     """
 
     settings: tuple[MeasurementSetting, ...]
@@ -92,6 +94,10 @@ class TomographyRecord:
         if not all(0 <= c < np.inf for c in self.counts):
             raise ValueError("counts must be finite and non-negative")
         _check_acquisition(self.exposure, self.dark_prob)
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError("seed must be a non-negative integer")
+        object.__setattr__(self, "seed", int(seed))
 
 
 def _check_acquisition(exposure, dark_prob) -> None:
@@ -302,14 +308,13 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
     stokes = signed / pooled  # the identity's own cell gives exactly 1
     rho = (stokes[_MU, _NU][:, None, None] * _TERM_BASIS).sum(axis=0) / 4.0
 
-    eig = qmat.hermitian_eig(rho)
-    clipped = np.clip(eig.values, 0.0, None)
+    values, vectors = qmat.hermitian_eig(rho)
+    clipped = np.clip(values, 0.0, None)
     total = float(clipped.sum())
     if total <= 0:
         raise InsufficientStatisticsError("estimate collapsed to the zero matrix")
     clipped /= total
-    out = (eig.vectors * clipped) @ eig.vectors.conj().T
-    return (out + out.conj().T) / 2
+    return qmat._rebuild(clipped, vectors)
 
 
 def record_to_json(record: TomographyRecord) -> dict:
@@ -338,5 +343,5 @@ def record_from_json(obj: dict) -> TomographyRecord:
         counts=counts,
         exposure=float(obj["exposure"]),
         dark_prob=float(obj["dark_prob"]),
-        seed=int(obj["seed"]),
+        seed=obj["seed"],
     )

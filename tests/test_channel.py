@@ -9,7 +9,6 @@ from entfilter.channel import (
     FilterElement,
     PauliNoiseSpec,
     apply_filters,
-    bloch_ellipsoid,
     dephasing_from_spectrum,
     filter_operator,
     pauli_channel_state,
@@ -62,10 +61,6 @@ class TestFilterElement:
     def test_rejects_nan_orientation(self):
         with pytest.raises(ValueError, match="unit norm"):
             FilterElement(0.5, (float("nan"), 0.0, 0.0))
-
-    def test_along_normalizes(self):
-        f = FilterElement.along(0.5, (3.0, 0.0, 4.0))
-        assert np.allclose(f.axis, [0.6, 0.0, 0.8])
 
 
 class TestFilterOperator:
@@ -157,6 +152,21 @@ class TestDephasingFromSpectrum:
         spec = BirefringenceSpec(1.0, axis, 1.0)
         assert dephasing_from_spectrum(spec).axis == pytest.approx(axis)
 
+    @pytest.mark.parametrize(
+        "dgd, width, message",
+        [
+            (float("nan"), 0.5, "group delay must be finite"),
+            (float("inf"), 0.5, "group delay must be finite"),
+            (-0.1, 0.5, "group delay must be finite and >= 0"),
+            (1.0, float("nan"), "spectral width must be finite"),
+            (0.0, float("inf"), "spectral width must be finite"),
+            (1.0, 0.0, "spectral width must be finite and > 0"),
+        ],
+    )
+    def test_rejects_bad_birefringence(self, dgd, width, message):
+        with pytest.raises(ValueError, match=message):
+            BirefringenceSpec(dgd, Z, width)
+
     def test_matches_quadrature_average(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
@@ -221,38 +231,3 @@ class TestApplyFilters:
                 )
                 assert abs(rho_f[0, 0].real - rho_f[3, 3].real) < 1e-12
                 assert rho_f[1, 1].real > rho[1, 1].real
-
-
-class TestBlochEllipsoid:
-    def test_no_noise(self):
-        assert bloch_ellipsoid(PauliNoiseSpec.bit_flip(0.0)) == (1.0, 1.0, 1.0)
-
-    def test_full_dephasing(self):
-        assert bloch_ellipsoid(PauliNoiseSpec.phase_flip(1.0)) == (1.0, 0.0, 0.0)
-
-    def test_intermediate(self):
-        assert bloch_ellipsoid(PauliNoiseSpec.bit_flip(0.33)) == pytest.approx(
-            (1.0, 0.67, 0.67)
-        )
-
-    def test_matches_sampled_bloch_map(self):
-        # push Bloch vectors through the single-qubit map and compare the
-        # component scalings against the reported semi-axes
-        rng = np.random.default_rng(19)
-        p = 0.33
-        spec = PauliNoiseSpec.bit_flip(p)
-        axis = np.asarray(spec.axis)
-        ns = pauli_dot(axis)
-        semi = bloch_ellipsoid(spec)
-        for _ in range(100):
-            r = random_unit_vector(rng)
-            rho = (IDENTITY_2 + pauli_dot(r)) / 2
-            out = (1 - p / 2) * rho + (p / 2) * (ns @ rho @ ns)
-            r_out = np.array(
-                [np.trace(out @ pauli_dot(e)).real for e in np.eye(3)]
-            )
-            parallel = float(r_out @ axis)
-            transverse = np.linalg.norm(r_out - parallel * axis)
-            assert parallel == pytest.approx(semi[0] * float(r @ axis), abs=1e-12)
-            expected_transverse = semi[1] * np.linalg.norm(r - float(r @ axis) * axis)
-            assert transverse == pytest.approx(expected_transverse, abs=1e-12)

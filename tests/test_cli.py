@@ -504,6 +504,19 @@ class TestTomo:
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["1.7", "true", '"12"', "-5"])
+    def test_bad_seed_record_is_runtime_error(self, tmp_path, capsys, seed):
+        record_path = tmp_path / "seed.json"
+        record_path.write_text(
+            '{"settings": [[[0, 0, 1], [0, 0, 1]]], "counts": [5], '
+            f'"exposure": 100.0, "dark_prob": 0.0, "seed": {seed}}}'
+        )
+        out = tmp_path / "out.json"
+        code = main(["tomo", "reconstruct", "--input", str(record_path), "--output", str(out)])
+        assert code == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_analyzer_record_is_runtime_error(self, tmp_path, capsys):
         record_path = tmp_path / "nan.json"
         record_path.write_text(

