@@ -144,9 +144,11 @@ def dephasing_from_spectrum(spec: BirefringenceSpec) -> PauliNoiseSpec:
     A Gaussian wavepacket of RMS width sigma traversing a differential group
     delay tau decoheres by d = exp(-tau^2 sigma^2 / 2); the frequency-averaged
     channel equals the probabilistic Pauli map along the same axis with
-    p = 1 - d.
+    p = 1 - d. The exponent is formed from the product x = tau sigma, as
+    -x^2/2, so that no separate square overflows or underflows.
     """
-    decoherence = float(np.exp(-(spec.dgd**2) * (spec.spectral_width**2) / 2))
+    x = float(spec.dgd) * float(spec.spectral_width)
+    decoherence = float(np.exp(-(x * x) / 2))
     return PauliNoiseSpec(axis=spec.axis, p=1.0 - decoherence)
 
 

@@ -4,7 +4,8 @@
 library. The other kernels take arrays their callers have already validated:
 they do no coercion and no shape, Hermiticity or positivity check, since
 ``qstate.validate_density_matrix`` alone decides what a valid state is. Each
-takes one matrix or an ``(N, d, d)`` stack.
+takes one matrix or an ``(N, d, d)`` stack. ``hermitian_eig`` is the package's
+one eigendecomposition: ``matrix_sqrt_psd`` takes the decomposition it returns.
 """
 
 from __future__ import annotations
@@ -64,10 +65,11 @@ def partial_trace(m: np.ndarray, keep: int) -> np.ndarray:
     return np.einsum("...abad->...bd", r)
 
 
-def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
+def matrix_sqrt_psd(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive-semidefinite matrix or stack.
 
+    Takes the ``hermitian_eig`` decomposition of the matrix rather than the
+    matrix, so that a caller holding it does not decompose twice.
     Roundoff-negative eigenvalues are clipped to zero before the root is formed.
     """
-    values, vectors = hermitian_eig(m)
     return _rebuild(np.sqrt(np.clip(values, 0.0, None)), vectors)

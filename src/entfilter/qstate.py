@@ -7,7 +7,9 @@ Conventions, used consistently across the package:
   Stokes space;
 * entropies are base-2 (bits);
 * validation, entropy, mutual information, concurrence, correlations and Bell
-  weights also take an (N, d, d) stack and return arrays where one state gives floats.
+  weights also take an (N, d, d) stack and return arrays where one state gives floats;
+* each state is decomposed once, by the positivity check of its validation, and
+  its entropy, mutual information and concurrence are taken from that spectrum.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 import numpy as np
 
 from . import qmat
-from .qmat import _dagger, _float_or_array, kron, matrix_sqrt_psd, partial_trace
+from .qmat import _dagger, _float_or_array, hermitian_eig, kron, matrix_sqrt_psd, partial_trace
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -87,6 +89,12 @@ def validate_density_matrix(rho) -> np.ndarray:
     The one place a state is judged: the ``qmat`` kernels and the measures
     below take what this accepts without checking it again.
     """
+    return _spectrum(rho)[0]
+
+
+def _spectrum(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # validate_density_matrix, returning (rho, values, vectors) of the hermitian_eig its
+    # positivity check takes, so that the measures below need no decomposition of their own
     rho = qmat.as_matrix(rho)
     # Frobenius distance of each matrix from its conjugate transpose
     defect = np.sqrt((abs(rho - _dagger(rho)) ** 2).sum(axis=(-2, -1)))
@@ -96,17 +104,17 @@ def validate_density_matrix(rho) -> np.ndarray:
     off = abs(trace - 1.0) > TRACE_TOL
     if off.any():
         raise ValueError(f"density matrix trace {float(trace[off][0])!r} is not 1 within 1e-10")
-    eigenvalues = np.linalg.eigvalsh((rho + _dagger(rho)) / 2)
-    if (eigenvalues < -PSD_TOL).any():
-        raise ValueError(f"density matrix has negative eigenvalue {eigenvalues.min():.3e}")
-    return rho
+    values, vectors = hermitian_eig(rho)
+    if (values < -PSD_TOL).any():
+        raise ValueError(f"density matrix has negative eigenvalue {values.min():.3e}")
+    return rho, values, vectors
 
 
-def _require_two_qubit(rho) -> np.ndarray:
-    rho = validate_density_matrix(rho)
+def _two_qubit_spectrum(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    rho, values, vectors = _spectrum(rho)
     if rho.shape[-2:] != (4, 4):
         raise ValueError("expected a 4x4 two-qubit density matrix")
-    return rho
+    return rho, values, vectors
 
 
 def von_neumann_entropy(rho) -> float | np.ndarray:
@@ -115,15 +123,14 @@ def von_neumann_entropy(rho) -> float | np.ndarray:
     Eigenvalues below 1e-12 are dropped (0 log 0 = 0); the result is clamped
     to [0, log2(dim)] to absorb roundoff at the boundaries.
     """
-    return _float_or_array(_entropy_bits(validate_density_matrix(rho)))
+    return _float_or_array(_entropy_bits(_spectrum(rho)[1]))
 
 
-def _entropy_bits(rho) -> np.ndarray:
-    # von_neumann_entropy of already validated states, eigenvalues descending
-    w = np.linalg.eigh((rho + _dagger(rho)) / 2)[0][..., ::-1]
-    w = np.where(w > _ENTROPY_EIG_FLOOR, w, 1.0)  # 1 log 1 = 0 drops it from the sum
+def _entropy_bits(values) -> np.ndarray:
+    # von_neumann_entropy from the hermitian_eig eigenvalues of validated states
+    w = np.where(values > _ENTROPY_EIG_FLOOR, values, 1.0)  # 1 log 1 = 0 drops it from the sum
     entropy = -(w * np.log2(w)).sum(axis=-1)
-    return entropy.clip(0.0, np.log2(rho.shape[-1]))
+    return entropy.clip(0.0, np.log2(values.shape[-1]))
 
 
 def mutual_information(rho) -> float | np.ndarray:
@@ -132,13 +139,18 @@ def mutual_information(rho) -> float | np.ndarray:
     Always in [0, 2] for a valid two-qubit state; tiny negative roundoff
     (product states) is returned as exactly 0.
     """
-    rho = _require_two_qubit(rho)
+    rho, values, _ = _two_qubit_spectrum(rho)
+    return _float_or_array(_mutual_information(rho, values))
+
+
+def _mutual_information(rho, values) -> np.ndarray:
+    # mutual_information of validated states with their hermitian_eig eigenvalues
     mi = (
-        _entropy_bits(partial_trace(rho, 0))
-        + _entropy_bits(partial_trace(rho, 1))
-        - _entropy_bits(rho)
+        _entropy_bits(hermitian_eig(partial_trace(rho, 0))[0])
+        + _entropy_bits(hermitian_eig(partial_trace(rho, 1))[0])
+        - _entropy_bits(values)
     )
-    return _float_or_array(np.where((-1e-12 < mi) & (mi < 0.0), 0.0, mi))
+    return np.where((-1e-12 < mi) & (mi < 0.0), 0.0, mi)
 
 
 def concurrence(rho) -> float | np.ndarray:
@@ -153,15 +165,20 @@ def concurrence(rho) -> float | np.ndarray:
     ~1e-8 noise floor that square roots of near-zero eigenvalues would
     otherwise introduce for low-rank states.
     """
-    rho = _require_two_qubit(rho)
-    root = matrix_sqrt_psd(rho)
+    _, values, vectors = _two_qubit_spectrum(rho)
+    return _float_or_array(_concurrence(values, vectors))
+
+
+def _concurrence(values, vectors) -> np.ndarray:
+    # concurrence of validated states from their hermitian_eig decomposition
+    root = matrix_sqrt_psd(values, vectors)
     lam = np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
-    return _float_or_array(np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]))
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
 def correlation_matrix(rho) -> np.ndarray:
     """Stokes correlation matrix t_jk = Tr[rho (sigma_j x sigma_k)], 3x3 real."""
-    rho = _require_two_qubit(rho)
+    rho = _two_qubit_spectrum(rho)[0]
     return (rho[..., None, None, :, :] @ _PAULI_PAIRS).trace(axis1=-2, axis2=-1).real
 
 
@@ -172,7 +189,7 @@ def bell_diagonal_weights(rho) -> dict[str, float]:
     diagonal-compatible in this Bell basis; callers decide what to do with
     states for which the sum falls short.
     """
-    rho = _require_two_qubit(rho)
+    rho = _two_qubit_spectrum(rho)[0]
     return {
         label: _float_or_array(np.real(w.conj() @ rho @ w) / 2)
         for label, w in _BELL_COMPONENTS.items()

@@ -21,7 +21,8 @@ import numpy as np
 from .channel import FilterElement, PauliNoiseSpec, Z_AXIS, apply_filters, pauli_channel_state
 from .channel import _filter_pairs
 from .qmat import _float_or_array
-from .qstate import concurrence, correlation_matrix, mutual_information, unit_stokes_vector
+from .qstate import concurrence, correlation_matrix, unit_stokes_vector
+from .qstate import _concurrence, _mutual_information, _spectrum
 
 #: Stokes direction of the channel-A inherent filter. |H> of photon A defines
 #: +z, so the filter favoring |H> points along +z.
@@ -143,11 +144,14 @@ def _compensator_orientation(t, gamma_a_hat) -> tuple[float, float, float]:
 
 
 def _evaluate(rho, t, gamma_a, gamma_b, strategy, normalization) -> list[SweepPoint]:
-    # filter -> normalize -> (MI, C, T) over arrays of magnitudes; t is rho's correlation matrix
+    # filter -> normalize -> (MI, C, T) over arrays of magnitudes; t is rho's correlation
+    # matrix. The filtered stack is validated once, and MI and C share its decomposition.
     orientation = _compensator_orientation(t, GAMMA_A_AXIS)
     states, transmission = _filter_pairs(rho, gamma_a, GAMMA_A_AXIS, gamma_b, orientation)
-    mutual_info = normalization * mutual_information(states)
-    rows = np.column_stack([gamma_a, gamma_b, mutual_info, concurrence(states), transmission])
+    states, values, vectors = _spectrum(states)
+    mutual_info = normalization * _mutual_information(states, values)
+    concurrences = _concurrence(values, vectors)
+    rows = np.column_stack([gamma_a, gamma_b, mutual_info, concurrences, transmission])
     return [SweepPoint(a, b, strategy, mi, c, tr) for a, b, mi, c, tr in rows.tolist()]
 
 

@@ -76,8 +76,9 @@ class MeasurementSetting:
 class TomographyRecord:
     """Coincidence counts for a list of settings plus acquisition parameters.
 
-    ``counts`` are non-negative; Poisson sampling produces integers while the
-    exact-expectation mode stores the expected values themselves (floats).
+    ``counts`` are finite and non-negative, with a finite total; Poisson
+    sampling produces integers while the exact-expectation mode stores the
+    expected values themselves (floats).
     ``seed`` is a non-negative integer (not a bool), stored as a Python int.
     """
 
@@ -93,6 +94,8 @@ class TomographyRecord:
         # chained comparisons are False for NaN
         if not all(0 <= c < np.inf for c in self.counts):
             raise ValueError("counts must be finite and non-negative")
+        if not sum(self.counts) < np.inf:  # reconstruct pools them into sums
+            raise ValueError("counts must have a finite total")
         _check_acquisition(self.exposure, self.dark_prob)
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
@@ -310,10 +313,7 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
 
     values, vectors = qmat.hermitian_eig(rho)
     clipped = np.clip(values, 0.0, None)
-    total = float(clipped.sum())
-    if total <= 0:
-        raise InsufficientStatisticsError("estimate collapsed to the zero matrix")
-    clipped /= total
+    clipped /= clipped.sum()  # at least the unit trace, so never zero
     return qmat._rebuild(clipped, vectors)
 
 

@@ -153,6 +153,19 @@ class TestDephasingFromSpectrum:
         assert dephasing_from_spectrum(spec).axis == pytest.approx(axis)
 
     @pytest.mark.parametrize(
+        "dgd, width, p",
+        [
+            (1e200, 1.0, 1.0),
+            (1e200, 1e-200, 1.0 - math.exp(-0.5)),
+            (1e-200, 1e200, 1.0 - math.exp(-0.5)),
+        ],
+    )
+    def test_extreme_factors_with_moderate_product(self, dgd, width, p):
+        # only the product dgd * width enters, so neither factor is squared alone
+        spec = BirefringenceSpec(dgd, Z, width)
+        assert dephasing_from_spectrum(spec).p == pytest.approx(p, rel=1e-15)
+
+    @pytest.mark.parametrize(
         "dgd, width, message",
         [
             (float("nan"), 0.5, "group delay must be finite"),

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -10,6 +11,7 @@ from entfilter.channel import PauliNoiseSpec
 from entfilter.cli import INSET_GAMMA_A, build_parser, main
 from entfilter.qstate import bell_state, density_matrix_from_json, fidelity_pure
 from entfilter.recover import sweep
+from entfilter.tomo import standard_settings
 
 MI_UNFILTERED = 2.0 + 0.835 * math.log2(0.835) + 0.165 * math.log2(0.165)
 
@@ -503,6 +505,26 @@ class TestTomo:
         assert code == 2
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_huge_count_total_is_runtime_error(self, tmp_path, capsys):
+        # each count is finite, but their sum overflows the pooled totals
+        record = {
+            "settings": [[list(s.proj_a), list(s.proj_b)] for s in standard_settings()],
+            "counts": [1e308] * 36,
+            "exposure": 100.0,
+            "dark_prob": 0.0,
+            "seed": 0,
+        }
+        record_path = tmp_path / "huge.json"
+        record_path.write_text(json.dumps(record))
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["tomo", "reconstruct", "--input", str(record_path), "--output", str(out)])
+        assert code == 2
+        assert "counts must have a finite total" in capsys.readouterr().err
+        assert not out.exists()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("seed", ["1.7", "true", '"12"', "-5"])
     def test_bad_seed_record_is_runtime_error(self, tmp_path, capsys, seed):

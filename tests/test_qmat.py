@@ -109,26 +109,30 @@ class TestPartialTrace:
                 assert abs(np.trace(partial_trace(m, keep)) - np.trace(m)) < 1e-12
 
 
+def sqrt_psd(m):
+    return matrix_sqrt_psd(*hermitian_eig(m))
+
+
 class TestMatrixSqrtPsd:
     def test_identity(self):
-        assert np.allclose(matrix_sqrt_psd(np.eye(4)), np.eye(4), atol=1e-14)
+        assert np.allclose(sqrt_psd(np.eye(4)), np.eye(4), atol=1e-14)
 
     def test_diagonal(self):
-        out = matrix_sqrt_psd(np.diag([4.0, 1.0, 0.0, 0.0]))
+        out = sqrt_psd(np.diag([4.0, 1.0, 0.0, 0.0]))
         assert np.allclose(out, np.diag([2.0, 1.0, 0.0, 0.0]), atol=1e-14)
 
     def test_projector_is_idempotent(self):
         phi = bell_state("phi+")
-        assert np.allclose(matrix_sqrt_psd(phi), phi, atol=1e-12)
+        assert np.allclose(sqrt_psd(phi), phi, atol=1e-12)
 
     def test_square_recovers_input(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
             rho = random_density_matrix(rng, dim=4)
-            root = matrix_sqrt_psd(rho)
+            root = sqrt_psd(rho)
             assert np.linalg.norm(root @ root - rho) < 1e-10
             assert np.linalg.norm(root - root.conj().T) < 1e-12
 
     def test_clips_roundoff_negatives(self):
-        out = matrix_sqrt_psd(np.diag([1.0, -5e-11, 0.0, 0.0]))
+        out = sqrt_psd(np.diag([1.0, -5e-11, 0.0, 0.0]))
         assert np.allclose(out, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-5)

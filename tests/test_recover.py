@@ -237,6 +237,51 @@ class TestSweep:
                     assert 0.0 < p.transmission <= 1.0
 
 
+class TestSharedEvaluationPath:
+    """Sweeps evaluate their stack privately; the result must be the public chain's."""
+
+    @staticmethod
+    def public_chain(rho, point, orientation, normalization):
+        f_a = FilterElement(point.gamma_a, Z)
+        f_b = FilterElement(point.gamma_b, orientation)
+        rho_f, transmission = apply_filters(rho, f_a, f_b)
+        return (
+            normalization * mutual_information(rho_f),
+            concurrence(rho_f),
+            transmission,
+        )
+
+    @pytest.mark.parametrize("noise", [BITFLIP, PHASEFLIP], ids=["bitflip", "phaseflip"])
+    def test_points_equal_single_state_chain_bitwise(self, noise):
+        rho = pauli_channel_state(noise)
+        orientation = tuple(optimal_orientation(correlation_matrix(rho), Z))
+        points = [
+            (p, 0.9)
+            for strategy in ("none", "match", "optimal")
+            for p in sweep(noise, np.linspace(0.0, 1.2, 30), strategy, normalization=0.9)
+        ]
+        points += [(p, 1.0) for p in ratio_scan(noise, 0.857, np.linspace(0.0, 2.0, 30))]
+        for point, normalization in points:
+            expected = self.public_chain(rho, point, orientation, normalization)
+            assert (point.mutual_info, point.concurrence, point.transmission) == expected
+
+    def test_sweep_decomposes_its_stack_once(self, monkeypatch):
+        shapes = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _original=original, **kwargs):
+                shapes.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        sweep(BITFLIP, np.linspace(0.0, 1.2, 60), "optimal")
+        stacked = [shape for shape in shapes if shape[:1] == (60,)]
+        # one (60, 4, 4) decomposition feeds validation, S(AB) and sqrt(rho);
+        # the two (60, 2, 2) ones are the reduced states of S(A) and S(B)
+        assert sorted(stacked) == [(60, 2, 2), (60, 2, 2), (60, 4, 4)]
+
+
 class TestRatioScan:
     def test_ratio_zero_matches_strategy_none(self):
         gamma_a = 0.857

@@ -78,8 +78,8 @@ def loop_reconstruct(record):
 
 def uhlmann_fidelity(rho, sigma):
     """(Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, the general mixed-state fidelity."""
-    root = matrix_sqrt_psd(rho)
-    inner = matrix_sqrt_psd(root @ sigma @ root)
+    root = matrix_sqrt_psd(*hermitian_eig(rho))
+    inner = matrix_sqrt_psd(*hermitian_eig(root @ sigma @ root))
     return float(np.trace(inner).real) ** 2
 
 
