@@ -16,13 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmat import _dagger, kron
-from .qstate import (
-    IDENTITY_2,
-    bell_state,
-    pauli_dot,
-    unit_stokes_vector,
-    validate_density_matrix,
-)
+from .qstate import IDENTITY_2, bell_state, pauli_dot, unit_stokes_vector
+from .qstate import _single_state_spectrum
 
 X_AXIS = (1.0, 0.0, 0.0)
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -166,9 +161,7 @@ def apply_filters(
     probability. Raises :class:`FilterBlockedError` when the filters remove
     the state entirely.
     """
-    rho_in = validate_density_matrix(rho_in)
-    if rho_in.shape != (4, 4):
-        raise ValueError("apply_filters expects a 4x4 two-qubit state")
+    rho_in = _single_state_spectrum(rho_in)[0]
     gamma_a, gamma_b = np.array([f_a.magnitude]), np.array([f_b.magnitude])
     states, transmission = _filter_pairs(rho_in, gamma_a, f_a.orientation, gamma_b, f_b.orientation)
     return states[0], float(transmission[0])

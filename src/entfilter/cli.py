@@ -15,14 +15,9 @@ import sys
 import numpy as np
 
 from .channel import FilterElement, PauliNoiseSpec, apply_filters, pauli_channel_state
-from .qstate import (
-    BELL_LABELS,
-    bell_diagonal_weights,
-    bell_state,
-    concurrence,
-    density_matrix_to_json,
-    mutual_information,
-)
+from .qstate import BELL_LABELS, bell_state, density_matrix_to_json, mutual_information
+from .qstate import _bell_diagonal_weights, _concurrence, _mutual_information
+from .qstate import _single_state_spectrum
 from .recover import (
     CSV_HEADER,
     GAMMA_A_AXIS,
@@ -196,13 +191,14 @@ def cmd_tomo_simulate(args) -> int:
 def cmd_tomo_reconstruct(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
         record = record_from_json(json.load(fh))
-    rho = reconstruct(record)
+    # one decomposition of the estimate feeds all three metrics
+    rho, values, vectors = _single_state_spectrum(reconstruct(record))
     payload = {
         "state": density_matrix_to_json(rho),
         "metrics": {
-            "concurrence": concurrence(rho),
-            "mutual_info_bits": mutual_information(rho),
-            "bell_weights": bell_diagonal_weights(rho),
+            "concurrence": float(_concurrence(values, vectors)),
+            "mutual_info_bits": float(_mutual_information(rho, values)),
+            "bell_weights": _bell_diagonal_weights(rho),
         },
     }
     _write_text(args.output, json.dumps(payload, indent=2) + "\n")

@@ -9,7 +9,9 @@ Conventions, used consistently across the package:
 * validation, entropy, mutual information, concurrence, correlations and Bell
   weights also take an (N, d, d) stack and return arrays where one state gives floats;
 * each state is decomposed once, by the positivity check of its validation, and
-  its entropy, mutual information and concurrence are taken from that spectrum.
+  its entropy, mutual information and concurrence are taken from that spectrum;
+* the entry points that take exactly one pair (filtering, tomography simulation,
+  recovery planning) share one check for it.
 """
 
 from __future__ import annotations
@@ -117,6 +119,14 @@ def _two_qubit_spectrum(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rho, values, vectors
 
 
+def _single_state_spectrum(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # _spectrum of exactly one 4x4 state: the check of every entry point that takes one pair
+    rho, values, vectors = _spectrum(rho)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected one 4x4 two-qubit density matrix, got shape {rho.shape}")
+    return rho, values, vectors
+
+
 def von_neumann_entropy(rho) -> float | np.ndarray:
     """Entropy -sum(w log2 w) over the eigenvalues, in bits.
 
@@ -163,7 +173,8 @@ def concurrence(rho) -> float | np.ndarray:
     K = sqrt(rho) (sigma_y x sigma_y) sqrt(rho)*, which satisfies
     K K^dagger = sqrt(rho) rho_tilde sqrt(rho); going through K avoids the
     ~1e-8 noise floor that square roots of near-zero eigenvalues would
-    otherwise introduce for low-rank states.
+    otherwise introduce for low-rank states. The result is clipped to
+    [0, 1], since roundoff lifts maximally entangled states a few ulps above 1.
     """
     _, values, vectors = _two_qubit_spectrum(rho)
     return _float_or_array(_concurrence(values, vectors))
@@ -173,12 +184,16 @@ def _concurrence(values, vectors) -> np.ndarray:
     # concurrence of validated states from their hermitian_eig decomposition
     root = matrix_sqrt_psd(values, vectors)
     lam = np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
-    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    return np.clip(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0, 1.0)
 
 
 def correlation_matrix(rho) -> np.ndarray:
     """Stokes correlation matrix t_jk = Tr[rho (sigma_j x sigma_k)], 3x3 real."""
-    rho = _two_qubit_spectrum(rho)[0]
+    return _correlation_matrix(_two_qubit_spectrum(rho)[0])
+
+
+def _correlation_matrix(rho) -> np.ndarray:
+    # correlation_matrix of validated states
     return (rho[..., None, None, :, :] @ _PAULI_PAIRS).trace(axis1=-2, axis2=-1).real
 
 
@@ -189,7 +204,11 @@ def bell_diagonal_weights(rho) -> dict[str, float]:
     diagonal-compatible in this Bell basis; callers decide what to do with
     states for which the sum falls short.
     """
-    rho = _two_qubit_spectrum(rho)[0]
+    return _bell_diagonal_weights(_two_qubit_spectrum(rho)[0])
+
+
+def _bell_diagonal_weights(rho) -> dict[str, float]:
+    # bell_diagonal_weights of validated states
     return {
         label: _float_or_array(np.real(w.conj() @ rho @ w) / 2)
         for label, w in _BELL_COMPONENTS.items()

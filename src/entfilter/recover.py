@@ -22,7 +22,8 @@ from .channel import FilterElement, PauliNoiseSpec, Z_AXIS, apply_filters, pauli
 from .channel import _filter_pairs
 from .qmat import _float_or_array
 from .qstate import concurrence, correlation_matrix, unit_stokes_vector
-from .qstate import _concurrence, _mutual_information, _spectrum
+from .qstate import _concurrence, _correlation_matrix, _mutual_information
+from .qstate import _single_state_spectrum, _spectrum
 
 #: Stokes direction of the channel-A inherent filter. |H> of photon A defines
 #: +z, so the filter favoring |H> points along +z.
@@ -119,13 +120,16 @@ def plan_recovery(rho, f_a: FilterElement) -> RecoveryPlan:
     """Optimal compensating filter for a Bell-diagonal state behind filter A.
 
     A separable input (zero concurrence) yields a do-nothing plan flagged
-    ``nothing_to_recover``: filtering cannot create entanglement.
+    ``nothing_to_recover``: filtering cannot create entanglement. Its filter B
+    has magnitude 0 and the orientation a sweep would give it. The input is
+    decomposed once; its concurrence and correlations share that decomposition.
     """
-    c0 = concurrence(rho)
-    t = correlation_matrix(rho)
+    rho, values, vectors = _single_state_spectrum(rho)
+    c0 = float(_concurrence(values, vectors))
+    t = _correlation_matrix(rho)
     if c0 <= 0.0:
-        fallback = tuple(-x + 0.0 for x in f_a.orientation)
-        return RecoveryPlan(0.0, fallback, 0.0, nothing_to_recover=True)
+        orientation = _compensator_orientation(t, f_a.orientation)
+        return RecoveryPlan(0.0, orientation, 0.0, nothing_to_recover=True)
     orientation = optimal_orientation(t, f_a.orientation)
     magnitude = optimal_magnitude(t, f_a.orientation, f_a.magnitude)
     f_b = FilterElement(magnitude, tuple(orientation))
@@ -134,8 +138,9 @@ def plan_recovery(rho, f_a: FilterElement) -> RecoveryPlan:
 
 
 def _compensator_orientation(t, gamma_a_hat) -> tuple[float, float, float]:
-    # Fall back to the antipode of the filter-A axis when T a = 0 (fully
-    # depolarized direction, e.g. p = 1); the compensator is inert there.
+    # The compensator's orientation for sweeps and no-op plans alike: -T a
+    # normalized, falling back to the antipode of the filter-A axis when T a = 0
+    # (fully depolarized direction, e.g. p = 1); the compensator is inert there.
     try:
         orientation = optimal_orientation(t, gamma_a_hat)
     except ValueError:

@@ -19,13 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .qstate import (
-    IDENTITY_2,
-    PAULIS,
-    pauli_dot,
-    unit_stokes_vector,
-    validate_density_matrix,
-)
+from .qstate import IDENTITY_2, PAULIS, pauli_dot, unit_stokes_vector
+from .qstate import _single_state_spectrum
 
 
 class InsufficientStatisticsError(ValueError):
@@ -153,9 +148,7 @@ def simulate_counts(
     independently. With ``exact=True`` the expected values are stored
     without sampling.
     """
-    rho = validate_density_matrix(rho)
-    if rho.shape != (4, 4):
-        raise ValueError("simulate_counts expects a 4x4 two-qubit state")
+    rho = _single_state_spectrum(rho)[0]
     _check_acquisition(exposure, dark_prob)
     if isinstance(seed, bool):
         raise TypeError("seed must be an integer, not bool")
@@ -332,16 +325,29 @@ def record_to_json(record: TomographyRecord) -> dict:
 
 
 def record_from_json(obj: dict) -> TomographyRecord:
-    """Inverse of :func:`record_to_json`."""
-    settings = tuple(
-        MeasurementSetting(tuple(map(float, pair[0])), tuple(map(float, pair[1])))
-        for pair in obj["settings"]
-    )
-    counts = tuple(float(c) for c in obj["counts"])
+    """Inverse of :func:`record_to_json`.
+
+    A malformed record raises ValueError naming the field at fault.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"tomography record must be a JSON object, not {type(obj).__name__}")
     return TomographyRecord(
-        settings=settings,
-        counts=counts,
-        exposure=float(obj["exposure"]),
-        dark_prob=float(obj["dark_prob"]),
+        settings=_json_field(obj, "settings", lambda v: tuple(map(_json_setting, v))),
+        counts=_json_field(obj, "counts", lambda v: tuple(map(float, v))),
+        exposure=_json_field(obj, "exposure", float),
+        dark_prob=_json_field(obj, "dark_prob", float),
         seed=obj["seed"],
     )
+
+
+def _json_field(obj: dict, name: str, convert):
+    # a JSON value of the wrong type or size fails in float(), iteration or unpacking
+    try:
+        return convert(obj[name])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"record field {name!r}: {exc}") from None
+
+
+def _json_setting(pair) -> MeasurementSetting:
+    proj_a, proj_b = pair
+    return MeasurementSetting(tuple(map(float, proj_a)), tuple(map(float, proj_b)))

@@ -39,3 +39,17 @@ def random_bell_diagonal(rng: np.random.Generator) -> np.ndarray:
     """Mixture of all four Bell projectors with Dirichlet weights."""
     weights = rng.dirichlet(np.ones(4))
     return sum(w * b for w, b in zip(weights, BELL_PROJECTORS))
+
+
+def record_eigh_shapes(monkeypatch) -> list[tuple[int, ...]]:
+    """Patch numpy's Hermitian eigensolvers to append each argument's shape to the returned list."""
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return shapes

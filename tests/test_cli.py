@@ -13,6 +13,8 @@ from entfilter.qstate import bell_state, density_matrix_from_json, fidelity_pure
 from entfilter.recover import sweep
 from entfilter.tomo import standard_settings
 
+from helpers import record_eigh_shapes
+
 MI_UNFILTERED = 2.0 + 0.835 * math.log2(0.835) + 0.165 * math.log2(0.165)
 
 # SHA-256 of the CSVs the commands write at their defaults. Sweep artifacts
@@ -250,6 +252,37 @@ def test_tomo_artifacts_match_pinned_digests(tmp_path, argv):
     assert main(["tomo", "reconstruct", "--input", str(record), "--output", str(state)]) == 0
     digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (record, state))
     assert digests == PINNED_TOMO_SHA256[argv]
+
+
+# Shapes of the Hermitian decompositions each command takes, sorted:
+# - curves: the noisy state's correlations, then the 60 filtered states and
+#   their two reduced stacks;
+# - optimize: the plan's input, apply_filters' input, and the filtered state
+#   with its two reduced states;
+# - tomo simulate: the state it samples;
+# - tomo reconstruct: the physicality projection of the raw estimate, then the
+#   one decomposition its three metrics share, with two reduced states.
+COMMAND_EIGH_SHAPES = {
+    ("curves", "--noise", "bitflip", "--output", "{out}"): (
+        [(4, 4), (60, 2, 2), (60, 2, 2), (60, 4, 4)]
+    ),
+    ("optimize", "--noise", "bitflip", "--gamma-a", "0.857"): (
+        [(2, 2), (2, 2), (4, 4), (4, 4), (4, 4)]
+    ),
+    ("tomo", "simulate", "--state", "bitflip", "--output", "{out}"): [(4, 4)],
+    ("tomo", "reconstruct", "--input", "{record}", "--output", "{out}"): (
+        [(2, 2), (2, 2), (4, 4), (4, 4)]
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(COMMAND_EIGH_SHAPES), ids=lambda argv: " ".join(argv[:2]))
+def test_each_command_decomposes_each_state_once(tmp_path, monkeypatch, capsys, argv):
+    paths = {"out": str(tmp_path / "out"), "record": str(tmp_path / "record.json")}
+    assert main(["tomo", "simulate", "--state", "bitflip", "--output", paths["record"]]) == 0
+    shapes = record_eigh_shapes(monkeypatch)
+    assert main([arg.format(**paths) for arg in argv]) == 0
+    assert sorted(shapes) == COMMAND_EIGH_SHAPES[argv]
 
 
 def test_phaseflip_optimum_holds_at_large_filter_strength(tmp_path):
@@ -549,6 +582,49 @@ class TestTomo:
         code = main(["tomo", "reconstruct", "--input", str(record_path), "--output", str(out)])
         assert code == 2
         assert "unit norm" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("counts", "[1" + "0" * 400 + "]", "'counts'"),
+            ("exposure", "1" + "0" * 400, "'exposure'"),
+            ("exposure", "null", "'exposure'"),
+            ("counts", "null", "'counts'"),
+            ("settings", "5", "'settings'"),
+            ("settings", "[[[0, 0, 1]]]", "'settings'"),
+            ("counts", "[[5]]", "'counts'"),
+            (None, None, "JSON object"),
+        ],
+        ids=[
+            "huge-count",
+            "huge-exposure",
+            "null-exposure",
+            "null-counts",
+            "scalar-settings",
+            "one-direction",
+            "list-count",
+            "list-record",
+        ],
+    )
+    def test_malformed_record_is_runtime_error(self, tmp_path, capsys, field, value, named):
+        fields = {
+            "settings": "[[[0, 0, 1], [0, 0, 1]]]",
+            "counts": "[5]",
+            "exposure": "100.0",
+            "dark_prob": "0.0",
+            "seed": "0",
+        }
+        if field:
+            fields[field] = value
+        text = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+        record_path = tmp_path / "record.json"
+        record_path.write_text(text if field else f"[{text}]")  # the last case wraps the record
+        out = tmp_path / "out.json"
+        code = main(["tomo", "reconstruct", "--input", str(record_path), "--output", str(out)])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
         assert not out.exists()
 
     def test_malformed_json_is_runtime_error(self, tmp_path, capsys):

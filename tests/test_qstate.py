@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings as hypothesis_settings, strategies as st
 
-from entfilter.channel import PauliNoiseSpec, pauli_channel_state
+from entfilter.channel import FilterElement, PauliNoiseSpec, apply_filters, pauli_channel_state
 from entfilter.qstate import (
     SIGMA_X,
     SIGMA_Y,
@@ -21,6 +21,8 @@ from entfilter.qstate import (
     validate_density_matrix,
     von_neumann_entropy,
 )
+from entfilter.recover import plan_recovery
+from entfilter.tomo import simulate_counts, standard_settings
 
 from helpers import (
     BELL_PROJECTORS,
@@ -28,6 +30,8 @@ from helpers import (
     random_density_matrix,
     random_unitary,
 )
+
+Z = (0.0, 0.0, 1.0)
 
 # Binary entropy of the p = 0.33 Bell mixture, from an independent scalar
 # evaluation of -sum(w log2 w) over the weights {0.835, 0.165}.
@@ -111,6 +115,24 @@ class TestValidateDensityMatrix:
         with pytest.raises(ValueError, match="two-qubit"):
             measure(np.eye(2) / 2)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda rho: apply_filters(rho, FilterElement(0.5, Z), FilterElement(0.5, Z)),
+            lambda rho: simulate_counts(rho, standard_settings(), exposure=100.0),
+            lambda rho: plan_recovery(rho, FilterElement(0.5, Z)),
+        ],
+        ids=["apply_filters", "simulate_counts", "plan_recovery"],
+    )
+    @pytest.mark.parametrize(
+        "rho",
+        [np.array([bell_state("phi+"), bell_state("psi-")]), np.eye(2) / 2],
+        ids=["stack", "one-qubit"],
+    )
+    def test_single_state_entry_points_share_one_check(self, entry, rho):
+        with pytest.raises(ValueError, match="^expected one 4x4 two-qubit density matrix"):
+            entry(rho)
+
 
 class TestVonNeumannEntropy:
     def test_pure_state(self):
@@ -168,8 +190,7 @@ class TestMutualInformation:
         assume(np.trace(gram).real > 1e-6)
         rho = gram / np.trace(gram).real
         assert 0.0 <= mutual_information(rho) <= 2.0
-        # maximally entangled states reach 1 + a few ulps
-        assert 0.0 <= concurrence(rho) <= 1.0 + 1e-12
+        assert 0.0 <= concurrence(rho) <= 1.0
 
     def test_invariant_under_local_unitaries(self):
         rng = np.random.default_rng(23)
@@ -192,6 +213,14 @@ class TestConcurrence:
     def test_bitflip_mixture(self):
         # Bell-diagonal closed form: C = 2 w_max - 1 = 1 - p
         assert concurrence(bitflip(0.33)) == pytest.approx(0.67, abs=1e-12)
+
+    def test_never_exceeds_one_on_rotated_bell_state(self):
+        # local rotations of phi+ on qubit A; unclipped, about a third of them
+        # come out a few ulps above 1
+        rng = np.random.default_rng(0)
+        rotations = np.array([np.kron(random_unitary(rng), np.eye(2)) for _ in range(2000)])
+        states = rotations @ bell_state("phi+") @ rotations.conj().swapaxes(-1, -2)
+        assert concurrence(states).max() == 1.0
 
     def test_bell_diagonal_closed_form(self):
         rng = np.random.default_rng(29)

@@ -24,6 +24,7 @@ from helpers import (
     random_bell_diagonal,
     random_rank2_bell_diagonal,
     random_unit_vector,
+    record_eigh_shapes,
 )
 
 Z = (0.0, 0.0, 1.0)
@@ -176,6 +177,19 @@ class TestPlanRecovery:
         assert plan.gamma_b_opt == 0.0
         assert plan.predicted_concurrence == 0.0
 
+    def test_noop_plan_takes_the_sweep_orientation(self):
+        # (psi+ + psi-)/2 has C = 0 and T = diag(0, 0, -1), so -T a = +z behind a +z filter
+        rho = (bell_state("psi+") + bell_state("psi-")) / 2
+        plan = plan_recovery(rho, FilterElement(0.857, Z))
+        assert plan.nothing_to_recover
+        assert plan.orientation_b == (0.0, 0.0, 1.0)
+
+    def test_decomposes_its_input_once(self, monkeypatch):
+        rho = pauli_channel_state(BITFLIP)
+        shapes = record_eigh_shapes(monkeypatch)
+        plan_recovery(rho, FilterElement(0.857, Z))
+        assert shapes == [(4, 4)]
+
 
 class TestSweep:
     def test_unfiltered_mutual_information_both_noise_types(self):
@@ -266,15 +280,7 @@ class TestSharedEvaluationPath:
             assert (point.mutual_info, point.concurrence, point.transmission) == expected
 
     def test_sweep_decomposes_its_stack_once(self, monkeypatch):
-        shapes = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-
-            def counted(a, *args, _original=original, **kwargs):
-                shapes.append(np.shape(a))
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        shapes = record_eigh_shapes(monkeypatch)
         sweep(BITFLIP, np.linspace(0.0, 1.2, 60), "optimal")
         stacked = [shape for shape in shapes if shape[:1] == (60,)]
         # one (60, 4, 4) decomposition feeds validation, S(AB) and sqrt(rho);
