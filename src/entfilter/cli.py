@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -87,6 +88,76 @@ def _named_state(name: str, p: float) -> np.ndarray:
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
+
+
+# Fixed layouts of the two tomography artifacts: each writer gives the bytes of
+# json.dumps(obj, indent=2) + "\n" from a few %-formats and joins. Numbers print
+# as json prints them: floats through float.__repr__ (so float subclasses such
+# as np.float64 print as plain floats), ints through int.__repr__.
+_DIRECTION_PAIR = (
+    "    [\n      [\n        %s,\n        %s,\n        %s\n      ],\n"
+    "      [\n        %s,\n        %s,\n        %s\n      ]\n    ]"
+)
+_RECORD = (
+    '{\n  "settings": %s,\n  "counts": %s,\n  "exposure": %s,\n'
+    '  "dark_prob": %s,\n  "seed": %s\n}\n'
+)
+_MATRIX_ENTRY = "        [\n          %s,\n          %s\n        ]"
+_PAYLOAD = (
+    '{\n  "state": {\n    "basis": %s,\n    "matrix": %s\n  },\n'
+    '  "metrics": {\n    "concurrence": %s,\n    "mutual_info_bits": %s,\n'
+    '    "bell_weights": {\n%s\n    }\n  }\n}\n'
+)
+
+
+def _number(value) -> str:
+    return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
+
+
+def _array(item: str, count: int, values, indent: str) -> str:
+    # a JSON array of count items, one per line: item filled from values in turn
+    if not count:
+        return "[]"
+    return "[\n%s\n%s]" % (",\n".join([item] * count) % tuple(values), indent)
+
+
+def _record_text(record: dict) -> str:
+    """``record_to_json`` output as ``json.dumps(record, indent=2) + "\n"`` gives it.
+
+    Directions are floats; counts, exposure and dark_prob floats or ints (not
+    bools); the seed an int. Every number is finite, since ``TomographyRecord``
+    validates them.
+    """
+    settings, counts = record["settings"], record["counts"]
+    directions = chain.from_iterable(chain.from_iterable(settings))
+    return _RECORD % (
+        _array(_DIRECTION_PAIR, len(settings), map(float.__repr__, directions), "  "),
+        _array("    %s", len(counts), map(_number, counts), "  "),
+        _number(record["exposure"]),
+        _number(record["dark_prob"]),
+        int.__repr__(record["seed"]),
+    )
+
+
+def _payload_text(payload: dict) -> str:
+    """The ``tomo reconstruct`` payload as ``json.dumps(payload, indent=2) + "\n"`` gives it.
+
+    ``payload["state"]`` is ``density_matrix_to_json`` output, whose labels are
+    plain ASCII, and every metric is a float. The numbers are finite, since the
+    estimate is a validated state.
+    """
+    state, metrics = payload["state"], payload["metrics"]
+    basis, matrix = state["basis"], state["matrix"]
+    row = "      [\n%s\n      ]" % ",\n".join([_MATRIX_ENTRY] * len(matrix))
+    entries = map(float.__repr__, chain.from_iterable(chain.from_iterable(matrix)))
+    weights = metrics["bell_weights"]
+    return _PAYLOAD % (
+        _array('      "%s"', len(basis), basis, "    "),
+        _array(row, len(matrix), entries, "    "),
+        float.__repr__(metrics["concurrence"]),
+        float.__repr__(metrics["mutual_info_bits"]),
+        ",\n".join(['      "%s": %s' % (k, float.__repr__(w)) for k, w in weights.items()]),
+    )
 
 
 def cmd_curves(args) -> int:
@@ -184,7 +255,7 @@ def cmd_tomo_simulate(args) -> int:
         seed=args.seed,
         exact=args.exact,
     )
-    _write_text(args.output, json.dumps(record_to_json(record), indent=2) + "\n")
+    _write_text(args.output, _record_text(record_to_json(record)))
     return EXIT_OK
 
 
@@ -201,7 +272,7 @@ def cmd_tomo_reconstruct(args) -> int:
             "bell_weights": _bell_diagonal_weights(rho),
         },
     }
-    _write_text(args.output, json.dumps(payload, indent=2) + "\n")
+    _write_text(args.output, _payload_text(payload))
     return EXIT_OK
 
 

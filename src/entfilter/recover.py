@@ -20,8 +20,8 @@ import numpy as np
 
 from .channel import FilterElement, PauliNoiseSpec, Z_AXIS, apply_filters, pauli_channel_state
 from .channel import _filter_pairs
-from .qmat import _float_or_array
-from .qstate import concurrence, correlation_matrix, unit_stokes_vector
+from .qmat import _float_or_array, kron
+from .qstate import IDENTITY_2, PAULIS, concurrence, correlation_matrix, unit_stokes_vector
 from .qstate import _concurrence, _correlation_matrix, _mutual_information
 from .qstate import _single_state_spectrum, _spectrum
 
@@ -30,6 +30,11 @@ from .qstate import _single_state_spectrum, _spectrum
 GAMMA_A_AXIS = Z_AXIS
 
 STRATEGIES = ("none", "match", "optimal")
+
+# sigma_j x 1 then 1 x sigma_k: their expectations are the local Stokes vectors a and b
+_LOCAL_PAULIS = np.array(
+    [kron(s, IDENTITY_2) for s in PAULIS] + [kron(IDENTITY_2, s) for s in PAULIS]
+)
 
 CSV_HEADER = "gamma_a,gamma_b,strategy,mutual_info_bits,concurrence,transmission"
 
@@ -119,14 +124,23 @@ def optimal_magnitude(t, gamma_a_hat, gamma_a) -> float | np.ndarray:
 def plan_recovery(rho, f_a: FilterElement) -> RecoveryPlan:
     """Optimal compensating filter for a Bell-diagonal state behind filter A.
 
-    A separable input (zero concurrence) yields a do-nothing plan flagged
-    ``nothing_to_recover``: filtering cannot create entanglement. Its filter B
-    has magnitude 0 and the orientation a sweep would give it. The input is
-    decomposed once; its concurrence and correlations share that decomposition.
+    The closed form holds only for Bell-diagonal input: both local Stokes
+    vectors must vanish and the correlation matrix must be diagonal, each
+    within 1e-9. Any other state raises ValueError rather than getting a
+    wrong prediction. A separable input (zero concurrence) yields a do-nothing
+    plan flagged ``nothing_to_recover``: filtering cannot create entanglement.
+    Its filter B has magnitude 0 and the orientation a sweep would give it.
+    The input is decomposed once; its concurrence and correlations share that
+    decomposition.
     """
     rho, values, vectors = _single_state_spectrum(rho)
+    local = (rho @ _LOCAL_PAULIS).trace(axis1=-2, axis2=-1).real
+    if np.max(np.abs(local)) > 1e-9:
+        raise ValueError(
+            "plan_recovery requires a Bell-diagonal state: local Stokes vectors must vanish"
+        )
+    t = _as_correlation(_correlation_matrix(rho))
     c0 = float(_concurrence(values, vectors))
-    t = _correlation_matrix(rho)
     if c0 <= 0.0:
         orientation = _compensator_orientation(t, f_a.orientation)
         return RecoveryPlan(0.0, orientation, 0.0, nothing_to_recover=True)

@@ -39,6 +39,8 @@ ANALYZER_DIRECTIONS = (
 
 # Signed axes +x, -x, +y, -y, +z, -z: row 2j + (0 or 1) is +e_j or -e_j.
 _SIGNED_AXES = np.array([sign * unit for unit in np.eye(3) for sign in (1.0, -1.0)])
+# np.isclose's bound atol + rtol |e| with atol = 1e-9, rtol = 1e-5, per axis entry e
+_AXIS_TOL = 1e-9 + 1e-5 * abs(_SIGNED_AXES)
 
 # Stations used by each Pauli-basis cell a setting's counts pool into: none
 # (the normalization), both (correlations t_jk), A alone and B alone.
@@ -266,8 +268,9 @@ def _pcg64_states(seed: int, count: int) -> list[tuple[int, int]]:
 
 
 def _signed_axes(settings) -> tuple[np.ndarray, np.ndarray]:
-    # (S, 2) Pauli axis index and sign of each analyzer; directions must lie along +-e_j
-    hits = np.isclose(_directions(settings)[..., None, :], _SIGNED_AXES, atol=1e-9).all(axis=-1)
+    # (S, 2) Pauli axis index and sign of each analyzer; directions must lie along +-e_j.
+    # np.isclose(d, e, atol=1e-9) written out, which is exact for the finite directions
+    hits = (abs(_directions(settings)[..., None, :] - _SIGNED_AXES) <= _AXIS_TOL).all(axis=-1)
     if not hits.any(axis=-1).all():
         raise ValueError("linear inversion requires analyzer directions along signed Pauli axes")
     first = hits.argmax(axis=-1)
@@ -327,27 +330,35 @@ def record_to_json(record: TomographyRecord) -> dict:
 def record_from_json(obj: dict) -> TomographyRecord:
     """Inverse of :func:`record_to_json`.
 
-    A malformed record raises ValueError naming the field at fault.
+    A malformed record raises ValueError naming the field at fault; strings
+    and booleans are rejected wherever a number belongs.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"tomography record must be a JSON object, not {type(obj).__name__}")
     return TomographyRecord(
         settings=_json_field(obj, "settings", lambda v: tuple(map(_json_setting, v))),
-        counts=_json_field(obj, "counts", lambda v: tuple(map(float, v))),
-        exposure=_json_field(obj, "exposure", float),
-        dark_prob=_json_field(obj, "dark_prob", float),
+        counts=_json_field(obj, "counts", lambda v: tuple(map(_json_number, v))),
+        exposure=_json_field(obj, "exposure", _json_number),
+        dark_prob=_json_field(obj, "dark_prob", _json_number),
         seed=obj["seed"],
     )
 
 
 def _json_field(obj: dict, name: str, convert):
-    # a JSON value of the wrong type or size fails in float(), iteration or unpacking
+    # a JSON value of the wrong type or size fails in _json_number, iteration or unpacking
     try:
         return convert(obj[name])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"record field {name!r}: {exc}") from None
 
 
+def _json_number(value) -> float:
+    # float() would read "100" as 100.0 and true as 1.0
+    if isinstance(value, (str, bool)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return float(value)
+
+
 def _json_setting(pair) -> MeasurementSetting:
     proj_a, proj_b = pair
-    return MeasurementSetting(tuple(map(float, proj_a)), tuple(map(float, proj_b)))
+    return MeasurementSetting(tuple(map(_json_number, proj_a)), tuple(map(_json_number, proj_b)))

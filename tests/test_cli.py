@@ -5,13 +5,23 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings, strategies as st
 
 from entfilter.channel import PauliNoiseSpec
-from entfilter.cli import INSET_GAMMA_A, build_parser, main
-from entfilter.qstate import bell_state, density_matrix_from_json, fidelity_pure
+from entfilter.cli import INSET_GAMMA_A, _payload_text, _record_text, build_parser, main
+from entfilter.qstate import (
+    bell_diagonal_weights,
+    bell_state,
+    concurrence,
+    density_matrix_from_json,
+    density_matrix_to_json,
+    fidelity_pure,
+    mutual_information,
+)
 from entfilter.recover import sweep
-from entfilter.tomo import standard_settings
+from entfilter.tomo import MeasurementSetting, TomographyRecord, record_to_json, standard_settings
 
 from helpers import record_eigh_shapes
 
@@ -68,6 +78,35 @@ PINNED_TOMO_SHA256 = {
         "bfab4d8d9c360d03169b70cb0fa75be5a4dc1767b80e559d7c818269801823ee",
         "1e34c5305f93bfe81414b5851e23089dbf0fafeba5115c139d5a77134f93f2da",
     ),
+}
+
+
+# SHA-256 of the JSON the sweep commands write at their defaults, and of the
+# report `optimize` prints. They catch any change of JSON writer for these.
+PINNED_JSON_SHA256 = {
+    ("curves", "--noise", "bitflip", "--strategy", "none"): (
+        "bf81d3a4eb4752a528381d42d1c81ba1dd717e5ab9b2eec8636f8213dde1f0c7"
+    ),
+    ("curves", "--noise", "bitflip", "--strategy", "match"): (
+        "c7b95dfd0f04e00aa211f0e4aa03f2236c517e4dc9dba03c1d0bca59c05a9173"
+    ),
+    ("curves", "--noise", "bitflip", "--strategy", "optimal"): (
+        "5e02f5f7cfc1ae056d45898dd468d1841d9595ca157205f9277e54a3369bd09b"
+    ),
+    ("curves", "--noise", "phaseflip", "--strategy", "none"): (
+        "1e918c4b905c017bf4aa988864ca889705374a1a0b7257cc913225e27588ecd6"
+    ),
+    ("curves", "--noise", "phaseflip", "--strategy", "match"): (
+        "2018e8d518361bc324020487d817ea0f5cd83651e5080bab3d8460f8767281fd"
+    ),
+    ("curves", "--noise", "phaseflip", "--strategy", "optimal"): (
+        "40fee943287740c986c1a884d1aef6fff9acb8905809e291ba40f54e22088c50"
+    ),
+    ("inset",): "0aeb30749de561b6a18895e71f41c88d2e601e1f67edb7ee1c37acb1f1150a7e",
+}
+PINNED_OPTIMIZE_SHA256 = {
+    "bitflip": "8d12217e79176709a997a6002bf0fabeb2e9ee3ed6bcd42ec5f7838da112acb1",
+    "phaseflip": "c4897f13556567ca4152346de3c0f2e6b20b48103e2cfac0bbc08b27a25f51b7",
 }
 
 
@@ -245,6 +284,19 @@ def test_default_csv_matches_pinned_digest(tmp_path, argv):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CSV_SHA256[argv]
 
 
+@pytest.mark.parametrize("argv", sorted(PINNED_JSON_SHA256))
+def test_default_json_matches_pinned_digest(tmp_path, argv):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--format", "json", "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_JSON_SHA256[argv]
+
+
+@pytest.mark.parametrize("noise", sorted(PINNED_OPTIMIZE_SHA256))
+def test_optimize_report_matches_pinned_digest(capsys, noise):
+    assert main(["optimize", "--noise", noise, "--gamma-a", "0.857"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_OPTIMIZE_SHA256[noise]
+
 @pytest.mark.parametrize("argv", sorted(PINNED_TOMO_SHA256))
 def test_tomo_artifacts_match_pinned_digests(tmp_path, argv):
     record, state = tmp_path / "record.json", tmp_path / "state.json"
@@ -252,6 +304,59 @@ def test_tomo_artifacts_match_pinned_digests(tmp_path, argv):
     assert main(["tomo", "reconstruct", "--input", str(record), "--output", str(state)]) == 0
     digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (record, state))
     assert digests == PINNED_TOMO_SHA256[argv]
+
+
+def _unit_direction(v):
+    v = np.array(v)
+    return tuple(v / np.linalg.norm(v))
+
+
+_DIRECTIONS = (
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+    .filter(lambda v: math.hypot(*v) > 1e-3)
+    .map(_unit_direction)
+)
+_COUNTS = st.one_of(st.integers(0, 2**53), st.floats(0.0, 1e300))
+
+
+@hypothesis_settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(_DIRECTIONS, _DIRECTIONS, _COUNTS), max_size=40),
+    st.floats(1e-300, 1e300),
+    st.floats(0.0, 1e300),
+    st.integers(0, 2**80),
+)
+def test_record_writer_matches_json_dumps(rows, exposure, dark_prob, seed):
+    record = TomographyRecord(
+        settings=tuple(MeasurementSetting(a, b) for a, b, _ in rows),
+        counts=tuple(c for _, _, c in rows),
+        exposure=exposure,
+        dark_prob=dark_prob,
+        seed=seed,
+    )
+    obj = record_to_json(record)
+    assert _record_text(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_payload_writer_matches_json_dumps(rank):
+    rng = np.random.default_rng(rank)
+    for _ in range(25):
+        g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        state = density_matrix_to_json(rho)
+        for i, row in enumerate(state["matrix"]):
+            row[i][1] = -0.0  # a Hermitian diagonal is real; json prints this zero's sign
+        payload = {
+            "state": state,
+            "metrics": {
+                "concurrence": np.float64(concurrence(rho)),  # a float subclass prints as a float
+                "mutual_info_bits": mutual_information(rho),
+                "bell_weights": bell_diagonal_weights(rho),
+            },
+        }
+        assert _payload_text(payload) == json.dumps(payload, indent=2) + "\n"
 
 
 # Shapes of the Hermitian decompositions each command takes, sorted:
@@ -594,6 +699,10 @@ class TestTomo:
             ("settings", "5", "'settings'"),
             ("settings", "[[[0, 0, 1]]]", "'settings'"),
             ("counts", "[[5]]", "'counts'"),
+            ("exposure", '"100"', "'exposure'"),
+            ("dark_prob", "true", "'dark_prob'"),
+            ("counts", '"5"', "'counts'"),
+            ("settings", '[["001", [0, 0, 1]]]', "'settings'"),
             (None, None, "JSON object"),
         ],
         ids=[
@@ -604,6 +713,10 @@ class TestTomo:
             "scalar-settings",
             "one-direction",
             "list-count",
+            "string-exposure",
+            "bool-dark-prob",
+            "string-counts",
+            "string-direction",
             "list-record",
         ],
     )

@@ -190,6 +190,27 @@ class TestPlanRecovery:
         plan_recovery(rho, FilterElement(0.857, Z))
         assert shapes == [(4, 4)]
 
+    @pytest.mark.parametrize("weight", [0.7, 0.5])
+    def test_rejects_state_with_local_polarization(self, weight):
+        # psi- mixed with |HH><HH| has diagonal T but local Stokes vectors along z;
+        # at 0.7 the closed form predicted C = 0.524 where filtering gives 0.398
+        hh = np.zeros((4, 4))
+        hh[0, 0] = 1.0
+        rho = weight * bell_state("psi-") + (1 - weight) * hh
+        with pytest.raises(ValueError, match="Bell-diagonal state"):
+            plan_recovery(rho, FilterElement(0.857, Z))
+
+    def test_accepts_random_bell_diagonal_states(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            rho = random_bell_diagonal(rng)
+            plan = plan_recovery(rho, FilterElement(0.857, Z))
+            if plan.nothing_to_recover:
+                continue
+            f_b = FilterElement(plan.gamma_b_opt, plan.orientation_b)
+            rho_f, _ = apply_filters(rho, FilterElement(0.857, Z), f_b)
+            assert plan.predicted_concurrence == pytest.approx(concurrence(rho_f), abs=1e-12)
+
 
 class TestSweep:
     def test_unfiltered_mutual_information_both_noise_types(self):

@@ -20,7 +20,9 @@ from entfilter.tomo import (
     reconstruct,
     record_from_json,
     record_to_json,
+    _SIGNED_AXES,
     _pcg64_states,
+    _signed_axes,
     simulate_counts,
     standard_settings,
 )
@@ -280,6 +282,28 @@ class TestReconstruct:
         assert np.array_equal(reconstruct(record(1e-10)), reconstruct(record(0.0)))
         with pytest.raises(ValueError, match="signed Pauli axes"):
             reconstruct(record(1e-7))
+
+    @hypothesis_settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 5),
+        st.floats(-12.0, -6.0),
+        st.floats(0.0, 2 * np.pi),
+    )
+    def test_axis_hits_match_isclose(self, row, log_tilt, angle):
+        # a unit direction tilted off one signed axis by 1e-12 to 1e-6, toward a random
+        # perpendicular; _signed_axes must hit exactly where np.isclose(atol=1e-9) does
+        axis, tilt = _SIGNED_AXES[row], 10.0**log_tilt
+        u, v = np.roll(np.eye(3), 1 + row // 2, axis=1)[:2]
+        direction = np.sqrt(1 - tilt**2) * axis + tilt * (np.cos(angle) * u + np.sin(angle) * v)
+        setting = MeasurementSetting(tuple(direction), PLUS_Z)
+        hits = np.isclose(np.array(setting.proj_a), _SIGNED_AXES, atol=1e-9).all(axis=-1)
+        if hits.any():
+            first = int(hits.argmax())
+            found_axis, found_sign = _signed_axes((setting,))
+            assert (found_axis[0, 0], found_sign[0, 0]) == (first // 2, 1.0 - 2.0 * (first % 2))
+        else:
+            with pytest.raises(ValueError, match="signed Pauli axes"):
+                _signed_axes((setting,))
 
 
 class TestStackedMatchesLoop:
