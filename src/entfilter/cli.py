@@ -1,7 +1,18 @@
 """Command-line surface: sweep curves, ratio insets, filter optimization and
 simulated tomography, writing CSV/JSON artifacts.
 
-Exit codes: 0 success, 1 usage error, 2 runtime/domain error.
+Exit codes: 0 success, 1 usage error, 2 runtime/domain error. Each range-checked
+flag has one domain, checked as argparse parses it:
+
+    --p                                                      [0, 1]
+    --gamma-a-max, --ratio-max, inset --gamma-a, --exposure  finite, > 0
+    optimize --gamma-a, --dark-prob                          finite, >= 0
+    --normalization                                          (0, 1]
+    --steps                                                  integer >= 2
+    --seed                                                   integer >= 0
+
+A value outside its domain exits 1 with the usage line and one ``error:`` line
+naming the flag; that holds for ``tomo simulate --p`` with a Bell ``--state`` too.
 """
 
 from __future__ import annotations
@@ -49,10 +60,6 @@ STATE_NAMES = BELL_LABELS + NOISE_TYPES
 INSET_GAMMA_A = (0.820, 0.857, 0.869)
 
 
-class UsageError(Exception):
-    """Invalid flag combination or out-of-range parameter."""
-
-
 class _Parser(argparse.ArgumentParser):
     # reserve exit code 2 for runtime failures; argparse defaults to 2
     def error(self, message):
@@ -60,20 +67,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _finite_float(text: str) -> float:
-    # nan and inf parse as floats but no flag has a meaning for them
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _flag_type(convert, accepts, expected: str):
+    # An argparse type that parses a flag's text and checks its domain in one step;
+    # either failure exits 1 through _Parser.error. The chained comparisons in
+    # `accepts` are False for NaN, and math.inf bounds exclude the infinities.
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if accepts(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
+
+
+_PROBABILITY = _flag_type(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+_POSITIVE = _flag_type(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_NON_NEGATIVE = _flag_type(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_NORMALIZATION = _flag_type(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
+_STEPS = _flag_type(int, lambda v: v >= 2, "an integer >= 2")
+_SEED = _flag_type(int, lambda v: v >= 0, "an integer >= 0")
 
 
 def _noise_spec(noise: str, p: float) -> PauliNoiseSpec:
-    if not 0.0 <= p <= 1.0:
-        raise UsageError("--p must lie in [0, 1]")
     if noise == "bitflip":
         return PauliNoiseSpec.bit_flip(p)
     return PauliNoiseSpec.phase_flip(p)
@@ -161,12 +179,6 @@ def _payload_text(payload: dict) -> str:
 
 
 def cmd_curves(args) -> int:
-    if args.steps < 2:
-        raise UsageError("--steps must be >= 2")
-    if args.gamma_a_max <= 0:
-        raise UsageError("--gamma-a-max must be > 0")
-    if not 0.0 < args.normalization <= 1.0:
-        raise UsageError("--normalization must lie in (0, 1]")
     noise = _noise_spec(args.noise, args.p)
     grid = np.linspace(0.0, args.gamma_a_max, args.steps)
     points = sweep(noise, grid, args.strategy, args.normalization)
@@ -178,13 +190,7 @@ def cmd_curves(args) -> int:
 
 
 def cmd_inset(args) -> int:
-    if args.steps < 2:
-        raise UsageError("--steps must be >= 2")
-    if args.ratio_max <= 0:
-        raise UsageError("--ratio-max must be > 0")
     gamma_a_values = args.gamma_a if args.gamma_a else list(INSET_GAMMA_A)
-    if any(g <= 0 for g in gamma_a_values):
-        raise UsageError("--gamma-a values must be > 0")
     noise = _noise_spec(args.noise, args.p)
     ratios = np.linspace(0.0, args.ratio_max, args.steps)
     series = []
@@ -216,8 +222,6 @@ def cmd_inset(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    if args.gamma_a < 0:
-        raise UsageError("--gamma-a must be >= 0")
     noise = _noise_spec(args.noise, args.p)
     rho = pauli_channel_state(noise)
     f_a = FilterElement(args.gamma_a, GAMMA_A_AXIS)
@@ -240,12 +244,6 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_tomo_simulate(args) -> int:
-    if args.exposure <= 0:
-        raise UsageError("--exposure must be > 0")
-    if args.dark_prob < 0:
-        raise UsageError("--dark-prob must be >= 0")
-    if args.seed < 0:
-        raise UsageError("--seed must be >= 0")
     rho = _named_state(args.state, args.p)
     record = simulate_counts(
         rho,
@@ -288,14 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
     curves = sub.add_parser("curves", help="mutual-information sweep over the filter-A magnitude")
     curves.add_argument("--noise", choices=NOISE_TYPES, required=True)
     curves.add_argument(
-        "--p", type=_finite_float, default=0.33, help="noise mixing weight (default 0.33)"
+        "--p", type=_PROBABILITY, default=0.33, help="noise mixing weight (default 0.33)"
     )
-    curves.add_argument("--gamma-a-max", type=_finite_float, default=1.2)
-    curves.add_argument("--steps", type=int, default=60, help="grid points over [0, gamma-a-max]")
+    curves.add_argument("--gamma-a-max", type=_POSITIVE, default=1.2)
+    curves.add_argument("--steps", type=_STEPS, default=60, help="grid points over [0, gamma-a-max]")
     curves.add_argument("--strategy", choices=STRATEGIES, default="none")
     curves.add_argument(
         "--normalization",
-        type=_finite_float,
+        type=_NORMALIZATION,
         default=0.9,
         help="scale on reported mutual information (default 0.9; use 1.0 for pure theory)",
     )
@@ -306,22 +304,22 @@ def build_parser() -> argparse.ArgumentParser:
     inset = sub.add_parser("inset", help="mutual information vs gamma_B/gamma_A ratio")
     inset.add_argument(
         "--gamma-a",
-        type=_finite_float,
+        type=_POSITIVE,
         action="append",
         help="filter-A magnitude; repeatable (default: %.3f %.3f %.3f)" % INSET_GAMMA_A,
     )
-    inset.add_argument("--ratio-max", type=_finite_float, default=1.2)
-    inset.add_argument("--steps", type=int, default=121, help="ratio grid points over [0, ratio-max]")
+    inset.add_argument("--ratio-max", type=_POSITIVE, default=1.2)
+    inset.add_argument("--steps", type=_STEPS, default=121, help="ratio grid points over [0, ratio-max]")
     inset.add_argument("--noise", choices=NOISE_TYPES, default="bitflip")
-    inset.add_argument("--p", type=_finite_float, default=0.33)
+    inset.add_argument("--p", type=_PROBABILITY, default=0.33)
     inset.add_argument("--output", required=True)
     inset.add_argument("--format", choices=("csv", "json"), default="csv")
     inset.set_defaults(func=cmd_inset)
 
     optimize = sub.add_parser("optimize", help="print the optimal compensating filter as JSON")
     optimize.add_argument("--noise", choices=NOISE_TYPES, required=True)
-    optimize.add_argument("--p", type=_finite_float, default=0.33)
-    optimize.add_argument("--gamma-a", type=_finite_float, required=True)
+    optimize.add_argument("--p", type=_PROBABILITY, default=0.33)
+    optimize.add_argument("--gamma-a", type=_NON_NEGATIVE, required=True)
     optimize.set_defaults(func=cmd_optimize)
 
     tomo = sub.add_parser("tomo", help="simulated polarization tomography")
@@ -329,10 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = tomo_sub.add_parser("simulate", help="write a coincidence-count record")
     simulate.add_argument("--state", choices=STATE_NAMES, required=True)
-    simulate.add_argument("--p", type=_finite_float, default=0.33, help="noise weight for bitflip/phaseflip states")
-    simulate.add_argument("--exposure", type=_finite_float, default=1e5, help="expected pairs per setting")
-    simulate.add_argument("--dark-prob", type=_finite_float, default=4e-5, help="accidental probability per gate")
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--p", type=_PROBABILITY, default=0.33, help="noise weight for bitflip/phaseflip states")
+    simulate.add_argument("--exposure", type=_POSITIVE, default=1e5, help="expected pairs per setting")
+    simulate.add_argument("--dark-prob", type=_NON_NEGATIVE, default=4e-5, help="accidental probability per gate")
+    simulate.add_argument("--seed", type=_SEED, default=0)
     simulate.add_argument("--exact", action="store_true", help="store expected values instead of sampling")
     simulate.add_argument("--output", required=True)
     simulate.set_defaults(func=cmd_tomo_simulate)
@@ -353,9 +351,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

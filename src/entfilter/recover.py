@@ -141,12 +141,11 @@ def plan_recovery(rho, f_a: FilterElement) -> RecoveryPlan:
         )
     t = _as_correlation(_correlation_matrix(rho))
     c0 = float(_concurrence(values, vectors))
+    orientation = _compensator_orientation(t, f_a.orientation)
     if c0 <= 0.0:
-        orientation = _compensator_orientation(t, f_a.orientation)
         return RecoveryPlan(0.0, orientation, 0.0, nothing_to_recover=True)
-    orientation = optimal_orientation(t, f_a.orientation)
     magnitude = optimal_magnitude(t, f_a.orientation, f_a.magnitude)
-    f_b = FilterElement(magnitude, tuple(orientation))
+    f_b = FilterElement(magnitude, orientation)
     predicted = concurrence_after_filtering(c0, t, f_a, f_b)
     return RecoveryPlan(magnitude, f_b.orientation, predicted)
 

@@ -101,6 +101,9 @@ class TomographyRecord:
 
 
 def _check_acquisition(exposure, dark_prob) -> None:
+    # a bool compares as 0 or 1, but it is no rate, and JSON writes it as true/false
+    if isinstance(exposure, (bool, np.bool_)) or isinstance(dark_prob, (bool, np.bool_)):
+        raise ValueError("exposure and dark_prob must be numbers, not bools")
     if not 0 < exposure < np.inf:
         raise ValueError("exposure must be finite and > 0")
     if not 0 <= dark_prob < np.inf:

@@ -248,21 +248,6 @@ class TestCurves:
         assert code == 1
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_bad_steps_is_usage_error(self, tmp_path, capsys):
-        code = main(
-            [
-                "curves",
-                "--noise",
-                "bitflip",
-                "--steps",
-                "1",
-                "--output",
-                str(tmp_path / "x.csv"),
-            ]
-        )
-        assert code == 1
-        assert "steps" in capsys.readouterr().err
-
     def test_unwritable_path_is_runtime_error(self, tmp_path, capsys):
         code = main(
             [
@@ -419,6 +404,66 @@ def test_non_finite_float_is_usage_error(tmp_path, capsys, argv, value):
     assert code == 1
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Each range-checked flag at the edges of its domain. A rejected value exits 1
+# with one error line naming the flag and writes nothing; an accepted edge value
+# exits 0. Rejected values use the --flag=value form: argparse takes a separate
+# "-1e-9" for an option string, which would hide the domain check behind another
+# usage error.
+_CURVES = ["curves", "--noise", "bitflip", "--output", "{out}"]
+_INSET = ["inset", "--output", "{out}"]
+_OPTIMIZE = ["optimize", "--noise", "bitflip"]
+_SIMULATE = ["tomo", "simulate", "--output", "{out}"]
+_SIMULATE_PHI = [*_SIMULATE, "--state", "phi+"]
+FLAG_DOMAIN_REJECTED = {
+    "curves-p-low": ("--p", [*_CURVES, "--p=-0.1"]),
+    "curves-p-high": ("--p", [*_CURVES, "--p=1.5"]),
+    "inset-p-high": ("--p", [*_INSET, "--p=1.5"]),
+    "optimize-p-low": ("--p", [*_OPTIMIZE, "--gamma-a", "0.857", "--p=-0.1"]),
+    "simulate-bitflip-p-high": ("--p", [*_SIMULATE, "--state", "bitflip", "--p=1.5"]),
+    "simulate-bell-p-high": ("--p", [*_SIMULATE_PHI, "--p=1.5"]),
+    "curves-gamma-a-max-zero": ("--gamma-a-max", [*_CURVES, "--gamma-a-max=0"]),
+    "curves-normalization-zero": ("--normalization", [*_CURVES, "--normalization=0"]),
+    "curves-normalization-high": ("--normalization", [*_CURVES, "--normalization=1.5"]),
+    "curves-steps-one": ("--steps", [*_CURVES, "--steps=1"]),
+    "inset-steps-one": ("--steps", [*_INSET, "--steps=1"]),
+    "inset-gamma-a-zero": ("--gamma-a", [*_INSET, "--gamma-a=0.5", "--gamma-a=0"]),
+    "inset-ratio-max-zero": ("--ratio-max", [*_INSET, "--ratio-max=0"]),
+    "optimize-gamma-a-negative": ("--gamma-a", [*_OPTIMIZE, "--gamma-a=-1"]),
+    "simulate-exposure-zero": ("--exposure", [*_SIMULATE_PHI, "--exposure=0"]),
+    "simulate-dark-prob-negative": ("--dark-prob", [*_SIMULATE_PHI, "--dark-prob=-1e-9"]),
+    "simulate-seed-negative": ("--seed", [*_SIMULATE_PHI, "--seed=-1"]),
+}
+FLAG_DOMAIN_ACCEPTED = {
+    "curves-p-zero": [*_CURVES, "--p", "0"],
+    "curves-p-one": [*_CURVES, "--p", "1"],
+    "curves-normalization-one": [*_CURVES, "--normalization", "1"],
+    "curves-steps-two": [*_CURVES, "--steps", "2"],
+    "simulate-dark-prob-zero": [*_SIMULATE_PHI, "--dark-prob", "0"],
+    "simulate-seed-zero": [*_SIMULATE_PHI, "--seed", "0"],
+    "simulate-seed-2**70": [*_SIMULATE_PHI, "--seed", str(2**70)],
+}
+
+
+@pytest.mark.parametrize(
+    "flag, argv", FLAG_DOMAIN_REJECTED.values(), ids=FLAG_DOMAIN_REJECTED.keys()
+)
+def test_flag_domain_rejects_outside_values(tmp_path, capsys, flag, argv):
+    out = tmp_path / "out"
+    assert main([arg.format(out=out) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.err.count("error:") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", FLAG_DOMAIN_ACCEPTED.values(), ids=FLAG_DOMAIN_ACCEPTED.keys())
+def test_flag_domain_accepts_edge_values(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main([arg.format(out=out) for arg in argv]) == 0
+    assert out.exists()
 
 
 class TestInset:

@@ -162,6 +162,8 @@ class TestSimulateCounts:
             ({"seed": 1.7}, TypeError, "integer"),
             ({"seed": True}, TypeError, "integer"),
             ({"seed": -1}, ValueError, "non-negative"),
+            ({"exposure": True}, ValueError, "not bools"),
+            ({"dark_prob": np.False_}, ValueError, "not bools"),
         ],
     )
     def test_rejects_bad_arguments(self, kwargs, error, message):
@@ -396,6 +398,13 @@ class TestRecordJson:
         record = TomographyRecord(STANDARD[:1], (1.0,), 1e3, 0.0, seed)
         assert record.seed == seed and type(record.seed) is int
         assert record_from_json(record_to_json(record)) == record
+
+    @pytest.mark.parametrize(
+        "exposure, dark_prob", [(True, False), (10.0, False), (np.True_, 0.0)]
+    )
+    def test_rejects_bool_acquisition_parameters(self, exposure, dark_prob):
+        with pytest.raises(ValueError, match="not bools"):
+            TomographyRecord(STANDARD[:1], (1.0,), exposure, dark_prob, 0)
 
     @pytest.mark.parametrize("field", ["counts", "exposure", "dark_prob"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
