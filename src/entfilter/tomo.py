@@ -4,14 +4,18 @@ Coincidence counts are drawn per analyzer setting from Poisson statistics
 (with an optional uniform dark-count rate), and the state is re-estimated by
 linear inversion of the Stokes parameters with a physicality projection.
 Both run on stacks over all settings: the projector pairs are built and
-traced at once, and the counts are classified and pooled at once. Setting i
-of a record seeded with s draws its count from the PCG64 stream of
-SeedSequence([s, i]); the generator states of all settings are derived in
-one vectorized pass, and only the Poisson draw runs per setting.
+traced at once, and the counts are classified and pooled at once. The
+projector pairs, and the cells and signs the counts pool into, are each kept
+read-only for the last settings tuple they were built for, and reused while a
+call's settings equal that tuple by value. Setting i of a
+record seeded with s draws its count from the PCG64 stream of
+SeedSequence([s, i]); the generator states of all settings are derived in one
+vectorized pass, and only the Poisson draw runs per setting.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 import operator
 from dataclasses import dataclass
@@ -130,8 +134,7 @@ def _directions(settings) -> np.ndarray:
 
 def coincidence_probability(rho, settings) -> np.ndarray:
     """Tr[rho (Pi_A x Pi_B)] for each setting's rank-1 analyzer projectors, as an (S,) array."""
-    projectors = (IDENTITY_2 + pauli_dot(_directions(settings))) / 2
-    pairs = qmat.kron(projectors[:, 0], projectors[:, 1])
+    pairs = _projector_pairs(tuple(settings))
     return (rho @ pairs).trace(axis1=-2, axis2=-1).real
 
 
@@ -280,6 +283,32 @@ def _signed_axes(settings) -> tuple[np.ndarray, np.ndarray]:
     return first // 2, 1.0 - 2.0 * (first % 2)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# Every caller measured (each benchmark workload, and the CLI's tomo simulate
+# and reconstruct) reads out one settings tuple, the standard 36, so each cache
+# keeps one entry; a caller cycling through tuples rebuilds on every call.
+@functools.lru_cache(maxsize=1)
+def _projector_pairs(settings: tuple[MeasurementSetting, ...]) -> np.ndarray:
+    # read-only (S, 4, 4) analyzer projector pairs; value-equal directions (0.0
+    # and -0.0) give bitwise equal arrays, since adding the identity turns a signed zero positive
+    projectors = (IDENTITY_2 + pauli_dot(_directions(settings))) / 2
+    return _read_only(qmat.kron(projectors[:, 0], projectors[:, 1]))
+
+
+@functools.lru_cache(maxsize=1)
+def _pooling_layout(settings: tuple[MeasurementSetting, ...]):
+    # read-only (4, S) row and column cells and (4, S) signs the counts pool into;
+    # lru_cache stores no exception, so off-axis settings raise on every call
+    axis, sign = _signed_axes(settings)
+    used = _STATIONS[:, None, :]
+    cells = _read_only(used * (axis + 1)).transpose(2, 0, 1)
+    return tuple(cells), _read_only(np.where(used, sign, 1.0).prod(axis=-1))
+
+
 def reconstruct(record: TomographyRecord) -> np.ndarray:
     """Density matrix from a tomography record by linear inversion.
 
@@ -292,10 +321,7 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
     Raises :class:`InsufficientStatisticsError` when any axis-pair group is
     missing or has zero total counts.
     """
-    axis, sign = _signed_axes(record.settings)
-    used = _STATIONS[:, None, :]
-    cells = tuple((used * (axis + 1)).transpose(2, 0, 1))  # (4, S) row and column indices
-    signs = np.where(used, sign, 1.0).prod(axis=-1)
+    cells, signs = _pooling_layout(tuple(record.settings))
     counts = np.broadcast_to(np.asarray(record.counts, dtype=float), signs.shape)
     signed = np.zeros((4, 4))
     pooled = np.zeros((4, 4))
@@ -333,8 +359,9 @@ def record_to_json(record: TomographyRecord) -> dict:
 def record_from_json(obj: dict) -> TomographyRecord:
     """Inverse of :func:`record_to_json`.
 
-    A malformed record raises ValueError naming the field at fault; strings
-    and booleans are rejected wherever a number belongs.
+    A malformed record, or one missing a field, raises ValueError naming the
+    field at fault; strings and booleans are rejected wherever a number
+    belongs.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"tomography record must be a JSON object, not {type(obj).__name__}")
@@ -343,11 +370,13 @@ def record_from_json(obj: dict) -> TomographyRecord:
         counts=_json_field(obj, "counts", lambda v: tuple(map(_json_number, v))),
         exposure=_json_field(obj, "exposure", _json_number),
         dark_prob=_json_field(obj, "dark_prob", _json_number),
-        seed=obj["seed"],
+        seed=_json_field(obj, "seed", lambda v: v),  # TomographyRecord checks the seed
     )
 
 
 def _json_field(obj: dict, name: str, convert):
+    if name not in obj:
+        raise ValueError(f"record field {name!r}: missing")
     # a JSON value of the wrong type or size fails in _json_number, iteration or unpacking
     try:
         return convert(obj[name])

@@ -53,3 +53,16 @@ def record_eigh_shapes(monkeypatch) -> list[tuple[int, ...]]:
 
         monkeypatch.setattr(np.linalg, name, counted)
     return shapes
+
+
+def count_calls(monkeypatch, module, name: str) -> list[tuple]:
+    """Patch ``module.name`` to append each call's positional arguments to the returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

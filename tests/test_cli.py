@@ -785,6 +785,18 @@ class TestTomo:
         assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("missing", ["settings", "counts", "exposure", "dark_prob", "seed"])
+    def test_missing_record_field_is_runtime_error(self, tmp_path, capsys, missing):
+        record = record_to_json(TomographyRecord((standard_settings()[0],), (5.0,), 100.0, 0.0, 0))
+        del record[missing]
+        record_path = tmp_path / "record.json"
+        record_path.write_text(json.dumps(record))
+        out = tmp_path / "out.json"
+        code = main(["tomo", "reconstruct", "--input", str(record_path), "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: record field {missing!r}: missing"]
+        assert not out.exists()
+
     def test_malformed_json_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings as hypothesis_settings, strategies as st
+from hypothesis import example, given, settings as hypothesis_settings, strategies as st
 
+from entfilter import tomo
 from entfilter.channel import PauliNoiseSpec, pauli_channel_state
 from entfilter.qmat import hermitian_eig, matrix_sqrt_psd
 from entfilter.qstate import (
@@ -27,7 +30,7 @@ from entfilter.tomo import (
     standard_settings,
 )
 
-from helpers import random_density_matrix
+from helpers import count_calls, random_density_matrix
 
 PLUS_Z = (0.0, 0.0, 1.0)
 MINUS_Z = (0.0, 0.0, -1.0)
@@ -271,8 +274,9 @@ class TestReconstruct:
             (1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)), PLUS_Z
         )
         record = TomographyRecord((tilted,), (10.0,), 1e3, 0.0, 0)
-        with pytest.raises(ValueError, match="signed Pauli axes"):
-            reconstruct(record)
+        for _ in range(3):  # the geometry is cached, the error is not
+            with pytest.raises(ValueError, match="signed Pauli axes"):
+                reconstruct(record)
 
     def test_analyzer_axis_tolerance(self):
         # an analyzer counts as +-e_j within 1e-9 off-axis; 1e-7 is a tilt
@@ -326,6 +330,64 @@ class TestStackedMatchesLoop:
                 assert np.array_equal(reconstruct(record), loop_reconstruct(record))
 
 
+UNIT_DIRECTIONS = (
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+    .filter(lambda v: np.linalg.norm(v) > 1e-3)
+    .map(lambda v: tuple(np.array(v) / np.linalg.norm(v)))
+)
+
+
+class TestGeometryCache:
+    """The projector pairs and the pooling layout are built once per settings tuple, read-only."""
+
+    def test_repeated_calls_build_geometry_once(self, monkeypatch):
+        rho = bell_state("phi+")
+        reconstruct(simulate_counts(rho, standard_settings(), 1e3, seed=1))
+        calls = {name: count_calls(monkeypatch, tomo, name) for name in ("_directions", "pauli_dot")}
+        for seed in range(5):
+            reconstruct(simulate_counts(rho, standard_settings(), 1e3, seed=seed))
+            coincidence_probability(rho, STANDARD)
+        assert calls == {"_directions": [], "pauli_dot": []}
+
+    def test_cached_arrays_are_read_only(self):
+        pairs = tomo._projector_pairs(STANDARD)
+        cells, signs = tomo._pooling_layout(STANDARD)
+        for array in (pairs, *cells, signs):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            pairs[0, 0, 0] = 0.0
+
+    @hypothesis_settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(UNIT_DIRECTIONS, UNIT_DIRECTIONS), min_size=1, max_size=6))
+    @example([((-0.0, 0.0, 1.0), (0.0, -1.0, -0.0))])
+    def test_counts_equal_a_fresh_computation(self, pairs):
+        # tilted settings and signed zeros: the cache is first filled from the
+        # same settings with each -0.0 made 0.0, which compare equal
+        settings = tuple(MeasurementSetting(a, b) for a, b in pairs)
+        unsigned = tuple(MeasurementSetting(np.add(a, 0.0), np.add(b, 0.0)) for a, b in pairs)
+        tomo._projector_pairs(unsigned)
+        fresh = tomo._projector_pairs.__wrapped__(settings)
+        rho = random_density_matrix(np.random.default_rng(len(pairs)))
+        expected = (rho @ fresh).trace(axis1=-2, axis2=-1).real
+        for _ in range(2):
+            assert tomo._projector_pairs(settings).tobytes() == fresh.tobytes()
+            assert coincidence_probability(rho, settings).tobytes() == expected.tobytes()
+
+    def test_distinct_settings_never_share_geometry(self):
+        tuples = [STANDARD, STANDARD[::-1], STANDARD[1:], STANDARD[:1]]
+        tuples += [STANDARD[k:] for k in range(2, 12)]
+        pairs = [tomo._projector_pairs(t) for t in tuples]
+        layouts = [tomo._pooling_layout(t) for t in tuples]
+        for built in (pairs, layouts):
+            assert len({id(b) for b in built}) == len(tuples)
+        for settings, got, (cells, signs) in zip(tuples, pairs, layouts):
+            fresh_cells, fresh_signs = tomo._pooling_layout.__wrapped__(settings)
+            assert np.array_equal(got, tomo._projector_pairs.__wrapped__(settings))
+            assert np.array_equal(cells, fresh_cells) and np.array_equal(signs, fresh_signs)
+        tilted = (MeasurementSetting((0.6, 0.0, 0.8), PLUS_Z),)
+        assert not np.array_equal(tomo._projector_pairs(tilted), tomo._projector_pairs(STANDARD[:1]))
+
+
 class TestSeeding:
     """The vectorized derivation gives each setting the PCG64 state of default_rng([seed, i])."""
 
@@ -347,6 +409,37 @@ class TestRecordJson:
         record = simulate_counts(rho, standard_settings(), 1e4, 4e-5, seed=3)
         back = record_from_json(record_to_json(record))
         assert back == record
+
+    @pytest.mark.parametrize(
+        "direction, text",
+        [([0, 0, 1], "[0.0, 0.0, 1.0]"), ([-0.0, 0.0, 1.0], "[-0.0, 0.0, 1.0]")],
+        ids=["ints", "minus-zero"],
+    )
+    def test_direction_components_read_back_as_floats(self, direction, text):
+        # ints read back as floats; a signed zero keeps its sign
+        obj = record_to_json(TomographyRecord(STANDARD[:1], (5.0,), 1e3, 0.0, 0))
+        obj["settings"] = [[direction, [0, 0, 1]]]
+        back = record_from_json(obj)
+        assert back.settings == STANDARD[:1]
+        assert json.dumps(record_to_json(back)["settings"]) == f"[[{text}, [0.0, 0.0, 1.0]]]"
+
+    @pytest.mark.parametrize("direction", [[False, False, True], [0, 0, True]])
+    def test_rejects_bool_direction_components(self, direction):
+        obj = record_to_json(TomographyRecord(STANDARD[:1], (5.0,), 1e3, 0.0, 0))
+        obj["settings"] = [[[0, 0, 1], direction]]
+        with pytest.raises(ValueError, match="record field 'settings': expected a number, got bool"):
+            record_from_json(obj)
+
+    @hypothesis_settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(UNIT_DIRECTIONS, UNIT_DIRECTIONS), min_size=1, max_size=8))
+    @example([((1e-10, 0.0, -np.sqrt(1 - 1e-20)), PLUS_Z), ((0.0, 1.0, 1e-17), MINUS_Z)])
+    def test_random_directions_round_trip(self, pairs):
+        # near-axis directions keep their own components
+        settings = tuple(MeasurementSetting(a, b) for a, b in pairs)
+        record = TomographyRecord(settings, (5.0,) * len(settings), 1e3, 0.0, 0)
+        obj = json.loads(json.dumps(record_to_json(record)))
+        back = record_from_json(obj)
+        assert back == record and record_to_json(back) == obj
 
     def test_schema_fields(self):
         record = simulate_counts(bell_state("phi+"), standard_settings(), 1e3, seed=1)
