@@ -21,6 +21,7 @@ from .qstate import _single_state_spectrum
 
 X_AXIS = (1.0, 0.0, 0.0)
 Z_AXIS = (0.0, 0.0, 1.0)
+_PHI_PLUS = bell_state("phi+")  # the pair every noisy channel state starts from
 
 # Log of the trace below which a filter pair P_A x P_B has blocked the state.
 _LOG_BLOCKED_TRACE = np.log(1e-14)
@@ -128,9 +129,8 @@ def pauli_channel_state(spec: PauliNoiseSpec) -> np.ndarray:
     mixture with Bell weights (1 - p/2, p/2) on (phi+, psi+); for axis = z the
     phase-flip mixture with the same weights on (phi+, phi-).
     """
-    phi = bell_state("phi+")
-    flip = np.kron(pauli_dot(spec.axis), IDENTITY_2)
-    return (1 - spec.p / 2) * phi + (spec.p / 2) * (flip @ phi @ flip)
+    flip = kron(pauli_dot(spec.axis), IDENTITY_2)
+    return (1 - spec.p / 2) * _PHI_PLUS + (spec.p / 2) * (flip @ _PHI_PLUS @ flip)
 
 
 def dephasing_from_spectrum(spec: BirefringenceSpec) -> PauliNoiseSpec:

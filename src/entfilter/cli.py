@@ -13,6 +13,10 @@ flag has one domain, checked as argparse parses it:
 
 A value outside its domain exits 1 with the usage line and one ``error:`` line
 naming the flag; that holds for ``tomo simulate --p`` with a Bell ``--state`` too.
+
+The commands validate each state once: ``optimize`` the noisy pair in
+``plan_recovery`` and the filtered pair for its mutual information; ``curves``
+and ``inset`` only their filtered stacks, as ``recover`` does.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from itertools import chain
 
 import numpy as np
 
-from .channel import FilterElement, PauliNoiseSpec, apply_filters, pauli_channel_state
-from .qstate import BELL_LABELS, bell_state, density_matrix_to_json, mutual_information
+from .channel import FilterElement, PauliNoiseSpec, pauli_channel_state
+from .channel import _filter_pairs
+from .qstate import BELL_LABELS, bell_state, density_matrix_to_json
 from .qstate import _bell_diagonal_weights, _concurrence, _mutual_information
 from .qstate import _single_state_spectrum
 from .recover import (
@@ -226,8 +231,13 @@ def cmd_optimize(args) -> int:
     rho = pauli_channel_state(noise)
     f_a = FilterElement(args.gamma_a, GAMMA_A_AXIS)
     plan = plan_recovery(rho, f_a)
-    f_b = FilterElement(plan.gamma_b_opt, plan.orientation_b)
-    rho_f, transmission = apply_filters(rho, f_a, f_b)
+    # plan_recovery has checked the pair the library built; the filtered pair is
+    # validated and decomposed once, as a sweep's filtered stack is
+    states, transmission = _filter_pairs(
+        rho, np.array([f_a.magnitude]), f_a.orientation,
+        np.array([plan.gamma_b_opt]), plan.orientation_b,
+    )
+    rho_f, values, _ = _single_state_spectrum(states[0])
     report = {
         "noise": args.noise,
         "p": args.p,
@@ -235,8 +245,8 @@ def cmd_optimize(args) -> int:
         "gamma_b_opt": plan.gamma_b_opt,
         "orientation_b": list(plan.orientation_b),
         "predicted_concurrence": plan.predicted_concurrence,
-        "predicted_mutual_info_bits": mutual_information(rho_f),
-        "transmission": transmission,
+        "predicted_mutual_info_bits": float(_mutual_information(rho_f, values)),
+        "transmission": float(transmission[0]),
         "nothing_to_recover": plan.nothing_to_recover,
     }
     print(json.dumps(report, indent=2))

@@ -59,10 +59,11 @@ def partial_trace(m: np.ndarray, keep: int) -> np.ndarray:
     ``keep=0`` keeps qubit A (first tensor factor), ``keep=1`` keeps qubit B.
     The trace of the input is preserved.
     """
-    r = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
     if keep == 0:
-        return np.einsum("...abcb->...ac", r)
-    return np.einsum("...abad->...bd", r)
+        # Tr_B: the trace of each 2x2 block, entry (a, c) = m[2a, 2c] + m[2a+1, 2c+1]
+        return m[..., 0::2, 0::2] + m[..., 1::2, 1::2]
+    # Tr_A: the sum of the two diagonal 2x2 blocks
+    return m[..., :2, :2] + m[..., 2:, 2:]
 
 
 def matrix_sqrt_psd(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:

@@ -10,6 +10,11 @@ so the best channel-B filter points along -T a and has magnitude
 atanh(||T a|| tanh(gA)). The sweep and ratio-scan drivers evaluate mutual
 information, concurrence and transmission along the curves an experiment
 would trace out, filtering the whole curve as one stack of states.
+
+The drivers check what the caller passes (noise spec, grid, strategy,
+normalization) and take the noisy pair that ``pauli_channel_state`` builds
+from it as valid, reading its correlations without a second check. The
+filtered stack is validated and decomposed once.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 from .channel import FilterElement, PauliNoiseSpec, Z_AXIS, apply_filters, pauli_channel_state
 from .channel import _filter_pairs
 from .qmat import _float_or_array, kron
-from .qstate import IDENTITY_2, PAULIS, concurrence, correlation_matrix, unit_stokes_vector
+from .qstate import IDENTITY_2, PAULIS, concurrence, unit_stokes_vector
 from .qstate import _concurrence, _correlation_matrix, _mutual_information
 from .qstate import _single_state_spectrum, _spectrum
 
@@ -30,6 +35,7 @@ from .qstate import _single_state_spectrum, _spectrum
 GAMMA_A_AXIS = Z_AXIS
 
 STRATEGIES = ("none", "match", "optimal")
+_METRICS = ("mutual_info", "concurrence", "transmission")
 
 # sigma_j x 1 then 1 x sigma_k: their expectations are the local Stokes vectors a and b
 _LOCAL_PAULIS = np.array(
@@ -197,7 +203,7 @@ def sweep(
     if not (gamma_a >= 0).all():
         raise ValueError("gamma_a grid values must be >= 0")
     rho = pauli_channel_state(noise)
-    t = correlation_matrix(rho)
+    t = _correlation_matrix(rho)
     if strategy == "none":
         gamma_b = np.zeros_like(gamma_a)
     elif strategy == "match":
@@ -222,13 +228,21 @@ def ratio_scan(noise: PauliNoiseSpec, gamma_a: float, ratio_grid) -> list[SweepP
         raise ValueError("ratios must be >= 0")
     rho = pauli_channel_state(noise)
     gamma_a_grid = np.full_like(ratios, gamma_a)
-    return _evaluate(rho, correlation_matrix(rho), gamma_a_grid, ratios * gamma_a, "ratio", 1.0)
+    return _evaluate(rho, _correlation_matrix(rho), gamma_a_grid, ratios * gamma_a, "ratio", 1.0)
 
 
 def argmax_ratio(points: list[SweepPoint], metric: str = "mutual_info") -> float:
-    """gamma_b/gamma_a of the first point maximizing the given metric."""
-    values = [getattr(p, metric) for p in points]
-    best = points[int(np.argmax(values))]
+    """gamma_b/gamma_a of the first point maximizing the given metric.
+
+    ``metric`` names a column: "mutual_info", "concurrence" or "transmission".
+    Raises ValueError when that point has gamma_a = 0, where the ratio is
+    undefined; a sweep from gamma_a = 0 can peak there, a ratio scan cannot.
+    """
+    if metric not in _METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {_METRICS}")
+    best = points[int(np.argmax([getattr(p, metric) for p in points]))]
+    if best.gamma_a == 0:
+        raise ValueError(f"gamma_b/gamma_a is undefined: the {metric} maximum sits at gamma_a = 0")
     return best.gamma_b / best.gamma_a
 
 

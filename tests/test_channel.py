@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings, strategies as st
 
 from entfilter.channel import (
     BirefringenceSpec,
@@ -127,6 +128,18 @@ class TestPauliChannelState:
             w = bell_diagonal_weights(pauli_channel_state(spec))
             small = sorted(abs(v) for v in w.values())[:2]
             assert all(v < 1e-12 for v in small)
+
+    @hypothesis_settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 1e-3),
+        st.floats(0.0, 1.0),
+    )
+    def test_equals_np_kron_construction_bitwise(self, direction, p):
+        spec = PauliNoiseSpec(tuple(np.array(direction) / np.linalg.norm(direction)), p)
+        phi = bell_state("phi+")
+        flip = np.kron(pauli_dot(spec.axis), IDENTITY_2)
+        expected = (1 - spec.p / 2) * phi + (spec.p / 2) * (flip @ phi @ flip)
+        assert pauli_channel_state(spec).tobytes() == expected.tobytes()
 
     def test_rejects_out_of_range_p(self):
         with pytest.raises(ValueError):

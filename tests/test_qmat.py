@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings as hypothesis_settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from entfilter.qmat import hermitian_eig, kron, matrix_sqrt_psd, partial_trace
 from entfilter.qstate import SIGMA_X, SIGMA_Z, bell_state
@@ -107,6 +109,33 @@ class TestPartialTrace:
             m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             for keep in (0, 1):
                 assert abs(np.trace(partial_trace(m, keep)) - np.trace(m)) < 1e-12
+
+
+# Finite float parts, signed zeros included; the bound keeps each two-term sum finite.
+_PARTS = st.floats(-1e300, 1e300, allow_subnormal=True)
+
+
+def _operators(shape):
+    # complex entries read bit for bit from (real, imaginary) float pairs
+    pairs = hnp.arrays(float, shape + (2,), elements=_PARTS)
+    return pairs.map(lambda a: np.ascontiguousarray(a).view(complex)[..., 0])
+
+
+@hypothesis_settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        _operators((4, 4)),
+        st.integers(0, 6).flatmap(lambda n: _operators((n, 4, 4))),
+    )
+)
+def test_partial_trace_equals_einsum_contraction_bitwise(m):
+    r = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
+    for keep, spec in ((0, "...abcb->...ac"), (1, "...abad->...bd")):
+        expected = np.einsum(spec, r)
+        # einsum sums into an accumulator that starts at +0.0, so where both terms
+        # are -0.0 it gives +0.0 and the block sum -0.0; adding 0.0 maps only that
+        # zero, which no eigenvalue or entropy distinguishes, onto einsum's
+        assert (partial_trace(m, keep) + 0.0).tobytes() == expected.tobytes()
 
 
 def sqrt_psd(m):

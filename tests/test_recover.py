@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from entfilter import recover
 from entfilter.channel import FilterElement, PauliNoiseSpec, apply_filters, pauli_channel_state
 from entfilter.qstate import bell_state, concurrence, correlation_matrix, mutual_information
 from entfilter.recover import (
     CSV_HEADER,
+    STRATEGIES,
     SweepPoint,
     argmax_ratio,
     average_entanglement,
@@ -21,6 +23,7 @@ from entfilter.recover import (
 )
 
 from helpers import (
+    poison_filtered_states,
     random_bell_diagonal,
     random_rank2_bell_diagonal,
     random_unit_vector,
@@ -303,10 +306,29 @@ class TestSharedEvaluationPath:
     def test_sweep_decomposes_its_stack_once(self, monkeypatch):
         shapes = record_eigh_shapes(monkeypatch)
         sweep(BITFLIP, np.linspace(0.0, 1.2, 60), "optimal")
-        stacked = [shape for shape in shapes if shape[:1] == (60,)]
         # one (60, 4, 4) decomposition feeds validation, S(AB) and sqrt(rho);
-        # the two (60, 2, 2) ones are the reduced states of S(A) and S(B)
-        assert sorted(stacked) == [(60, 2, 2), (60, 2, 2), (60, 4, 4)]
+        # the two (60, 2, 2) ones are the reduced states of S(A) and S(B). The
+        # noisy pair the library built is not decomposed: no single (4, 4)
+        assert sorted(shapes) == [(60, 2, 2), (60, 2, 2), (60, 4, 4)]
+
+    def test_ratio_scan_decomposes_its_stack_once(self, monkeypatch):
+        shapes = record_eigh_shapes(monkeypatch)
+        ratio_scan(BITFLIP, 0.857, np.linspace(0.0, 1.2, 121))
+        assert sorted(shapes) == [(121, 2, 2), (121, 2, 2), (121, 4, 4)]
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: sweep(BITFLIP, np.linspace(0.0, 1.2, 60), "optimal"),
+            lambda: ratio_scan(BITFLIP, 0.857, np.linspace(0.0, 1.2, 121)),
+        ],
+        ids=["sweep", "ratio_scan"],
+    )
+    def test_filtered_stack_is_still_validated(self, monkeypatch, run):
+        # trusting the noisy pair must not extend to what filtering makes of it
+        poison_filtered_states(monkeypatch, recover)
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            run()
 
 
 class TestRatioScan:
@@ -348,6 +370,18 @@ class TestRatioScan:
             SweepPoint(1.0, 0.6, "ratio", 0.7, 0.1, 1.0),
         ]
         assert argmax_ratio(points) == pytest.approx(0.4)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_argmax_at_zero_gamma_a_is_undefined(self, strategy):
+        # a default sweep starts at gamma_a = 0, where its mutual information peaks
+        points = sweep(BITFLIP, np.linspace(0.0, 1.2, 60), strategy)
+        with pytest.raises(ValueError, match="undefined.*gamma_a = 0"):
+            argmax_ratio(points)
+
+    def test_argmax_rejects_unknown_metric(self):
+        points = ratio_scan(BITFLIP, 0.857, np.linspace(0.0, 1.2, 5))
+        with pytest.raises(ValueError, match="mutual_info.*concurrence.*transmission"):
+            argmax_ratio(points, "fidelity")
 
 
 class TestAverageEntanglement:
