@@ -16,8 +16,6 @@ Conventions, used consistently across the package:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import qmat
@@ -59,10 +57,14 @@ def unit_stokes_vector(v) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected a Stokes 3-vector, got shape {a.shape}")
-    # the norm np.linalg.norm takes of a real vector; the negated test rejects NaN
-    if not abs(math.sqrt(a.dot(a)) - 1.0) <= 1e-12:
-        raise ValueError("Stokes vector must have unit norm within 1e-12")
+    _check_unit_norms(a)
     return a
+
+
+def _check_unit_norms(directions: np.ndarray) -> None:
+    # every (..., 3) float direction must have unit norm within 1e-12; the negated test rejects NaN
+    if not (abs(np.sqrt(np.add.reduce(directions * directions, axis=-1)) - 1.0) <= 1e-12).all():
+        raise ValueError("Stokes vector must have unit norm within 1e-12")
 
 
 def pauli_dot(axis) -> np.ndarray:
@@ -237,18 +239,3 @@ def density_matrix_to_json(rho) -> dict:
         "basis": list(_BASIS_LABELS[rho.shape[0]]),
         "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in rho],
     }
-
-
-def density_matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of :func:`density_matrix_to_json`; checks shape and basis order."""
-    basis = list(obj["basis"])
-    dim = len(basis)
-    if basis not in (_BASIS_LABELS.get(2), _BASIS_LABELS.get(4)):
-        raise ValueError(f"unsupported basis ordering {basis!r}")
-    rows = obj["matrix"]
-    if len(rows) != dim or any(len(row) != dim for row in rows):
-        raise ValueError(f"matrix does not match basis dimension {dim}")
-    mat = np.array(
-        [[complex(entry[0], entry[1]) for entry in row] for row in rows], dtype=complex
-    )
-    return qmat.as_matrix(mat)

@@ -99,16 +99,6 @@ def concurrence_after_filtering(
     return float(4 * max(0.0, c0) * np.exp(-f_a.magnitude - f_b.magnitude) / denom)
 
 
-def optimal_orientation(t, gamma_a_hat) -> np.ndarray:
-    """Unit vector minimizing T a . b over b, namely -T a normalized."""
-    a = unit_stokes_vector(gamma_a_hat)
-    v = np.asarray(t, dtype=float) @ a
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-12:
-        raise ValueError("T gamma_a_hat vanishes; compensating orientation is undefined")
-    return -v / norm
-
-
 def optimal_magnitude(t, gamma_a_hat, gamma_a) -> float | np.ndarray:
     """Concurrence-maximizing filter-B magnitude atanh(||T a|| tanh(gA)).
 
@@ -157,13 +147,14 @@ def plan_recovery(rho, f_a: FilterElement) -> RecoveryPlan:
 
 
 def _compensator_orientation(t, gamma_a_hat) -> tuple[float, float, float]:
-    # The compensator's orientation for sweeps and no-op plans alike: -T a
-    # normalized, falling back to the antipode of the filter-A axis when T a = 0
-    # (fully depolarized direction, e.g. p = 1); the compensator is inert there.
-    try:
-        orientation = optimal_orientation(t, gamma_a_hat)
-    except ValueError:
-        orientation = -unit_stokes_vector(gamma_a_hat)
+    # The compensator's orientation for sweeps and plans alike: -T a normalized,
+    # the unit vector b minimizing T a . b. Where T a vanishes (norm below 1e-12:
+    # a fully depolarized direction, e.g. p = 1) it falls back to the antipode of
+    # the filter-A axis; the compensator is inert there.
+    a = unit_stokes_vector(gamma_a_hat)
+    v = np.asarray(t, dtype=float) @ a
+    norm = float(np.linalg.norm(v))
+    orientation = -a if norm < 1e-12 else -v / norm
     return tuple(float(x) + 0.0 for x in orientation)
 
 

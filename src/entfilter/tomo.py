@@ -2,15 +2,11 @@
 
 Coincidence counts are drawn per analyzer setting from Poisson statistics
 (with an optional uniform dark-count rate), and the state is re-estimated by
-linear inversion of the Stokes parameters with a physicality projection.
-Both run on stacks over all settings: the projector pairs are built and
-traced at once, and the counts are classified and pooled at once. The
-projector pairs, and the cells and signs the counts pool into, are each kept
-read-only for the last settings tuple they were built for, and reused while a
-call's settings equal that tuple by value. Setting i of a
-record seeded with s draws its count from the PCG64 stream of
-SeedSequence([s, i]); the generator states of all settings are derived in one
-vectorized pass, and only the Poisson draw runs per setting.
+linear inversion of the Stokes parameters with a physicality projection, both
+on stacks over all settings, whose geometry each :class:`MeasurementSettings`
+builds once. Setting i of a record seeded with s draws its count from the
+PCG64 stream of SeedSequence([s, i]); the generator states of all settings
+are derived in one vectorized pass, and only the Poisson draw runs per setting.
 """
 
 from __future__ import annotations
@@ -23,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .qstate import IDENTITY_2, PAULIS, pauli_dot, unit_stokes_vector
-from .qstate import _single_state_spectrum
+from .qstate import IDENTITY_2, PAULIS, pauli_dot
+from .qstate import _check_unit_norms, _single_state_spectrum
 
 
 class InsufficientStatisticsError(ValueError):
@@ -60,17 +56,52 @@ _SIGMAS = np.array([IDENTITY_2, *PAULIS])
 _TERM_BASIS = qmat.kron(_SIGMAS[_MU], _SIGMAS[_NU])
 
 
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """Analyzer directions (unit Stokes vectors) at the two detector stations."""
+@dataclass(frozen=True, eq=False)
+class MeasurementSettings:
+    """Read-only (S, 2, 3) analyzer directions, station A then B, each a unit vector within 1e-12."""
 
-    proj_a: tuple[float, float, float]
-    proj_b: tuple[float, float, float]
+    directions: np.ndarray
 
     def __post_init__(self):
-        for name in ("proj_a", "proj_b"):
-            v = unit_stokes_vector(getattr(self, name))
-            object.__setattr__(self, name, (float(v[0]), float(v[1]), float(v[2])))
+        directions = np.array(self.directions, dtype=float)
+        if directions.shape[1:] != (2, 3) and directions.shape != (0,):
+            raise ValueError(f"expected (S, 2, 3) analyzer directions, got shape {directions.shape}")
+        directions = directions.reshape(-1, 2, 3)
+        _check_unit_norms(directions)
+        object.__setattr__(self, "directions", _read_only(directions))
+
+    def __len__(self) -> int:
+        return len(self.directions)
+
+    def __reduce__(self):  # copies and unpickled instances are built, checked and frozen anew
+        return MeasurementSettings, (self.directions,)
+
+    def __eq__(self, other):
+        return isinstance(other, MeasurementSettings) and np.array_equal(self.directions, other.directions)
+
+    @functools.cached_property
+    def projector_pairs(self) -> np.ndarray:
+        """Read-only (S, 4, 4) analyzer projector pairs Pi_A x Pi_B."""
+        # 0.0 and -0.0 give bitwise equal pairs: adding the identity turns a signed zero positive
+        projectors = (IDENTITY_2 + pauli_dot(self.directions)) / 2
+        return _read_only(qmat.kron(projectors[:, 0], projectors[:, 1]))
+
+    @functools.cached_property
+    def pooling_layout(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Read-only (4, S) row and column cells and signs; off-axis directions raise on every access."""
+        axis, sign = _signed_axes(self.directions)
+        used = _STATIONS[:, None, :]
+        cells = _read_only(used * (axis + 1)).transpose(2, 0, 1)
+        return tuple(cells), _read_only(np.where(used, sign, 1.0).prod(axis=-1))
+
+
+def _as_settings(settings) -> MeasurementSettings:
+    return settings if isinstance(settings, MeasurementSettings) else MeasurementSettings(settings)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -83,13 +114,14 @@ class TomographyRecord:
     ``seed`` is a non-negative integer (not a bool), stored as a Python int.
     """
 
-    settings: tuple[MeasurementSetting, ...]
+    settings: MeasurementSettings
     counts: tuple[float, ...]
     exposure: float
     dark_prob: float
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "settings", _as_settings(self.settings))
         if len(self.counts) != len(self.settings):
             raise ValueError("counts length must equal settings length")
         # chained comparisons are False for NaN
@@ -114,28 +146,20 @@ def _check_acquisition(exposure, dark_prob) -> None:
         raise ValueError("dark_prob must be finite and >= 0")
 
 
-_STANDARD_SETTINGS = tuple(
-    MeasurementSetting(a, b) for a in ANALYZER_DIRECTIONS for b in ANALYZER_DIRECTIONS
-)
+_STANDARD_SETTINGS = MeasurementSettings([(a, b) for a in ANALYZER_DIRECTIONS for b in ANALYZER_DIRECTIONS])
 
 
-def standard_settings() -> list[MeasurementSetting]:
-    """All 36 analyzer pairs over the six Pauli eigendirections.
+def standard_settings() -> MeasurementSettings:
+    """All 36 analyzer pairs over the six Pauli eigendirections, one shared instance.
 
     Deterministic A-major order; the first setting is (+z, +z).
     """
-    return list(_STANDARD_SETTINGS)
-
-
-def _directions(settings) -> np.ndarray:
-    # (S, 2, 3) analyzer directions, station A then B
-    return np.array([(s.proj_a, s.proj_b) for s in settings], dtype=float).reshape(-1, 2, 3)
+    return _STANDARD_SETTINGS
 
 
 def coincidence_probability(rho, settings) -> np.ndarray:
     """Tr[rho (Pi_A x Pi_B)] for each setting's rank-1 analyzer projectors, as an (S,) array."""
-    pairs = _projector_pairs(tuple(settings))
-    return (rho @ pairs).trace(axis1=-2, axis2=-1).real
+    return (rho @ _as_settings(settings).projector_pairs).trace(axis1=-2, axis2=-1).real
 
 
 def simulate_counts(
@@ -163,7 +187,7 @@ def simulate_counts(
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
-    settings = tuple(settings)
+    settings = _as_settings(settings)
     mu = exposure * (coincidence_probability(rho, settings) + dark_prob)
     counts = np.maximum(mu, 0.0).tolist()  # roundoff can push a dark-free zero slightly negative
     if not exact:
@@ -273,40 +297,14 @@ def _pcg64_states(seed: int, count: int) -> list[tuple[int, int]]:
     return states
 
 
-def _signed_axes(settings) -> tuple[np.ndarray, np.ndarray]:
+def _signed_axes(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # (S, 2) Pauli axis index and sign of each analyzer; directions must lie along +-e_j.
     # np.isclose(d, e, atol=1e-9) written out, which is exact for the finite directions
-    hits = (abs(_directions(settings)[..., None, :] - _SIGNED_AXES) <= _AXIS_TOL).all(axis=-1)
+    hits = (abs(directions[..., None, :] - _SIGNED_AXES) <= _AXIS_TOL).all(axis=-1)
     if not hits.any(axis=-1).all():
         raise ValueError("linear inversion requires analyzer directions along signed Pauli axes")
     first = hits.argmax(axis=-1)
     return first // 2, 1.0 - 2.0 * (first % 2)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-# Every caller measured (each benchmark workload, and the CLI's tomo simulate
-# and reconstruct) reads out one settings tuple, the standard 36, so each cache
-# keeps one entry; a caller cycling through tuples rebuilds on every call.
-@functools.lru_cache(maxsize=1)
-def _projector_pairs(settings: tuple[MeasurementSetting, ...]) -> np.ndarray:
-    # read-only (S, 4, 4) analyzer projector pairs; value-equal directions (0.0
-    # and -0.0) give bitwise equal arrays, since adding the identity turns a signed zero positive
-    projectors = (IDENTITY_2 + pauli_dot(_directions(settings))) / 2
-    return _read_only(qmat.kron(projectors[:, 0], projectors[:, 1]))
-
-
-@functools.lru_cache(maxsize=1)
-def _pooling_layout(settings: tuple[MeasurementSetting, ...]):
-    # read-only (4, S) row and column cells and (4, S) signs the counts pool into;
-    # lru_cache stores no exception, so off-axis settings raise on every call
-    axis, sign = _signed_axes(settings)
-    used = _STATIONS[:, None, :]
-    cells = _read_only(used * (axis + 1)).transpose(2, 0, 1)
-    return tuple(cells), _read_only(np.where(used, sign, 1.0).prod(axis=-1))
 
 
 def reconstruct(record: TomographyRecord) -> np.ndarray:
@@ -321,7 +319,7 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
     Raises :class:`InsufficientStatisticsError` when any axis-pair group is
     missing or has zero total counts.
     """
-    cells, signs = _pooling_layout(tuple(record.settings))
+    cells, signs = record.settings.pooling_layout
     counts = np.broadcast_to(np.asarray(record.counts, dtype=float), signs.shape)
     signed = np.zeros((4, 4))
     pooled = np.zeros((4, 4))
@@ -348,7 +346,7 @@ def record_to_json(record: TomographyRecord) -> dict:
         int(c) if float(c).is_integer() else float(c) for c in record.counts
     ]
     return {
-        "settings": [[list(s.proj_a), list(s.proj_b)] for s in record.settings],
+        "settings": record.settings.directions.tolist(),
         "counts": counts,
         "exposure": record.exposure,
         "dark_prob": record.dark_prob,
@@ -366,7 +364,7 @@ def record_from_json(obj: dict) -> TomographyRecord:
     if not isinstance(obj, dict):
         raise ValueError(f"tomography record must be a JSON object, not {type(obj).__name__}")
     return TomographyRecord(
-        settings=_json_field(obj, "settings", lambda v: tuple(map(_json_setting, v))),
+        settings=_json_field(obj, "settings", _json_analyzers),
         counts=_json_field(obj, "counts", lambda v: tuple(map(_json_number, v))),
         exposure=_json_field(obj, "exposure", _json_number),
         dark_prob=_json_field(obj, "dark_prob", _json_number),
@@ -391,6 +389,8 @@ def _json_number(value) -> float:
     return float(value)
 
 
-def _json_setting(pair) -> MeasurementSetting:
-    proj_a, proj_b = pair
-    return MeasurementSetting(tuple(map(_json_number, proj_a)), tuple(map(_json_number, proj_b)))
+def _json_analyzers(value) -> MeasurementSettings:
+    pairs = [(list(map(_json_number, a)), list(map(_json_number, b))) for a, b in value]
+    for direction in (d for pair in pairs for d in pair if len(d) != 3):
+        raise ValueError(f"expected a Stokes 3-vector, got shape ({len(direction)},)")
+    return MeasurementSettings(pairs)

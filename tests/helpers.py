@@ -9,6 +9,11 @@ from entfilter.qstate import bell_state
 BELL_PROJECTORS = tuple(bell_state(label) for label in ("phi+", "phi-", "psi+", "psi-"))
 
 
+def matrix_from_json(obj: dict) -> np.ndarray:
+    """The complex matrix of a ``density_matrix_to_json`` dict, from its [re, im] pairs."""
+    return np.array(obj["matrix"]) @ np.array([1.0, 1j])
+
+
 def random_density_matrix(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
     """Full-rank random state from the Hilbert-Schmidt (Wishart) ensemble."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

@@ -18,15 +18,20 @@ from entfilter.qstate import (
     bell_diagonal_weights,
     bell_state,
     concurrence,
-    density_matrix_from_json,
     density_matrix_to_json,
     fidelity_pure,
     mutual_information,
 )
 from entfilter.recover import GAMMA_A_AXIS, plan_recovery, sweep
-from entfilter.tomo import MeasurementSetting, TomographyRecord, record_to_json, standard_settings
+from entfilter.tomo import (
+    TomographyRecord,
+    reconstruct,
+    record_to_json,
+    simulate_counts,
+    standard_settings,
+)
 
-from helpers import poison_filtered_states, record_eigh_shapes
+from helpers import matrix_from_json, poison_filtered_states, record_eigh_shapes
 
 MI_UNFILTERED = 2.0 + 0.835 * math.log2(0.835) + 0.165 * math.log2(0.165)
 
@@ -316,7 +321,7 @@ _COUNTS = st.one_of(st.integers(0, 2**53), st.floats(0.0, 1e300))
 )
 def test_record_writer_matches_json_dumps(rows, exposure, dark_prob, seed):
     record = TomographyRecord(
-        settings=tuple(MeasurementSetting(a, b) for a, b, _ in rows),
+        settings=[(a, b) for a, b, _ in rows],
         counts=tuple(c for _, _, c in rows),
         exposure=exposure,
         dark_prob=dark_prob,
@@ -345,6 +350,33 @@ def test_payload_writer_matches_json_dumps(rank):
             },
         }
         assert _payload_text(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_reconstruct_reads_each_record_settings(tmp_path):
+    # one process, so geometry built for one record must not serve the next:
+    # the standard 36, a permutation of them, the same with one setting
+    # repeated, then the standard 36 again; each payload equals the library's estimate
+    rho = pauli_channel_state(PauliNoiseSpec.bit_flip(0.33))
+    order = np.random.default_rng(13).permutation(36)
+    record_path, state_path = tmp_path / "record.json", tmp_path / "state.json"
+    standard = standard_settings()
+    permuted = standard.directions[order]
+    for settings in (standard, permuted, np.concatenate([permuted, permuted[5:6]]), standard):
+        record = simulate_counts(rho, settings, 1e4, 0.0, exact=True)
+        record_path.write_text(json.dumps(record_to_json(record)))
+        argv = ["tomo", "reconstruct", "--input", str(record_path), "--output", str(state_path)]
+        assert main(argv) == 0
+        estimate = reconstruct(record)
+        if len(record.counts) == 36:  # exact counts, each setting once: the state itself
+            assert np.allclose(estimate, rho, atol=1e-9)
+        assert json.loads(state_path.read_text()) == {
+            "state": density_matrix_to_json(estimate),
+            "metrics": {
+                "concurrence": concurrence(estimate),
+                "mutual_info_bits": mutual_information(estimate),
+                "bell_weights": bell_diagonal_weights(estimate),
+            },
+        }
 
 
 # Shapes of the Hermitian decompositions each command takes, sorted:
@@ -637,7 +669,7 @@ class TestTomo:
             == 0
         )
         payload = json.loads(state_path.read_text())
-        estimate = density_matrix_from_json(payload["state"])
+        estimate = matrix_from_json(payload["state"])
         assert fidelity_pure(estimate, bell_state("phi+")) > 0.99
         assert payload["metrics"]["concurrence"] > 0.97
         assert payload["metrics"]["mutual_info_bits"] > 1.9
@@ -729,7 +761,7 @@ class TestTomo:
     def test_huge_count_total_is_runtime_error(self, tmp_path, capsys):
         # each count is finite, but their sum overflows the pooled totals
         record = {
-            "settings": [[list(s.proj_a), list(s.proj_b)] for s in standard_settings()],
+            "settings": standard_settings().directions.tolist(),
             "counts": [1e308] * 36,
             "exposure": 100.0,
             "dark_prob": 0.0,
@@ -785,6 +817,8 @@ class TestTomo:
             ("dark_prob", "true", "'dark_prob'"),
             ("counts", '"5"', "'counts'"),
             ("settings", '[["001", [0, 0, 1]]]', "'settings'"),
+            ("settings", "[[[0, 0], [0, 0, 1]]]", "'settings': expected a Stokes 3-vector, got shape (2,)"),
+            ("settings", "[[[0, 0, 1], [1, 0, 0, 0]]]", "'settings': expected a Stokes 3-vector, got shape (4,)"),
             (None, None, "JSON object"),
         ],
         ids=[
@@ -799,6 +833,8 @@ class TestTomo:
             "bool-dark-prob",
             "string-counts",
             "string-direction",
+            "short-direction",
+            "long-direction",
             "list-record",
         ],
     )
@@ -824,7 +860,8 @@ class TestTomo:
 
     @pytest.mark.parametrize("missing", ["settings", "counts", "exposure", "dark_prob", "seed"])
     def test_missing_record_field_is_runtime_error(self, tmp_path, capsys, missing):
-        record = record_to_json(TomographyRecord((standard_settings()[0],), (5.0,), 100.0, 0.0, 0))
+        first = standard_settings().directions[:1]
+        record = record_to_json(TomographyRecord(first, (5.0,), 100.0, 0.0, 0))
         del record[missing]
         record_path = tmp_path / "record.json"
         record_path.write_text(json.dumps(record))

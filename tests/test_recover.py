@@ -14,12 +14,12 @@ from entfilter.recover import (
     average_entanglement,
     concurrence_after_filtering,
     optimal_magnitude,
-    optimal_orientation,
     plan_recovery,
     ratio_scan,
     sweep,
     sweep_to_csv,
     sweep_to_json,
+    _compensator_orientation,
 )
 
 from helpers import (
@@ -65,9 +65,9 @@ class TestConcurrenceAfterFiltering:
         t = correlation_matrix(rho)
         gamma_a = 0.857
         gamma_b = optimal_magnitude(t, Z, gamma_a)
-        orientation = optimal_orientation(t, Z)
+        orientation = _compensator_orientation(t, Z)
         f_a = FilterElement(gamma_a, Z)
-        f_b = FilterElement(gamma_b, tuple(orientation))
+        f_b = FilterElement(gamma_b, orientation)
         closed = concurrence_after_filtering(0.67, t, f_a, f_b)
         rho_f, _ = apply_filters(rho, f_a, f_b)
         assert closed == pytest.approx(concurrence(rho_f), abs=1e-12)
@@ -100,9 +100,11 @@ class TestConcurrenceAfterFiltering:
 
 
 class TestOptimalOrientation:
+    """The compensator's orientation, -T a normalized, that sweeps and plans share."""
+
     def test_phaseflip_geometry(self):
         t = np.diag([0.67, -0.67, 1.0])
-        orientation = optimal_orientation(t, Z)
+        orientation = _compensator_orientation(t, Z)
         assert np.allclose(orientation, MINUS_Z, atol=1e-15)
         assert (t @ np.asarray(Z)) @ orientation == pytest.approx(-1.0, abs=1e-15)
 
@@ -111,19 +113,28 @@ class TestOptimalOrientation:
         # achievable dot product is -C
         p = 0.33
         t = np.diag([1.0, -(1 - p), 1 - p])
-        orientation = optimal_orientation(t, Z)
+        orientation = _compensator_orientation(t, Z)
         assert (t @ np.asarray(Z)) @ orientation == pytest.approx(-(1 - p), abs=1e-12)
 
     def test_isotropic_correlations(self):
         rng = np.random.default_rng(3)
         a = random_unit_vector(rng)
-        orientation = optimal_orientation(np.eye(3), a)
+        orientation = _compensator_orientation(np.eye(3), a)
         assert np.allclose(orientation, -a, atol=1e-12)
 
     def test_undefined_when_vector_vanishes(self):
-        t = np.diag([1.0, 0.0, 0.0])
-        with pytest.raises(ValueError, match="undefined"):
-            optimal_orientation(t, Z)
+        # below |T a| = 1e-12, -T a has no reliable direction and the antipode of
+        # a stands in; just above, -T a normalized is taken even against a
+        for scale, sign in ((0.0, -1.0), (-9e-13, -1.0), (-2e-12, 1.0)):
+            t = np.diag([scale, 0.5, scale])
+            assert _compensator_orientation(t, Z) == (0.0, 0.0, sign)
+            assert _compensator_orientation(t, (1.0, 0.0, 0.0)) == (sign, 0.0, 0.0)
+
+    def test_plan_with_vanishing_vector_takes_the_antipode(self):
+        # equal phi+ and psi+ weights: T = diag(1, 0, 0), so T z = 0, and nothing to recover
+        rho = (bell_state("phi+") + bell_state("psi+")) / 2
+        plan = plan_recovery(rho, FilterElement(0.5, Z))
+        assert plan.nothing_to_recover and plan.orientation_b == MINUS_Z
 
 
 class TestOptimalMagnitude:
@@ -292,7 +303,7 @@ class TestSharedEvaluationPath:
     @pytest.mark.parametrize("noise", [BITFLIP, PHASEFLIP], ids=["bitflip", "phaseflip"])
     def test_points_equal_single_state_chain_bitwise(self, noise):
         rho = pauli_channel_state(noise)
-        orientation = tuple(optimal_orientation(correlation_matrix(rho), Z))
+        orientation = _compensator_orientation(correlation_matrix(rho), Z)
         points = [
             (p, 0.9)
             for strategy in ("none", "match", "optimal")
@@ -420,7 +431,7 @@ class TestMaximizerProperty:
             gamma_a = rng.uniform(0.2, 1.5)
             f_a = FilterElement(gamma_a, tuple(a))
             f_opt = FilterElement(
-                optimal_magnitude(t, a, gamma_a), tuple(optimal_orientation(t, a))
+                optimal_magnitude(t, a, gamma_a), _compensator_orientation(t, a)
             )
             best_c = concurrence(apply_filters(rho, f_a, f_opt)[0])
             for _ in range(200):
@@ -441,7 +452,7 @@ class TestMaximizerProperty:
             gamma_a = rng.uniform(0.2, 1.2)
             f_a = FilterElement(gamma_a, tuple(a))
             f_opt = FilterElement(
-                optimal_magnitude(t, a, gamma_a), tuple(optimal_orientation(t, a))
+                optimal_magnitude(t, a, gamma_a), _compensator_orientation(t, a)
             )
             best_mi = mutual_information(apply_filters(rho, f_a, f_opt)[0])
             for _ in range(200):

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -13,11 +16,12 @@ from entfilter.qstate import (
     bell_diagonal_weights,
     bell_state,
     fidelity_pure,
+    unit_stokes_vector,
     validate_density_matrix,
 )
 from entfilter.tomo import (
     InsufficientStatisticsError,
-    MeasurementSetting,
+    MeasurementSettings,
     TomographyRecord,
     coincidence_probability,
     reconstruct,
@@ -34,16 +38,17 @@ from helpers import count_calls, random_density_matrix
 
 PLUS_Z = (0.0, 0.0, 1.0)
 MINUS_Z = (0.0, 0.0, -1.0)
-STANDARD = tuple(standard_settings())
+STANDARD = standard_settings()
+FIRST = STANDARD.directions[:1]  # (+z, +z) alone
 
 
 def loop_counts(rho, settings, exposure, dark_prob, seed, exact):
     """Per-setting reference for simulate_counts: one projector pair and trace per setting."""
     counts = []
-    for index, setting in enumerate(settings):
+    for index, pair in enumerate(settings.directions):
         pa, pb = (
             (IDENTITY_2 + v[0] * PAULIS[0] + v[1] * PAULIS[1] + v[2] * PAULIS[2]) / 2
-            for v in (setting.proj_a, setting.proj_b)
+            for v in pair
         )
         mu = max(exposure * (float(np.trace(rho @ np.kron(pa, pb)).real) + dark_prob), 0.0)
         counts.append(mu if exact else float(np.random.default_rng([seed, index]).poisson(mu)))
@@ -59,8 +64,8 @@ def loop_reconstruct(record):
     """Per-setting reference for reconstruct: running sums, then one term per Pauli pair."""
     corr_signed, group_total = np.zeros((3, 3)), np.zeros((3, 3))
     signed, total = np.zeros((2, 3)), np.zeros((2, 3))
-    for setting, n in zip(record.settings, record.counts):
-        (j, sign_a), (k, sign_b) = signed_axis(setting.proj_a), signed_axis(setting.proj_b)
+    for (proj_a, proj_b), n in zip(record.settings.directions, record.counts):
+        (j, sign_a), (k, sign_b) = signed_axis(proj_a), signed_axis(proj_b)
         corr_signed[j, k] += sign_a * sign_b * n
         group_total[j, k] += n
         for station, axis, sign in ((0, j, sign_a), (1, k, sign_b)):
@@ -93,39 +98,119 @@ class TestStandardSettings:
         assert len(standard_settings()) == 36
 
     def test_first_setting(self):
-        first = standard_settings()[0]
-        assert first.proj_a == PLUS_Z
-        assert first.proj_b == PLUS_Z
+        first = standard_settings().directions[0]
+        assert first.tolist() == [list(PLUS_Z), list(PLUS_Z)]
 
     def test_all_distinct(self):
-        settings = standard_settings()
-        assert len(set(settings)) == 36
+        rows = standard_settings().directions.reshape(36, 6)
+        assert len(np.unique(rows, axis=0)) == 36
 
     def test_rejects_non_unit_directions(self):
         with pytest.raises(ValueError):
-            MeasurementSetting((1.0, 1.0, 0.0), PLUS_Z)
+            MeasurementSettings([((1.0, 1.0, 0.0), PLUS_Z)])
 
     def test_rejects_nan_directions(self):
         with pytest.raises(ValueError, match="unit norm"):
-            MeasurementSetting((float("nan"), 0.0, 0.0), PLUS_Z)
+            MeasurementSettings([((float("nan"), 0.0, 0.0), PLUS_Z)])
 
-    def test_returns_a_fresh_list(self):
-        standard_settings().clear()
-        assert standard_settings() == list(STANDARD)
+    def test_returns_one_read_only_instance(self):
+        # every caller shares the instance, so neither its array nor the attribute can change
+        shared = standard_settings()
+        assert standard_settings() is shared
+        with pytest.raises(ValueError, match="read-only"):
+            shared.directions[0, 0, 2] = -1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.directions = shared.directions[::-1]
+        assert shared.directions[0].tolist() == [list(PLUS_Z), list(PLUS_Z)]
+
+
+def with_direction(row, station, direction):
+    """The standard 36 with one direction replaced."""
+    directions = STANDARD.directions.copy()
+    directions[row, station] = direction
+    return directions
+
+
+NEAR_UNIT = st.one_of(
+    # unit directions scaled by 1 + e, |e| <= 1e-11, around the 1e-12 bound
+    st.tuples(
+        st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3),
+        st.floats(-1e-11, 1e-11),
+    ).map(lambda ve: tuple(np.array(ve[0]) / np.linalg.norm(ve[0]) * (1.0 + ve[1]))),
+    st.tuples(*[st.sampled_from([0.0, 1.0, -1.0, np.nan, np.inf, -np.inf])] * 3),
+)
+
+
+class TestSettingsValidation:
+    """One unit-norm rule, checked once over the whole (S, 2, 3) array."""
+
+    @pytest.mark.parametrize(
+        "directions",
+        [
+            np.zeros((36, 2, 2)),
+            np.zeros((36, 3, 3)),
+            STANDARD.directions[0],
+            STANDARD.directions[..., None],
+            np.ones(6),
+            1.0,
+        ],
+        ids=["two-components", "three-stations", "one-pair", "4-d", "flat", "scalar"],
+    )
+    def test_rejects_wrong_shapes(self, directions):
+        with pytest.raises(ValueError, match=r"\(S, 2, 3\) analyzer directions"):
+            MeasurementSettings(directions)
+
+    @pytest.mark.parametrize("row", [0, 17, 35], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("station", [0, 1], ids=["A", "B"])
+    @pytest.mark.parametrize(
+        "direction",
+        [
+            (1.0, 1.0, 0.0),
+            (0.0, 0.0, 1.0 + 1e-11),
+            (0.0, 0.0, 0.0),
+            (np.nan, 0.0, 1.0),
+            (np.inf, 0.0, 0.0),
+            (0.0, -np.inf, 0.0),
+        ],
+        ids=["non-unit", "long", "zero", "nan", "inf", "-inf"],
+    )
+    def test_rejects_one_bad_direction(self, row, station, direction):
+        with pytest.raises(ValueError, match="unit norm"):
+            MeasurementSettings(with_direction(row, station, direction))
+
+    def test_empty_settings_are_valid(self):
+        record = TomographyRecord([], (), 1e3, 0.0, 0)
+        assert len(record.settings) == 0 and record.settings.directions.shape == (0, 2, 3)
+        assert record_from_json(record_to_json(record)) == record
+
+    @hypothesis_settings(max_examples=300, deadline=None)
+    @given(NEAR_UNIT, st.integers(0, 35), st.integers(0, 1))
+    @example((0.0, 0.0, 1.0 + 1e-12), 0, 0)
+    @example((0.0, 0.0, 1.0 - 1e-12), 35, 1)
+    def test_single_and_stacked_checks_agree(self, direction, row, station):
+        def accepts(check, value):
+            try:
+                check(value)
+            except ValueError:
+                return False
+            return True
+
+        single = accepts(unit_stokes_vector, direction)
+        assert single == accepts(MeasurementSettings, [(direction, PLUS_Z)])
+        assert single == accepts(MeasurementSettings, with_direction(row, station, direction))
 
 
 class TestSimulateCounts:
     def test_cross_polarized_on_phi_plus_is_dark(self):
         phi = bell_state("phi+")
-        setting = MeasurementSetting(PLUS_Z, MINUS_Z)
-        assert coincidence_probability(phi, [setting]) == pytest.approx([0.0], abs=1e-15)
-        record = simulate_counts(phi, [setting], exposure=1e5, dark_prob=0.0, exact=True)
+        setting = [(PLUS_Z, MINUS_Z)]
+        assert coincidence_probability(phi, setting) == pytest.approx([0.0], abs=1e-15)
+        record = simulate_counts(phi, setting, exposure=1e5, dark_prob=0.0, exact=True)
         assert record.counts[0] == 0.0
 
     def test_copolarized_expectation(self):
         phi = bell_state("phi+")
-        setting = MeasurementSetting(PLUS_Z, PLUS_Z)
-        record = simulate_counts(phi, [setting], exposure=1e4, dark_prob=0.0, exact=True)
+        record = simulate_counts(phi, [(PLUS_Z, PLUS_Z)], exposure=1e4, dark_prob=0.0, exact=True)
         assert record.counts[0] == pytest.approx(5e3, rel=1e-12)
 
     def test_deterministic_for_fixed_seed(self):
@@ -147,8 +232,7 @@ class TestSimulateCounts:
 
     def test_dark_counts_shift_expectation(self):
         phi = bell_state("phi+")
-        setting = MeasurementSetting(PLUS_Z, MINUS_Z)
-        record = simulate_counts(phi, [setting], exposure=1e6, dark_prob=4e-5, exact=True)
+        record = simulate_counts(phi, [(PLUS_Z, MINUS_Z)], exposure=1e6, dark_prob=4e-5, exact=True)
         assert record.counts[0] == pytest.approx(40.0, rel=1e-9)
 
     def test_rejects_bad_exposure(self):
@@ -180,12 +264,15 @@ class TestSimulateCounts:
         assert record.seed == 9 and type(record.seed) is int
         assert record == simulate_counts(rho, STANDARD, 1e3, seed=9)
 
-    def test_accepts_settings_generator(self):
-        record = simulate_counts(
-            bell_state("phi+"), (s for s in standard_settings()), 1e3, seed=1
-        )
-        assert len(record.settings) == 36
-        assert len(record.counts) == 36
+    def test_accepts_direction_array_like(self):
+        # a copied array and nested lists are converted once into an equal instance
+        expected = simulate_counts(bell_state("phi+"), STANDARD, 1e3, seed=1)
+        for directions in (np.array(STANDARD.directions), STANDARD.directions.tolist()):
+            record = simulate_counts(bell_state("phi+"), directions, 1e3, seed=1)
+            assert record.settings == STANDARD and record.settings is not STANDARD
+            assert record == expected
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(expected)
 
 
 class TestReconstruct:
@@ -219,10 +306,9 @@ class TestReconstruct:
         assert abs(weights["psi+"]) < 0.02 and abs(weights["psi-"]) < 0.02
 
     def test_zero_counts_raise(self):
-        settings = standard_settings()
         record = TomographyRecord(
-            settings=tuple(settings),
-            counts=tuple(0.0 for _ in settings),
+            settings=STANDARD,
+            counts=(0.0,) * 36,
             exposure=1e5,
             dark_prob=0.0,
             seed=0,
@@ -232,14 +318,10 @@ class TestReconstruct:
 
     def test_missing_group_raises(self):
         # drop every setting touching the y axis on station B
-        kept = [
-            (s, 100.0)
-            for s in standard_settings()
-            if abs(s.proj_b[1]) < 0.5
-        ]
+        kept = STANDARD.directions[abs(STANDARD.directions[:, 1, 1]) < 0.5]
         record = TomographyRecord(
-            settings=tuple(s for s, _ in kept),
-            counts=tuple(c for _, c in kept),
+            settings=kept,
+            counts=(100.0,) * len(kept),
             exposure=1e3,
             dark_prob=0.0,
             seed=0,
@@ -270,19 +352,16 @@ class TestReconstruct:
         assert medians[0] > medians[1] > medians[2]
 
     def test_rejects_tilted_analyzers(self):
-        tilted = MeasurementSetting(
-            (1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)), PLUS_Z
-        )
-        record = TomographyRecord((tilted,), (10.0,), 1e3, 0.0, 0)
-        for _ in range(3):  # the geometry is cached, the error is not
+        tilted = [((1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)), PLUS_Z)]
+        record = TomographyRecord(tilted, (10.0,), 1e3, 0.0, 0)
+        for _ in range(3):  # the geometry is kept, the error is not
             with pytest.raises(ValueError, match="signed Pauli axes"):
                 reconstruct(record)
 
     def test_analyzer_axis_tolerance(self):
         # an analyzer counts as +-e_j within 1e-9 off-axis; 1e-7 is a tilt
         def record(tilt):
-            tilted = MeasurementSetting((tilt, 0.0, -np.sqrt(1 - tilt**2)), PLUS_Z)
-            settings = (tilted,) + STANDARD[1:]
+            settings = with_direction(0, 0, (tilt, 0.0, -np.sqrt(1 - tilt**2)))
             return TomographyRecord(settings, (10.0,) * len(settings), 1e3, 0.0, 0)
 
         assert np.array_equal(reconstruct(record(1e-10)), reconstruct(record(0.0)))
@@ -301,15 +380,15 @@ class TestReconstruct:
         axis, tilt = _SIGNED_AXES[row], 10.0**log_tilt
         u, v = np.roll(np.eye(3), 1 + row // 2, axis=1)[:2]
         direction = np.sqrt(1 - tilt**2) * axis + tilt * (np.cos(angle) * u + np.sin(angle) * v)
-        setting = MeasurementSetting(tuple(direction), PLUS_Z)
-        hits = np.isclose(np.array(setting.proj_a), _SIGNED_AXES, atol=1e-9).all(axis=-1)
+        setting = MeasurementSettings([(direction, PLUS_Z)]).directions
+        hits = np.isclose(setting[0, 0], _SIGNED_AXES, atol=1e-9).all(axis=-1)
         if hits.any():
             first = int(hits.argmax())
-            found_axis, found_sign = _signed_axes((setting,))
+            found_axis, found_sign = _signed_axes(setting)
             assert (found_axis[0, 0], found_sign[0, 0]) == (first // 2, 1.0 - 2.0 * (first % 2))
         else:
             with pytest.raises(ValueError, match="signed Pauli axes"):
-                _signed_axes((setting,))
+                _signed_axes(setting)
 
 
 class TestStackedMatchesLoop:
@@ -323,7 +402,7 @@ class TestStackedMatchesLoop:
             rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
             # shuffled, partly repeated settings exercise the pooling order
             order = np.concatenate([rng.permutation(36), rng.integers(0, 36, size=index % 5)])
-            chosen = [STANDARD[i] for i in order]
+            chosen = MeasurementSettings(STANDARD.directions[order])
             for exposure, dark_prob, exact in ((1e5, 4e-5, False), (1e3, 0.0, False), (1e4, 4e-5, True)):
                 record = simulate_counts(rho, chosen, exposure, dark_prob, seed=index, exact=exact)
                 assert record.counts == loop_counts(rho, chosen, exposure, dark_prob, index, exact)
@@ -338,54 +417,61 @@ UNIT_DIRECTIONS = (
 
 
 class TestGeometryCache:
-    """The projector pairs and the pooling layout are built once per settings tuple, read-only."""
+    """Each settings object builds its projector pairs and pooling layout once, read-only."""
 
     def test_repeated_calls_build_geometry_once(self, monkeypatch):
         rho = bell_state("phi+")
         reconstruct(simulate_counts(rho, standard_settings(), 1e3, seed=1))
-        calls = {name: count_calls(monkeypatch, tomo, name) for name in ("_directions", "pauli_dot")}
+        calls = {name: count_calls(monkeypatch, tomo, name) for name in ("_signed_axes", "pauli_dot")}
         for seed in range(5):
             reconstruct(simulate_counts(rho, standard_settings(), 1e3, seed=seed))
             coincidence_probability(rho, STANDARD)
-        assert calls == {"_directions": [], "pauli_dot": []}
+        assert calls == {"_signed_axes": [], "pauli_dot": []}
 
     def test_cached_arrays_are_read_only(self):
-        pairs = tomo._projector_pairs(STANDARD)
-        cells, signs = tomo._pooling_layout(STANDARD)
-        for array in (pairs, *cells, signs):
-            assert not array.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            pairs[0, 0, 0] = 0.0
+        # also in a copy or an unpickled instance, which builds its own geometry
+        original = MeasurementSettings(STANDARD.directions[::-1])
+        original.projector_pairs
+        for settings in (original, copy.deepcopy(original), pickle.loads(pickle.dumps(original))):
+            cells, signs = settings.pooling_layout
+            for array in (settings.directions, settings.projector_pairs, *cells, signs):
+                assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                settings.projector_pairs[0, 0, 0] = 0.0
+            assert settings.projector_pairs is settings.projector_pairs
+            assert settings.pooling_layout is settings.pooling_layout
+            assert settings == original
 
     @hypothesis_settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(UNIT_DIRECTIONS, UNIT_DIRECTIONS), min_size=1, max_size=6))
     @example([((-0.0, 0.0, 1.0), (0.0, -1.0, -0.0))])
     def test_counts_equal_a_fresh_computation(self, pairs):
-        # tilted settings and signed zeros: the cache is first filled from the
-        # same settings with each -0.0 made 0.0, which compare equal
-        settings = tuple(MeasurementSetting(a, b) for a, b in pairs)
-        unsigned = tuple(MeasurementSetting(np.add(a, 0.0), np.add(b, 0.0)) for a, b in pairs)
-        tomo._projector_pairs(unsigned)
-        fresh = tomo._projector_pairs.__wrapped__(settings)
+        # tilted settings and signed zeros: the pairs of the same settings with
+        # each -0.0 made 0.0, which compare equal, and of a fresh copy agree bit for bit
+        settings = MeasurementSettings(pairs)
+        unsigned = MeasurementSettings(np.add(pairs, 0.0))
+        fresh = MeasurementSettings(settings.directions).projector_pairs
+        assert unsigned == settings and unsigned.projector_pairs.tobytes() == fresh.tobytes()
         rho = random_density_matrix(np.random.default_rng(len(pairs)))
         expected = (rho @ fresh).trace(axis1=-2, axis2=-1).real
         for _ in range(2):
-            assert tomo._projector_pairs(settings).tobytes() == fresh.tobytes()
+            assert settings.projector_pairs.tobytes() == fresh.tobytes()
             assert coincidence_probability(rho, settings).tobytes() == expected.tobytes()
 
     def test_distinct_settings_never_share_geometry(self):
-        tuples = [STANDARD, STANDARD[::-1], STANDARD[1:], STANDARD[:1]]
-        tuples += [STANDARD[k:] for k in range(2, 12)]
-        pairs = [tomo._projector_pairs(t) for t in tuples]
-        layouts = [tomo._pooling_layout(t) for t in tuples]
-        for built in (pairs, layouts):
-            assert len({id(b) for b in built}) == len(tuples)
-        for settings, got, (cells, signs) in zip(tuples, pairs, layouts):
-            fresh_cells, fresh_signs = tomo._pooling_layout.__wrapped__(settings)
-            assert np.array_equal(got, tomo._projector_pairs.__wrapped__(settings))
-            assert np.array_equal(cells, fresh_cells) and np.array_equal(signs, fresh_signs)
-        tilted = (MeasurementSetting((0.6, 0.0, 0.8), PLUS_Z),)
-        assert not np.array_equal(tomo._projector_pairs(tilted), tomo._projector_pairs(STANDARD[:1]))
+        # each object owns its geometry, equal row for row to the standard one it was cut from
+        orders = [np.arange(36)[::-1], np.arange(1, 36), np.arange(1)]
+        orders += [np.arange(k, 36) for k in range(2, 12)]
+        built = [MeasurementSettings(STANDARD.directions[order]) for order in orders]
+        pairs = [settings.projector_pairs for settings in built]
+        assert len({id(p) for p in pairs + [STANDARD.projector_pairs]}) == len(orders) + 1
+        for order, settings, got in zip(orders, built, pairs):
+            assert np.array_equal(got, STANDARD.projector_pairs[order])
+            cells, signs = settings.pooling_layout
+            assert np.array_equal(signs, STANDARD.pooling_layout[1][:, order])
+            assert all(np.array_equal(c, s[:, order]) for c, s in zip(cells, STANDARD.pooling_layout[0]))
+        tilted = MeasurementSettings([((0.6, 0.0, 0.8), PLUS_Z)])
+        assert not np.array_equal(tilted.projector_pairs, STANDARD.projector_pairs[:1])
 
 
 class TestSeeding:
@@ -417,15 +503,15 @@ class TestRecordJson:
     )
     def test_direction_components_read_back_as_floats(self, direction, text):
         # ints read back as floats; a signed zero keeps its sign
-        obj = record_to_json(TomographyRecord(STANDARD[:1], (5.0,), 1e3, 0.0, 0))
+        obj = record_to_json(TomographyRecord(FIRST, (5.0,), 1e3, 0.0, 0))
         obj["settings"] = [[direction, [0, 0, 1]]]
         back = record_from_json(obj)
-        assert back.settings == STANDARD[:1]
+        assert back.settings == MeasurementSettings(FIRST)
         assert json.dumps(record_to_json(back)["settings"]) == f"[[{text}, [0.0, 0.0, 1.0]]]"
 
     @pytest.mark.parametrize("direction", [[False, False, True], [0, 0, True]])
     def test_rejects_bool_direction_components(self, direction):
-        obj = record_to_json(TomographyRecord(STANDARD[:1], (5.0,), 1e3, 0.0, 0))
+        obj = record_to_json(TomographyRecord(FIRST, (5.0,), 1e3, 0.0, 0))
         obj["settings"] = [[[0, 0, 1], direction]]
         with pytest.raises(ValueError, match="record field 'settings': expected a number, got bool"):
             record_from_json(obj)
@@ -435,8 +521,7 @@ class TestRecordJson:
     @example([((1e-10, 0.0, -np.sqrt(1 - 1e-20)), PLUS_Z), ((0.0, 1.0, 1e-17), MINUS_Z)])
     def test_random_directions_round_trip(self, pairs):
         # near-axis directions keep their own components
-        settings = tuple(MeasurementSetting(a, b) for a, b in pairs)
-        record = TomographyRecord(settings, (5.0,) * len(settings), 1e3, 0.0, 0)
+        record = TomographyRecord(pairs, (5.0,) * len(pairs), 1e3, 0.0, 0)
         obj = json.loads(json.dumps(record_to_json(record)))
         back = record_from_json(obj)
         assert back == record and record_to_json(back) == obj
@@ -458,7 +543,7 @@ class TestRecordJson:
     def test_record_validation(self):
         with pytest.raises(ValueError, match="length"):
             TomographyRecord(
-                settings=(MeasurementSetting(PLUS_Z, PLUS_Z),),
+                settings=[(PLUS_Z, PLUS_Z)],
                 counts=(1.0, 2.0),
                 exposure=10.0,
                 dark_prob=0.0,
@@ -466,7 +551,7 @@ class TestRecordJson:
             )
         with pytest.raises(ValueError, match="non-negative"):
             TomographyRecord(
-                settings=(MeasurementSetting(PLUS_Z, PLUS_Z),),
+                settings=[(PLUS_Z, PLUS_Z)],
                 counts=(-1.0,),
                 exposure=10.0,
                 dark_prob=0.0,
@@ -474,21 +559,21 @@ class TestRecordJson:
             )
 
     def test_rejects_nan_analyzer(self):
-        obj = record_to_json(simulate_counts(bell_state("phi+"), STANDARD[:1], 1e3, seed=1))
+        obj = record_to_json(simulate_counts(bell_state("phi+"), FIRST, 1e3, seed=1))
         obj["settings"][0][1] = [0.0, float("nan"), 1.0]
         with pytest.raises(ValueError, match="unit norm"):
             record_from_json(obj)
 
     @pytest.mark.parametrize("seed", [1.7, True, "12", -5])
     def test_rejects_bad_seed(self, seed):
-        obj = record_to_json(simulate_counts(bell_state("phi+"), STANDARD[:1], 1e3, seed=1))
+        obj = record_to_json(simulate_counts(bell_state("phi+"), FIRST, 1e3, seed=1))
         obj["seed"] = seed
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             record_from_json(obj)
 
     @pytest.mark.parametrize("seed", [2**70, np.int64(3)])
     def test_integer_seed_is_stored_as_int(self, seed):
-        record = TomographyRecord(STANDARD[:1], (1.0,), 1e3, 0.0, seed)
+        record = TomographyRecord(FIRST, (1.0,), 1e3, 0.0, seed)
         assert record.seed == seed and type(record.seed) is int
         assert record_from_json(record_to_json(record)) == record
 
@@ -497,13 +582,13 @@ class TestRecordJson:
     )
     def test_rejects_bool_acquisition_parameters(self, exposure, dark_prob):
         with pytest.raises(ValueError, match="not bools"):
-            TomographyRecord(STANDARD[:1], (1.0,), exposure, dark_prob, 0)
+            TomographyRecord(FIRST, (1.0,), exposure, dark_prob, 0)
 
     @pytest.mark.parametrize("field", ["counts", "exposure", "dark_prob"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite_fields(self, field, value):
         fields = dict(
-            settings=(MeasurementSetting(PLUS_Z, PLUS_Z),),
+            settings=[(PLUS_Z, PLUS_Z)],
             counts=(1.0,),
             exposure=10.0,
             dark_prob=0.0,
