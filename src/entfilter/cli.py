@@ -16,7 +16,8 @@ naming the flag; that holds for ``tomo simulate --p`` with a Bell ``--state`` to
 
 The commands validate each state once: ``optimize`` the noisy pair in
 ``plan_recovery`` and the filtered pair for its mutual information; ``curves``
-and ``inset`` only their filtered stacks, as ``recover`` does.
+and ``inset`` only their filtered stacks, as ``recover`` does; ``inset`` scans
+all its gamma_a values as one stack, in one ``ratio_scan`` call.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .qstate import BELL_LABELS, bell_state, density_matrix_to_json
 from .qstate import _bell_diagonal_weights, _concurrence, _mutual_information
 from .qstate import _single_state_spectrum
 from .recover import (
-    CSV_HEADER,
     GAMMA_A_AXIS,
     STRATEGIES,
     argmax_ratio,
@@ -195,31 +195,24 @@ def cmd_curves(args) -> int:
 
 
 def cmd_inset(args) -> int:
-    gamma_a_values = args.gamma_a if args.gamma_a else list(INSET_GAMMA_A)
+    gamma_a_values = args.gamma_a or INSET_GAMMA_A
     noise = _noise_spec(args.noise, args.p)
-    ratios = np.linspace(0.0, args.ratio_max, args.steps)
-    series = []
-    for gamma_a in gamma_a_values:
-        points = ratio_scan(noise, gamma_a, ratios)
-        series.append((gamma_a, points, argmax_ratio(points, "mutual_info")))
+    points = ratio_scan(noise, gamma_a_values, np.linspace(0.0, args.ratio_max, args.steps))
+    series = [points[i : i + args.steps] for i in range(0, len(points), args.steps)]
+    best = [argmax_ratio(run, "mutual_info") for run in series]
     if args.format == "csv":
-        lines = [CSV_HEADER]
-        for _, points, _ in series:
-            lines.extend(sweep_to_csv(points).splitlines()[1:])
-        for gamma_a, _, best in series:
-            lines.append("# argmax_mutual_info gamma_a=%.12g ratio=%.12g" % (gamma_a, best))
-        _write_text(args.output, "\n".join(lines) + "\n")
+        summary = "".join(
+            "# argmax_mutual_info gamma_a=%.12g ratio=%.12g\n" % pair
+            for pair in zip(gamma_a_values, best)
+        )
+        _write_text(args.output, sweep_to_csv(points) + summary)
     else:
         payload = {
             "noise": args.noise,
             "p": args.p,
             "series": [
-                {
-                    "gamma_a": gamma_a,
-                    "argmax_ratio": best,
-                    "points": sweep_to_json(points),
-                }
-                for gamma_a, points, best in series
+                {"gamma_a": gamma_a, "argmax_ratio": ratio, "points": sweep_to_json(run)}
+                for gamma_a, run, ratio in zip(gamma_a_values, series, best)
             ],
         }
         _write_text(args.output, json.dumps(payload, indent=2) + "\n")

@@ -14,12 +14,15 @@ would trace out, filtering the whole curve as one stack of states.
 The drivers check what the caller passes (noise spec, grid, strategy,
 normalization) and take the noisy pair that ``pauli_channel_state`` builds
 from it as valid, reading its correlations without a second check. The
-filtered stack is validated and decomposed once.
+filtered stack is validated and decomposed once, all series of a ratio scan
+in one stack. A row is a :class:`SweepPoint` tuple of the artifact columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +45,10 @@ _LOCAL_PAULIS = np.array(
     [kron(s, IDENTITY_2) for s in PAULIS] + [kron(IDENTITY_2, s) for s in PAULIS]
 )
 
-CSV_HEADER = "gamma_a,gamma_b,strategy,mutual_info_bits,concurrence,transmission"
+# the artifact columns, one per SweepPoint field and in its order
+_COLUMNS = ("gamma_a", "gamma_b", "strategy", "mutual_info_bits", "concurrence", "transmission")
+CSV_HEADER = ",".join(_COLUMNS)
+_CSV_ROW = "%.12g,%.12g,%s,%.12g,%.12g,%.12g"
 
 
 @dataclass(frozen=True)
@@ -55,9 +61,8 @@ class RecoveryPlan:
     nothing_to_recover: bool = False
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One evaluated filter configuration along a sweep."""
+class SweepPoint(NamedTuple):
+    """One evaluated filter configuration along a sweep: one artifact row, column by column."""
 
     gamma_a: float
     gamma_b: float
@@ -166,8 +171,9 @@ def _evaluate(rho, t, gamma_a, gamma_b, strategy, normalization) -> list[SweepPo
     states, values, vectors = _spectrum(states)
     mutual_info = normalization * _mutual_information(states, values)
     concurrences = _concurrence(values, vectors)
-    rows = np.column_stack([gamma_a, gamma_b, mutual_info, concurrences, transmission])
-    return [SweepPoint(a, b, strategy, mi, c, tr) for a, b, mi, c, tr in rows.tolist()]
+    columns = gamma_a, gamma_b, mutual_info, concurrences, transmission
+    a, b, mi, c, tr = (column.tolist() for column in columns)
+    return list(map(SweepPoint, a, b, repeat(strategy), mi, c, tr))
 
 
 def sweep(
@@ -204,22 +210,25 @@ def sweep(
     return _evaluate(rho, t, gamma_a, gamma_b, strategy, normalization)
 
 
-def ratio_scan(noise: PauliNoiseSpec, gamma_a: float, ratio_grid) -> list[SweepPoint]:
+def ratio_scan(noise: PauliNoiseSpec, gamma_a, ratio_grid) -> list[SweepPoint]:
     """Scan gamma_b = ratio * gamma_a at the concurrence-optimal orientation.
 
+    ``gamma_a`` is one value > 0 or a 1-D sequence of them, filtered as one
+    stack and returned series after series, each equal to its one-value scan.
     Rows carry strategy "ratio". The concurrence column peaks at
     ratio = optimal_magnitude / gamma_a by construction; the mutual-information
     peak sits close to (but not exactly at) the same ratio.
     """
-    gamma_a = float(gamma_a)
-    if not gamma_a > 0:
+    gamma_a = np.asarray(gamma_a, dtype=float)
+    if not (gamma_a > 0).all():
         raise ValueError("ratio_scan requires gamma_a > 0")
     ratios = np.asarray(ratio_grid, dtype=float)
     if not (ratios >= 0).all():
         raise ValueError("ratios must be >= 0")
     rho = pauli_channel_state(noise)
-    gamma_a_grid = np.full_like(ratios, gamma_a)
-    return _evaluate(rho, _correlation_matrix(rho), gamma_a_grid, ratios * gamma_a, "ratio", 1.0)
+    gamma_a_grid = np.repeat(gamma_a, ratios.size)
+    gamma_b = np.multiply.outer(gamma_a, ratios).ravel()
+    return _evaluate(rho, _correlation_matrix(rho), gamma_a_grid, gamma_b, "ratio", 1.0)
 
 
 def argmax_ratio(points: list[SweepPoint], metric: str = "mutual_info") -> float:
@@ -249,25 +258,9 @@ def average_entanglement(rho_in, f_a: FilterElement, f_b: FilterElement) -> floa
 
 def sweep_to_csv(points: list[SweepPoint]) -> str:
     """Fixed-column CSV; floats use %.12g so artifacts are byte-reproducible."""
-    lines = [CSV_HEADER]
-    for p in points:
-        lines.append(
-            "%.12g,%.12g,%s,%.12g,%.12g,%.12g"
-            % (p.gamma_a, p.gamma_b, p.strategy, p.mutual_info, p.concurrence, p.transmission)
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join([CSV_HEADER, *(_CSV_ROW % p for p in points)]) + "\n"
 
 
 def sweep_to_json(points: list[SweepPoint]) -> list[dict]:
     """JSON array with the same columns and order as the CSV."""
-    return [
-        {
-            "gamma_a": p.gamma_a,
-            "gamma_b": p.gamma_b,
-            "strategy": p.strategy,
-            "mutual_info_bits": p.mutual_info,
-            "concurrence": p.concurrence,
-            "transmission": p.transmission,
-        }
-        for p in points
-    ]
+    return [dict(zip(_COLUMNS, p)) for p in points]

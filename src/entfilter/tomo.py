@@ -87,12 +87,15 @@ class MeasurementSettings:
         return _read_only(qmat.kron(projectors[:, 0], projectors[:, 1]))
 
     @functools.cached_property
-    def pooling_layout(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """Read-only (4, S) row and column cells and signs; off-axis directions raise on every access."""
+    def pooling_layout(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+        """Read-only (4, S) row and column cells and signs, and (S,) weights 1 / (repeats of
+        the setting's signed axis pair); off-axis directions raise on every access."""
         axis, sign = _signed_axes(self.directions)
         used = _STATIONS[:, None, :]
         cells = _read_only(used * (axis + 1)).transpose(2, 0, 1)
-        return tuple(cells), _read_only(np.where(used, sign, 1.0).prod(axis=-1))
+        pair = (2 * axis + (sign < 0)) @ (6, 1)  # index of the signed axis pair, 0..35
+        signs = _read_only(np.where(used, sign, 1.0).prod(axis=-1))
+        return tuple(cells), signs, _read_only(1.0 / np.bincount(pair)[pair])
 
 
 def _as_settings(settings) -> MeasurementSettings:
@@ -312,15 +315,17 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
 
     Stokes parameters come from difference-over-sum count ratios within each
     axis-pair group of four sign combinations; single-qubit parameters pool
-    every group sharing that station axis. The raw estimate is projected to
-    the physical set by clipping negative eigenvalues and renormalizing the
-    trace, so the output always satisfies the density-matrix invariants.
+    every group sharing that station axis. A signed axis pair listed k times
+    weighs 1/k per listing, so repeats enter as their mean count. The raw
+    estimate is projected to the physical set by clipping negative
+    eigenvalues and renormalizing the trace, so the output always satisfies
+    the density-matrix invariants.
 
     Raises :class:`InsufficientStatisticsError` when any axis-pair group is
     missing or has zero total counts.
     """
-    cells, signs = record.settings.pooling_layout
-    counts = np.broadcast_to(np.asarray(record.counts, dtype=float), signs.shape)
+    cells, signs, weights = record.settings.pooling_layout
+    counts = np.broadcast_to(weights * np.asarray(record.counts, dtype=float), signs.shape)
     signed = np.zeros((4, 4))
     pooled = np.zeros((4, 4))
     # unbuffered, so each cell sums its counts in setting order

@@ -392,7 +392,8 @@ COMMAND_EIGH_SHAPES = {
     ("curves", "--noise", "bitflip", "--output", "{out}"): (
         [(60, 2, 2), (60, 2, 2), (60, 4, 4)]
     ),
-    ("inset", "--output", "{out}"): [(121, 2, 2)] * 6 + [(121, 4, 4)] * 3,
+    # the three default series are one (3 x 121)-state stack
+    ("inset", "--output", "{out}"): [(363, 2, 2)] * 2 + [(363, 4, 4)],
     ("optimize", "--noise", "bitflip", "--gamma-a", "0.857"): (
         [(2, 2), (2, 2), (4, 4), (4, 4)]
     ),
@@ -471,6 +472,11 @@ FLAG_DOMAIN_REJECTED = {
     "simulate-exposure-zero": ("--exposure", [*_SIMULATE_PHI, "--exposure=0"]),
     "simulate-dark-prob-negative": ("--dark-prob", [*_SIMULATE_PHI, "--dark-prob=-1e-9"]),
     "simulate-seed-negative": ("--seed", [*_SIMULATE_PHI, "--seed=-1"]),
+    # text the flag's type cannot parse at all
+    "curves-p-not-a-number": ("--p", [*_CURVES, "--p=abc"]),
+    "inset-steps-not-an-integer": ("--steps", [*_INSET, "--steps=2.5"]),
+    "inset-gamma-a-not-a-number": ("--gamma-a", [*_INSET, "--gamma-a=0.5", "--gamma-a=x"]),
+    "simulate-seed-not-an-integer": ("--seed", [*_SIMULATE_PHI, "--seed=1e3"]),
 }
 FLAG_DOMAIN_ACCEPTED = {
     "curves-p-zero": [*_CURVES, "--p", "0"],

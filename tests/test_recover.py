@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings, strategies as st
 
 from entfilter import recover
 from entfilter.channel import FilterElement, PauliNoiseSpec, apply_filters, pauli_channel_state
-from entfilter.qstate import bell_state, concurrence, correlation_matrix, mutual_information
+from entfilter.qstate import bell_state, concurrence, correlation_matrix, fidelity_pure
+from entfilter.qstate import mutual_information, unit_stokes_vector
 from entfilter.recover import (
     CSV_HEADER,
     STRATEGIES,
@@ -374,6 +376,21 @@ class TestRatioScan:
         with pytest.raises(ValueError):
             ratio_scan(BITFLIP, 0.0, [0.1])
 
+    @hypothesis_settings(max_examples=60, deadline=None)
+    @given(
+        noise=st.sampled_from([PauliNoiseSpec.bit_flip, PauliNoiseSpec.phase_flip]),
+        p=st.floats(0.0, 1.0),
+        # drawn from a pool of up to five values, so repeats are common
+        gamma_a=st.lists(st.floats(0.0, 5.0, exclude_min=True), min_size=1, max_size=5).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=5)
+        ),
+        ratios=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=50),
+    )
+    def test_stacked_scan_equals_one_scan_per_gamma_a(self, noise, p, gamma_a, ratios):
+        spec = noise(p)
+        stacked = ratio_scan(spec, gamma_a, ratios)
+        assert stacked == [point for g in gamma_a for point in ratio_scan(spec, g, ratios)]
+
     def test_argmax_tie_breaks_on_first_index(self):
         points = [
             SweepPoint(1.0, 0.2, "ratio", 0.5, 0.1, 1.0),
@@ -500,3 +517,76 @@ class TestSerialization:
             "transmission",
         ]
         assert obj[0]["gamma_b"] == pytest.approx(0.3)
+
+    @hypothesis_settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                SweepPoint,
+                *[st.floats(allow_nan=False)] * 2,
+                st.sampled_from((*STRATEGIES, "ratio")),
+                *[st.floats(allow_nan=False)] * 3,
+            ),
+            max_size=20,
+        )
+    )
+    def test_serializers_match_attribute_reference(self, points):
+        lines = ["gamma_a,gamma_b,strategy,mutual_info_bits,concurrence,transmission"]
+        lines += [
+            "%.12g,%.12g,%s,%.12g,%.12g,%.12g"
+            % (p.gamma_a, p.gamma_b, p.strategy, p.mutual_info, p.concurrence, p.transmission)
+            for p in points
+        ]
+        assert sweep_to_csv(points) == "\n".join(lines) + "\n"
+        expected = [
+            [
+                ("gamma_a", p.gamma_a),
+                ("gamma_b", p.gamma_b),
+                ("strategy", p.strategy),
+                ("mutual_info_bits", p.mutual_info),
+                ("concurrence", p.concurrence),
+                ("transmission", p.transmission),
+            ]
+            for p in points
+        ]
+        assert [list(row.items()) for row in sweep_to_json(points)] == expected
+
+    def test_sweep_point_is_a_tuple_of_its_columns(self):
+        point = SweepPoint(0.5, 0.25, "ratio", 1.5, 0.5, 0.75)
+        gamma_a, _, strategy, *_ = point
+        assert (gamma_a, strategy) == (0.5, "ratio")
+        assert point == (0.5, 0.25, "ratio", 1.5, 0.5, 0.75)
+
+
+_T = np.diag([1.0, -0.67, 0.67])
+_F_A, _F_B = FilterElement(0.857, Z), FilterElement(0.5, MINUS_Z)
+
+# Arguments each public entry point rejects with ValueError, and the message it gives
+REJECTIONS = {
+    "correlation-not-3x3": (lambda: concurrence_after_filtering(0.67, np.eye(2), _F_A, _F_B), "3x3"),
+    "c0-above-one": (lambda: concurrence_after_filtering(1.5, _T, _F_A, _F_B), r"c0 must lie in \[0, 1\]"),
+    "c0-negative": (lambda: concurrence_after_filtering(-0.1, _T, _F_A, _F_B), r"c0 must lie in \[0, 1\]"),
+    "optimal-magnitude-negative": (lambda: optimal_magnitude(_T, Z, [0.5, -0.1]), "gamma_a must be >= 0"),
+    "sweep-negative-grid": (lambda: sweep(BITFLIP, [0.0, -0.1], "none"), "grid values must be >= 0"),
+    "sweep-nan-grid": (lambda: sweep(BITFLIP, [0.5, math.nan], "match"), "grid values must be >= 0"),
+    "ratio-scan-negative-ratio": (lambda: ratio_scan(BITFLIP, 0.857, [0.5, -0.1]), "ratios must be >= 0"),
+    "ratio-scan-zero-gamma-a-among-several": (
+        lambda: ratio_scan(BITFLIP, [0.82, 0.0, 0.869], [0.5]),
+        "gamma_a > 0",
+    ),
+    "ratio-scan-nan-gamma-a-among-several": (
+        lambda: ratio_scan(PHASEFLIP, [0.82, math.nan], [0.5]),
+        "gamma_a > 0",
+    ),
+    "stokes-vector-not-3": (lambda: unit_stokes_vector([0.0, 0.0, 1.0, 0.0]), r"3-vector, got shape \(4,\)"),
+    "fidelity-dimension-mismatch": (
+        lambda: fidelity_pure(bell_state("phi+"), np.diag([1.0, 0.0])),
+        "same dimension",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", REJECTIONS.values(), ids=REJECTIONS.keys())
+def test_rejects_outside_domain(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -61,11 +61,15 @@ def signed_axis(direction):
 
 
 def loop_reconstruct(record):
-    """Per-setting reference for reconstruct: running sums, then one term per Pauli pair."""
+    """Per-setting reference for reconstruct: running sums, then one term per Pauli pair.
+
+    A signed axis pair listed k times weighs 1/k, so its repeats count once.
+    """
+    pairs = [(*signed_axis(a), *signed_axis(b)) for a, b in record.settings.directions]
     corr_signed, group_total = np.zeros((3, 3)), np.zeros((3, 3))
     signed, total = np.zeros((2, 3)), np.zeros((2, 3))
-    for (proj_a, proj_b), n in zip(record.settings.directions, record.counts):
-        (j, sign_a), (k, sign_b) = signed_axis(proj_a), signed_axis(proj_b)
+    for (j, sign_a, k, sign_b), n in zip(pairs, record.counts):
+        n = 1.0 / pairs.count((j, sign_a, k, sign_b)) * n
         corr_signed[j, k] += sign_a * sign_b * n
         group_total[j, k] += n
         for station, axis, sign in ((0, j, sign_a), (1, k, sign_b)):
@@ -351,6 +355,20 @@ class TestReconstruct:
             medians.append(float(np.median(errors)))
         assert medians[0] > medians[1] > medians[2]
 
+    def test_repeated_setting_counts_once(self):
+        # the standard 36 plus a second copy of setting 5, exact and dark-free
+        rho = pauli_channel_state(PauliNoiseSpec.bit_flip(0.33))
+        settings = MeasurementSettings(STANDARD.directions[[*range(36), 5]])
+        record = simulate_counts(rho, settings, 1e5, dark_prob=0.0, exact=True)
+        assert np.max(abs(reconstruct(record) - rho)) < 1e-12
+
+    def test_every_setting_twice_gives_the_single_set_estimate(self):
+        record = simulate_counts(random_density_matrix(np.random.default_rng(67)), STANDARD, 1e4, seed=3)
+        doubled = TomographyRecord(
+            np.concatenate([STANDARD.directions] * 2), record.counts * 2, 1e4, 4e-5, 3
+        )
+        assert np.max(abs(reconstruct(doubled) - reconstruct(record))) < 1e-12
+
     def test_rejects_tilted_analyzers(self):
         tilted = [((1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)), PLUS_Z)]
         record = TomographyRecord(tilted, (10.0,), 1e3, 0.0, 0)
@@ -433,8 +451,8 @@ class TestGeometryCache:
         original = MeasurementSettings(STANDARD.directions[::-1])
         original.projector_pairs
         for settings in (original, copy.deepcopy(original), pickle.loads(pickle.dumps(original))):
-            cells, signs = settings.pooling_layout
-            for array in (settings.directions, settings.projector_pairs, *cells, signs):
+            cells, signs, weights = settings.pooling_layout
+            for array in (settings.directions, settings.projector_pairs, *cells, signs, weights):
                 assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 settings.projector_pairs[0, 0, 0] = 0.0
@@ -467,8 +485,9 @@ class TestGeometryCache:
         assert len({id(p) for p in pairs + [STANDARD.projector_pairs]}) == len(orders) + 1
         for order, settings, got in zip(orders, built, pairs):
             assert np.array_equal(got, STANDARD.projector_pairs[order])
-            cells, signs = settings.pooling_layout
+            cells, signs, weights = settings.pooling_layout
             assert np.array_equal(signs, STANDARD.pooling_layout[1][:, order])
+            assert np.array_equal(weights, np.ones(len(order)))
             assert all(np.array_equal(c, s[:, order]) for c, s in zip(cells, STANDARD.pooling_layout[0]))
         tilted = MeasurementSettings([((0.6, 0.0, 0.8), PLUS_Z)])
         assert not np.array_equal(tilted.projector_pairs, STANDARD.projector_pairs[:1])
