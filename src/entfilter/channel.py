@@ -17,7 +17,7 @@ import numpy as np
 
 from .qmat import _dagger, kron
 from .qstate import IDENTITY_2, bell_state, pauli_dot, unit_stokes_vector
-from .qstate import _single_state_spectrum
+from .qstate import _spectrum
 
 X_AXIS = (1.0, 0.0, 0.0)
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -161,7 +161,7 @@ def apply_filters(
     probability. Raises :class:`FilterBlockedError` when the filters remove
     the state entirely.
     """
-    rho_in = _single_state_spectrum(rho_in)[0]
+    rho_in = _spectrum(rho_in, one=True)[0]
     gamma_a, gamma_b = np.array([f_a.magnitude]), np.array([f_b.magnitude])
     states, transmission = _filter_pairs(rho_in, gamma_a, f_a.orientation, gamma_b, f_b.orientation)
     return states[0], float(transmission[0])
@@ -180,6 +180,10 @@ def _filter_pairs(rho, gamma_a, axis_a, gamma_b, axis_b) -> tuple[np.ndarray, np
         raise FilterBlockedError(
             "filters block the state entirely (normalization trace "
             f"{np.exp(log_trace[blocked][0]):.3e})"
+        )
+    if (trace < np.finfo(float).tiny).any():  # subnormal: dividing by it overflows
+        raise ValueError(
+            f"filter magnitudes too large to renormalize: the trace {trace.min():.3e} is subnormal"
         )
     states = out / trace[:, None, None]
     return (states + _dagger(states)) / 2, np.minimum(1.0, trace)

@@ -34,8 +34,7 @@ import numpy as np
 from .channel import FilterElement, PauliNoiseSpec, pauli_channel_state
 from .channel import _filter_pairs
 from .qstate import BELL_LABELS, bell_state, density_matrix_to_json
-from .qstate import _bell_diagonal_weights, _concurrence, _mutual_information
-from .qstate import _single_state_spectrum
+from .qstate import _bell_diagonal_weights, _concurrence, _mutual_information, _spectrum
 from .recover import (
     GAMMA_A_AXIS,
     STRATEGIES,
@@ -230,7 +229,7 @@ def cmd_optimize(args) -> int:
         rho, np.array([f_a.magnitude]), f_a.orientation,
         np.array([plan.gamma_b_opt]), plan.orientation_b,
     )
-    rho_f, values, _ = _single_state_spectrum(states[0])
+    rho_f, values, _ = _spectrum(states[0])
     report = {
         "noise": args.noise,
         "p": args.p,
@@ -264,7 +263,7 @@ def cmd_tomo_reconstruct(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
         record = record_from_json(json.load(fh))
     # one decomposition of the estimate feeds all three metrics
-    rho, values, vectors = _single_state_spectrum(reconstruct(record))
+    rho, values, vectors = _spectrum(reconstruct(record))
     payload = {
         "state": density_matrix_to_json(rho),
         "metrics": {

@@ -1,10 +1,11 @@
 """Internal dense linear-algebra kernels for the 2x2 and 4x4 matrices used everywhere else.
 
 ``as_matrix`` is the one coercion, applied where outside input enters the
-library. The other kernels take arrays their callers have already validated:
-they do no coercion and no shape, Hermiticity or positivity check, since
-``qstate.validate_density_matrix`` alone decides what a valid state is. Each
-takes one matrix or an ``(N, d, d)`` stack. ``hermitian_eig`` is the package's
+library: a state is one 4x4 two-qubit matrix or an ``(N, 4, 4)`` stack, and 2x2
+matrices stay internal. The other kernels take arrays their callers have
+already validated: they do no coercion and no shape, Hermiticity or positivity
+check, since ``qstate.validate_density_matrix`` alone decides what a valid
+state is. Each takes one matrix or an ``(N, d, d)`` stack. ``hermitian_eig`` is the package's
 one eigendecomposition: ``matrix_sqrt_psd`` takes the decomposition it returns.
 """
 
@@ -14,12 +15,10 @@ import numpy as np
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a finite square complex matrix, or stack of them, of dimension 2 or 4."""
+    """Coerce to a finite complex 4x4 two-qubit matrix or an (N, 4, 4) stack; nothing else is a state."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    if a.shape[-1] not in (2, 4):
-        raise ValueError(f"expected dimension 2 or 4, got {a.shape[-1]}")
+    if a.ndim not in (2, 3) or a.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 two-qubit matrix or an (N, 4, 4) stack, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a

@@ -6,12 +6,15 @@ Conventions, used consistently across the package:
 * Pauli order sigma_1 = X, sigma_2 = Y, sigma_3 = Z, so |H> sits at +z in
   Stokes space;
 * entropies are base-2 (bits);
-* validation, entropy, mutual information, concurrence, correlations and Bell
-  weights also take an (N, d, d) stack and return arrays where one state gives floats;
+* a state is one 4x4 two-qubit matrix or an (N, 4, 4) stack of them, the one
+  shape rule of ``qmat.as_matrix``; validation, entropy, mutual information,
+  concurrence, correlations and Bell weights return arrays for a stack where
+  one state gives floats;
 * each state is decomposed once, by the positivity check of its validation, and
   its entropy, mutual information and concurrence are taken from that spectrum;
-* the entry points that take exactly one pair (filtering, tomography simulation,
-  recovery planning) share one check for it.
+* the entry points that take exactly one state (filtering, tomography
+  simulation, recovery planning, ``fidelity_pure`` and
+  ``density_matrix_to_json``) share one check and one message for it.
 """
 
 from __future__ import annotations
@@ -48,8 +51,6 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 # Eigenvalues below this floor are excluded from entropy sums.
 _ENTROPY_EIG_FLOOR = 1e-12
-
-_BASIS_LABELS = {2: ["H", "V"], 4: ["HH", "HV", "VH", "VV"]}
 
 
 def unit_stokes_vector(v) -> np.ndarray:
@@ -96,10 +97,18 @@ def validate_density_matrix(rho) -> np.ndarray:
     return _spectrum(rho)[0]
 
 
-def _spectrum(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _one_state(m) -> np.ndarray:
+    # as_matrix of exactly one state: the shape check of every entry point that takes one
+    if np.shape(m) != (4, 4):
+        raise ValueError(f"expected one 4x4 two-qubit density matrix, got shape {np.shape(m)}")
+    return qmat.as_matrix(m)
+
+
+def _spectrum(rho, one: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # validate_density_matrix, returning (rho, values, vectors) of the hermitian_eig its
-    # positivity check takes, so that the measures below need no decomposition of their own
-    rho = qmat.as_matrix(rho)
+    # positivity check takes, so that the measures below need no decomposition of their
+    # own; one=True admits exactly one state, by _one_state
+    rho = _one_state(rho) if one else qmat.as_matrix(rho)
     # Frobenius distance of each matrix from its conjugate transpose
     defect = np.sqrt((abs(rho - _dagger(rho)) ** 2).sum(axis=(-2, -1)))
     if (defect > HERMITICITY_TOL).any():
@@ -111,21 +120,6 @@ def _spectrum(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     values, vectors = hermitian_eig(rho)
     if (values < -PSD_TOL).any():
         raise ValueError(f"density matrix has negative eigenvalue {values.min():.3e}")
-    return rho, values, vectors
-
-
-def _two_qubit_spectrum(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rho, values, vectors = _spectrum(rho)
-    if rho.shape[-2:] != (4, 4):
-        raise ValueError("expected a 4x4 two-qubit density matrix")
-    return rho, values, vectors
-
-
-def _single_state_spectrum(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # _spectrum of exactly one 4x4 state: the check of every entry point that takes one pair
-    rho, values, vectors = _spectrum(rho)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected one 4x4 two-qubit density matrix, got shape {rho.shape}")
     return rho, values, vectors
 
 
@@ -151,7 +145,7 @@ def mutual_information(rho) -> float | np.ndarray:
     Always in [0, 2] for a valid two-qubit state; tiny negative roundoff
     (product states) is returned as exactly 0.
     """
-    rho, values, _ = _two_qubit_spectrum(rho)
+    rho, values, _ = _spectrum(rho)
     return _float_or_array(_mutual_information(rho, values))
 
 
@@ -178,7 +172,7 @@ def concurrence(rho) -> float | np.ndarray:
     otherwise introduce for low-rank states. The result is clipped to
     [0, 1], since roundoff lifts maximally entangled states a few ulps above 1.
     """
-    _, values, vectors = _two_qubit_spectrum(rho)
+    _, values, vectors = _spectrum(rho)
     return _float_or_array(_concurrence(values, vectors))
 
 
@@ -191,7 +185,7 @@ def _concurrence(values, vectors) -> np.ndarray:
 
 def correlation_matrix(rho) -> np.ndarray:
     """Stokes correlation matrix t_jk = Tr[rho (sigma_j x sigma_k)], 3x3 real."""
-    return _correlation_matrix(_two_qubit_spectrum(rho)[0])
+    return _correlation_matrix(_spectrum(rho)[0])
 
 
 def _correlation_matrix(rho) -> np.ndarray:
@@ -206,7 +200,7 @@ def bell_diagonal_weights(rho) -> dict[str, float]:
     diagonal-compatible in this Bell basis; callers decide what to do with
     states for which the sum falls short.
     """
-    return _bell_diagonal_weights(_two_qubit_spectrum(rho)[0])
+    return _bell_diagonal_weights(_spectrum(rho)[0])
 
 
 def _bell_diagonal_weights(rho) -> dict[str, float]:
@@ -218,11 +212,9 @@ def _bell_diagonal_weights(rho) -> dict[str, float]:
 
 
 def fidelity_pure(rho, target) -> float:
-    """Overlap Tr[rho target] with a pure-state projector, in [0, 1]."""
-    rho = validate_density_matrix(rho)
-    target = qmat.as_matrix(target)
-    if target.shape != rho.shape:
-        raise ValueError("state and target must have the same dimension")
+    """Overlap Tr[rho target] of one state with one pure-state projector, in [0, 1]."""
+    rho = _spectrum(rho, one=True)[0]
+    target = _one_state(target)
     purity = float(np.trace(target @ target).real)
     if abs(purity - 1.0) > 1e-9:
         raise ValueError("target must be a pure-state projector (Tr[target^2] = 1)")
@@ -231,11 +223,8 @@ def fidelity_pure(rho, target) -> float:
 
 
 def density_matrix_to_json(rho) -> dict:
-    """JSON-ready dict: nested [re, im] pairs plus the basis ordering."""
-    rho = qmat.as_matrix(rho)
-    if rho.ndim != 2:
-        raise ValueError(f"expected one 2x2 or 4x4 matrix, got shape {rho.shape}")
+    """JSON-ready dict of one state: nested [re, im] pairs plus the basis ordering."""
     return {
-        "basis": list(_BASIS_LABELS[rho.shape[0]]),
-        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in rho],
+        "basis": ["HH", "HV", "VH", "VV"],
+        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in _one_state(rho)],
     }

@@ -30,8 +30,7 @@ from .channel import FilterElement, PauliNoiseSpec, Z_AXIS, apply_filters, pauli
 from .channel import _filter_pairs
 from .qmat import _float_or_array, kron
 from .qstate import IDENTITY_2, PAULIS, concurrence, unit_stokes_vector
-from .qstate import _concurrence, _correlation_matrix, _mutual_information
-from .qstate import _single_state_spectrum, _spectrum
+from .qstate import _concurrence, _correlation_matrix, _mutual_information, _spectrum
 
 #: Stokes direction of the channel-A inherent filter. |H> of photon A defines
 #: +z, so the filter favoring |H> points along +z.
@@ -134,7 +133,7 @@ def plan_recovery(rho, f_a: FilterElement) -> RecoveryPlan:
     The input is decomposed once; its concurrence and correlations share that
     decomposition.
     """
-    rho, values, vectors = _single_state_spectrum(rho)
+    rho, values, vectors = _spectrum(rho, one=True)
     local = (rho @ _LOCAL_PAULIS).trace(axis1=-2, axis2=-1).real
     if np.max(np.abs(local)) > 1e-9:
         raise ValueError(
@@ -190,13 +189,14 @@ def sweep(
     concurrence-optimal one. ``normalization`` scales the reported mutual
     information only (concurrence and transmission are never rescaled).
 
-    The returned list follows the input grid order.
+    The returned list follows the input grid order, flattened: a scalar
+    grid gives one point.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if not 0.0 < normalization <= 1.0:
         raise ValueError("normalization must lie in (0, 1]")
-    gamma_a = np.asarray(gamma_a_grid, dtype=float)
+    gamma_a = np.asarray(gamma_a_grid, dtype=float).ravel()  # a scalar is a one-point grid
     if not (gamma_a >= 0).all():
         raise ValueError("gamma_a grid values must be >= 0")
     rho = pauli_channel_state(noise)

@@ -7,20 +7,22 @@ on stacks over all settings, whose geometry each :class:`MeasurementSettings`
 builds once. Setting i of a record seeded with s draws its count from the
 PCG64 stream of SeedSequence([s, i]); the generator states of all settings
 are derived in one vectorized pass, and only the Poisson draw runs per setting.
+The simulated state is exactly one 4x4 two-qubit density matrix, and one rule
+checks every seed, of a record and of a simulation alike: a non-negative
+integer, not a bool, else ValueError.
 """
 
 from __future__ import annotations
 
 import functools
 import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmat
 from .qstate import IDENTITY_2, PAULIS, pauli_dot
-from .qstate import _check_unit_norms, _single_state_spectrum
+from .qstate import _check_unit_norms, _spectrum
 
 
 class InsufficientStatisticsError(ValueError):
@@ -39,8 +41,9 @@ ANALYZER_DIRECTIONS = (
 
 # Signed axes +x, -x, +y, -y, +z, -z: row 2j + (0 or 1) is +e_j or -e_j.
 _SIGNED_AXES = np.array([sign * unit for unit in np.eye(3) for sign in (1.0, -1.0)])
-# np.isclose's bound atol + rtol |e| with atol = 1e-9, rtol = 1e-5, per axis entry e
-_AXIS_TOL = 1e-9 + 1e-5 * abs(_SIGNED_AXES)
+# Per-entry distance from a signed axis. A unit direction (within 1e-12) whose two
+# other entries lie within 1e-9 of 0 is within about 1e-12 of +-1 in the third.
+_AXIS_TOL = 1e-9
 
 # Stations used by each Pauli-basis cell a setting's counts pool into: none
 # (the normalization), both (correlations t_jk), A alone and B alone.
@@ -133,10 +136,14 @@ class TomographyRecord:
         if not sum(self.counts) < np.inf:  # reconstruct pools them into sums
             raise ValueError("counts must have a finite total")
         _check_acquisition(self.exposure, self.dark_prob)
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ValueError("seed must be a non-negative integer")
-        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
+
+
+def _check_seed(seed) -> int:
+    # a bool is an Integral, but no seed; numpy integers are stored as a Python int
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    return int(seed)
 
 
 def _check_acquisition(exposure, dark_prob) -> None:
@@ -183,13 +190,9 @@ def simulate_counts(
     independently. With ``exact=True`` the expected values are stored
     without sampling.
     """
-    rho = _single_state_spectrum(rho)[0]
+    rho = _spectrum(rho, one=True)[0]
     _check_acquisition(exposure, dark_prob)
-    if isinstance(seed, bool):
-        raise TypeError("seed must be an integer, not bool")
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
+    seed = _check_seed(seed)
     settings = _as_settings(settings)
     mu = exposure * (coincidence_probability(rho, settings) + dark_prob)
     counts = np.maximum(mu, 0.0).tolist()  # roundoff can push a dark-free zero slightly negative
@@ -301,8 +304,7 @@ def _pcg64_states(seed: int, count: int) -> list[tuple[int, int]]:
 
 
 def _signed_axes(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (S, 2) Pauli axis index and sign of each analyzer; directions must lie along +-e_j.
-    # np.isclose(d, e, atol=1e-9) written out, which is exact for the finite directions
+    # (S, 2) Pauli axis index and sign of each analyzer; directions must lie along +-e_j
     hits = (abs(directions[..., None, :] - _SIGNED_AXES) <= _AXIS_TOL).all(axis=-1)
     if not hits.any(axis=-1).all():
         raise ValueError("linear inversion requires analyzer directions along signed Pauli axes")

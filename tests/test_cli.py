@@ -59,63 +59,78 @@ PINNED_CSV_SHA256 = {
     ("inset",): "8d014694a7f5cb5c02ee73c875a899b0b974e129c64f18cfce84527de34503df",
 }
 
-# SHA-256 of the record `tomo simulate` writes with these flags, then of the
-# state `tomo reconstruct` writes from it. Records stay identical for a seed.
+# SHA-256 of the record `tomo simulate` writes with these flags, then the
+# canonical digest of the state `tomo reconstruct` writes from it. Records stay
+# identical for a seed.
 PINNED_TOMO_SHA256 = {
     ("--state", "phi+", "--seed", "7"): (
         "551d4aa4cb3ba3379f03fbac57cafec401f213792c63bcbcca94377ea914dd55",
-        "589571cf2836ea65dc83e8d9a0dc64e542e682089b9d350a3286e557d5447b30",
+        "32a3bcef3036ac6e8a72d42c984d1d4acede6f06dc766cfda29cf60323fc7eec",
     ),
     ("--state", "phi+", "--exact"): (
         "47a81344328622c4442d4b4bbf619a2974c7df039bb69cdbd341c5877903bd67",
-        "5fb91233f0c8039f4d349b5054f29516bfb90b6b402bffdc76532fa6ab1dc8f5",
+        "1a7ad089c4e676a734c542eb865f6c573d29fc5526871419084d8db14537a511",
     ),
     ("--state", "bitflip", "--seed", "7"): (
         "632fdcaed1c5c89efff7052d0b73d7541540793e831c82141044115b52ff09b0",
-        "dfe76fb831fc7600e61aeef370f538d3dd84ffa29bf1f8033f2db1d1111b9d16",
+        "68a967583419516ecf455955d83515e5f2d1c4aef496fe24019d02491fab1dbb",
     ),
     ("--state", "bitflip", "--exact"): (
         "dc4041363718152ec64edbe8d4d9141ba6fb0bbfb69853f72737afd257ea69c6",
-        "7b250e1f840b3aa3922294f5b2f7eeb5dd285eeb085de433e0339d301b04acb8",
+        "7be2c777f199e37c8e733d30e89a0007f80abff169c61519be5eb800f4a2eae5",
     ),
     ("--state", "phaseflip", "--seed", "7"): (
         "e2d33730e37a864f697b2201722dcf2ab394dbd32890854f89fed84a0ea6b606",
-        "1153eb70d9bdc595cd6e770b6746d61dd6054ab0ce4fba1db03d904d19f762a7",
+        "acf9b814740b8263cc560ed4199ea61cb86bdb01eb211f42fcda09081f670b4a",
     ),
     ("--state", "phaseflip", "--exact"): (
         "bfab4d8d9c360d03169b70cb0fa75be5a4dc1767b80e559d7c818269801823ee",
-        "1e34c5305f93bfe81414b5851e23089dbf0fafeba5115c139d5a77134f93f2da",
+        "abf12a52f329a78d5bbf9643e0fc63c6f0a07c539825139def203e90cb4e5be0",
     ),
 }
 
 
-# SHA-256 of the JSON the sweep commands write at their defaults, and of the
-# report `optimize` prints. They catch any change of JSON writer for these.
+# Canonical digests of the JSON the sweep commands write at their defaults.
 PINNED_JSON_SHA256 = {
     ("curves", "--noise", "bitflip", "--strategy", "none"): (
-        "bf81d3a4eb4752a528381d42d1c81ba1dd717e5ab9b2eec8636f8213dde1f0c7"
+        "f6580266d3e831e1a676a880a749e5f50c2ac65dc8294f9e1ade6569936e7f4d"
     ),
     ("curves", "--noise", "bitflip", "--strategy", "match"): (
-        "c7b95dfd0f04e00aa211f0e4aa03f2236c517e4dc9dba03c1d0bca59c05a9173"
+        "75e89d247d8f798ca906633a70c54f5d7874590602d1b7428ded7e702a87a59d"
     ),
     ("curves", "--noise", "bitflip", "--strategy", "optimal"): (
-        "5e02f5f7cfc1ae056d45898dd468d1841d9595ca157205f9277e54a3369bd09b"
+        "d99177759e06dd5b2cbb003d3770b0078c91f7f2c2613a45dc71309967f5c5d2"
     ),
     ("curves", "--noise", "phaseflip", "--strategy", "none"): (
-        "1e918c4b905c017bf4aa988864ca889705374a1a0b7257cc913225e27588ecd6"
+        "0136ec15949895912445b633f91ff7351b4df1b550a7d9de9c3d78a7b0c7f4a3"
     ),
     ("curves", "--noise", "phaseflip", "--strategy", "match"): (
-        "2018e8d518361bc324020487d817ea0f5cd83651e5080bab3d8460f8767281fd"
+        "0b4fdf9d17d639e5c5e2c0ee431b66921a03e7c988955ea97fed8c045a84a9d2"
     ),
     ("curves", "--noise", "phaseflip", "--strategy", "optimal"): (
-        "40fee943287740c986c1a884d1aef6fff9acb8905809e291ba40f54e22088c50"
+        "9b3744b76a1ba28a622cd71682dade82b5cb6ec13de79032e6dae532eacaac10"
     ),
-    ("inset",): "0aeb30749de561b6a18895e71f41c88d2e601e1f67edb7ee1c37acb1f1150a7e",
+    ("inset",): "230c878aaa9501e94b2a096bed6d19a83b9a7f1c2eaf0bd822115dc85732fc14",
 }
+# SHA-256 of the report `optimize` prints.
 PINNED_OPTIMIZE_SHA256 = {
     "bitflip": "8d12217e79176709a997a6002bf0fabeb2e9ee3ed6bcd42ec5f7838da112acb1",
     "phaseflip": "c4897f13556567ca4152346de3c0f2e6b20b48103e2cfac0bbc08b27a25f51b7",
 }
+
+
+def canonical_digest(text: str) -> str:
+    """SHA-256 of a ``json.dumps(indent=2)`` artifact in a form every BLAS kernel prints alike.
+
+    ``eigh`` and matmul move the last bits of floats printed at ``repr``
+    precision with the BLAS kernel. The text must keep the layout of
+    ``json.dumps(obj, indent=2)``; the digest is then taken of ``json.dumps`` of
+    the parsed object, each float rounded to 12 decimals and then to 12
+    significant digits, so that roundoff-level entries read 0.
+    """
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    obj = json.loads(text, parse_float=lambda x: float("%.12g" % round(float(x), 12)) + 0.0)
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
 
 
 def read_csv_rows(path):
@@ -281,7 +296,7 @@ def test_default_csv_matches_pinned_digest(tmp_path, argv):
 def test_default_json_matches_pinned_digest(tmp_path, argv):
     out = tmp_path / "out.json"
     assert main([*argv, "--format", "json", "--output", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_JSON_SHA256[argv]
+    assert canonical_digest(out.read_text()) == PINNED_JSON_SHA256[argv]
 
 
 @pytest.mark.parametrize("noise", sorted(PINNED_OPTIMIZE_SHA256))
@@ -295,7 +310,7 @@ def test_tomo_artifacts_match_pinned_digests(tmp_path, argv):
     record, state = tmp_path / "record.json", tmp_path / "state.json"
     assert main(["tomo", "simulate", *argv, "--output", str(record)]) == 0
     assert main(["tomo", "reconstruct", "--input", str(record), "--output", str(state)]) == 0
-    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (record, state))
+    digests = hashlib.sha256(record.read_bytes()).hexdigest(), canonical_digest(state.read_text())
     assert digests == PINNED_TOMO_SHA256[argv]
 
 
@@ -605,8 +620,8 @@ class TestOptimize:
         report = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert report["predicted_concurrence"] == pytest.approx(0.0, abs=1e-300)
 
-    # gamma_a up to 300: from about 356 the filtered pair's trace is subnormal and
-    # normalizing by it overflows, a known edge the commands still fail at
+    # gamma_a up to 300: from about 355 the filtered pair's trace is subnormal, an
+    # edge the commands reject (test_subnormal_trace_is_one_error)
     @hypothesis_settings(max_examples=100, deadline=None)
     @given(st.sampled_from(["bitflip", "phaseflip"]), st.floats(0.0, 1.0), st.floats(0.0, 300.0))
     def test_report_equals_public_filter_chain(self, noise, p, gamma_a):
@@ -631,6 +646,18 @@ class TestOptimize:
         with contextlib.redirect_stdout(out):
             assert main(["optimize", "--noise", noise, "--p", repr(p), "--gamma-a", repr(gamma_a)]) == 0
         assert out.getvalue() == json.dumps(expected, indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv", [["bitflip", "--p", "0"], ["phaseflip"]], ids=["bitflip", "phaseflip"])
+    def test_subnormal_trace_is_one_error(self, capsys, argv):
+        # at gamma_a = 360 the filtered pair's trace is subnormal; dividing by it would
+        # overflow with RuntimeWarnings, so one ValueError names it first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["optimize", "--noise", *argv, "--gamma-a", "360"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: filter magnitudes too large to renormalize: the trace ")
+        assert err.endswith(" is subnormal\n") and err.count("\n") == 1
 
     def test_filtered_pair_is_still_validated(self, monkeypatch, capsys):
         poison_filtered_states(monkeypatch, cli)

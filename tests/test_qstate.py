@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from entfilter.qstate import (
     validate_density_matrix,
     von_neumann_entropy,
 )
+from entfilter.qmat import hermitian_eig, partial_trace
+from entfilter.qstate import _entropy_bits, _spectrum
 from entfilter.recover import plan_recovery
 from entfilter.tomo import simulate_counts, standard_settings
 
@@ -36,6 +39,13 @@ Z = (0.0, 0.0, 1.0)
 # Binary entropy of the p = 0.33 Bell mixture, from an independent scalar
 # evaluation of -sum(w log2 w) over the weights {0.835, 0.165}.
 ENTROPY_BF_033 = -(0.835 * math.log2(0.835) + 0.165 * math.log2(0.165))
+
+
+def unclamped_mutual_information(rho):
+    # S(A) + S(B) - S(AB) from the library's own kernels, without the clamp to 0
+    rho, values, _ = _spectrum(rho)
+    marginals = (hermitian_eig(partial_trace(rho, keep))[0] for keep in (0, 1))
+    return sum(map(_entropy_bits, marginals)) - _entropy_bits(values)
 
 
 def bitflip(p=0.33):
@@ -85,14 +95,15 @@ class TestValidateDensityMatrix:
     @pytest.mark.parametrize(
         "rho, message",
         [
-            (np.array([[0, 1], [0, 0]]), "not Hermitian"),
+            (_with_entry(0.1), "not Hermitian"),
             (np.diag([1.5, -0.5, 0.0, 0.0]), "negative eigenvalue"),
             (_with_entry(float("nan")), "must be finite"),
             (_with_entry(float("inf")), "must be finite"),
-            (np.eye(3) / 3, "dimension 2 or 4"),
-            (np.full((2, 2, 2, 2), 0.25), "square matrix"),
+            (np.eye(3) / 3, r"4x4 two-qubit matrix or an \(N, 4, 4\) stack, got shape \(3, 3\)"),
+            (np.full((2, 2, 2, 2), 0.25), r"4x4 two-qubit matrix or an \(N, 4, 4\) stack"),
+            (np.eye(2) / 2, r"4x4 two-qubit matrix or an \(N, 4, 4\) stack, got shape \(2, 2\)"),
         ],
-        ids=["non-hermitian", "indefinite", "nan", "inf", "3x3", "rank-4-array"],
+        ids=["non-hermitian", "indefinite", "nan", "inf", "3x3", "rank-4-array", "one-qubit"],
     )
     def test_rejects(self, rho, message):
         with pytest.raises(ValueError, match=message):
@@ -121,8 +132,18 @@ class TestValidateDensityMatrix:
             lambda rho: apply_filters(rho, FilterElement(0.5, Z), FilterElement(0.5, Z)),
             lambda rho: simulate_counts(rho, standard_settings(), exposure=100.0),
             lambda rho: plan_recovery(rho, FilterElement(0.5, Z)),
+            lambda rho: fidelity_pure(rho, rho),
+            lambda rho: fidelity_pure(bell_state("phi+"), rho),
+            density_matrix_to_json,
         ],
-        ids=["apply_filters", "simulate_counts", "plan_recovery"],
+        ids=[
+            "apply_filters",
+            "simulate_counts",
+            "plan_recovery",
+            "fidelity_pure-state",
+            "fidelity_pure-target",
+            "density_matrix_to_json",
+        ],
     )
     @pytest.mark.parametrize(
         "rho",
@@ -130,7 +151,9 @@ class TestValidateDensityMatrix:
         ids=["stack", "one-qubit"],
     )
     def test_single_state_entry_points_share_one_check(self, entry, rho):
-        with pytest.raises(ValueError, match="^expected one 4x4 two-qubit density matrix"):
+        # one message for every shape but (4, 4), naming the shape it got
+        message = f"expected one 4x4 two-qubit density matrix, got shape {np.shape(rho)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             entry(rho)
 
 
@@ -159,6 +182,19 @@ class TestMutualInformation:
         rng = np.random.default_rng(2)
         rho = np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
         assert mutual_information(rho) == pytest.approx(0.0, abs=1e-12)
+
+    def test_roundoff_negative_is_exactly_zero(self):
+        # a product state's entropies cancel only to within roundoff; where the
+        # remainder is negative, the clamp returns exactly 0, alone and in a stack
+        rng = np.random.default_rng(3)
+        states = np.array(
+            [np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2)) for _ in range(20)]
+        )
+        negative = unclamped_mutual_information(states) < 0
+        assert negative.sum() >= 3
+        assert (mutual_information(states)[negative] == 0.0).all()
+        alone = [rho for rho in states if unclamped_mutual_information(rho) < 0]
+        assert alone and all(mutual_information(rho) == 0.0 for rho in alone)
 
     def test_bitflip_mixture(self):
         # marginals are maximally mixed, so MI = 2 - S(AB)
@@ -343,18 +379,11 @@ class TestJsonFormat:
         back = matrix_from_json(obj)
         assert np.allclose(back, rho, atol=1e-15)
 
-    def test_round_trip_2x2(self):
-        rng = np.random.default_rng(41)
-        rho = random_density_matrix(rng, dim=2)
-        obj = density_matrix_to_json(rho)
-        assert obj["basis"] == ["H", "V"]
-        assert np.allclose(matrix_from_json(obj), rho, atol=1e-15)
-
     def test_entries_are_re_im_pairs(self):
         obj = density_matrix_to_json(bell_state("phi+"))
         assert obj["matrix"][0][3] == [0.5, 0.0]
 
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_rejects_stacks(self, count):
-        with pytest.raises(ValueError, match="one 2x2 or 4x4 matrix"):
+        with pytest.raises(ValueError, match="^expected one 4x4 two-qubit density matrix"):
             density_matrix_to_json(np.array(BELL_PROJECTORS[:count]))

@@ -264,6 +264,13 @@ class TestSweep:
         points = sweep(BITFLIP, [0.0, 0.4, 0.8], "match")
         assert [p.gamma_b for p in points] == [0.0, 0.4, 0.8]
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_grid_is_flattened(self, strategy):
+        # as ratio_scan's ratio grid: a scalar is one point, a 2-D grid its rows in turn
+        assert sweep(BITFLIP, 0.5, strategy) == sweep(BITFLIP, [0.5], strategy)
+        grid = [[0.0, 0.4], [0.8, 1.2]]
+        assert sweep(PHASEFLIP, grid, strategy) == sweep(PHASEFLIP, np.ravel(grid), strategy)
+
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError, match="strategy"):
             sweep(BITFLIP, [0.1], "best")
@@ -334,8 +341,10 @@ class TestSharedEvaluationPath:
         [
             lambda: sweep(BITFLIP, np.linspace(0.0, 1.2, 60), "optimal"),
             lambda: ratio_scan(BITFLIP, 0.857, np.linspace(0.0, 1.2, 121)),
+            lambda: sweep(BITFLIP, 0.5, "none"),
+            lambda: sweep(PHASEFLIP, [[0.0, 0.4], [0.8, 1.2]], "optimal"),
         ],
-        ids=["sweep", "ratio_scan"],
+        ids=["sweep", "ratio_scan", "sweep-scalar-grid", "sweep-2d-grid"],
     )
     def test_filtered_stack_is_still_validated(self, monkeypatch, run):
         # trusting the noisy pair must not extend to what filtering makes of it
@@ -581,7 +590,7 @@ REJECTIONS = {
     "stokes-vector-not-3": (lambda: unit_stokes_vector([0.0, 0.0, 1.0, 0.0]), r"3-vector, got shape \(4,\)"),
     "fidelity-dimension-mismatch": (
         lambda: fidelity_pure(bell_state("phi+"), np.diag([1.0, 0.0])),
-        "same dimension",
+        r"expected one 4x4 two-qubit density matrix, got shape \(2, 2\)",
     ),
 }
 

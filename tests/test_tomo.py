@@ -41,6 +41,20 @@ MINUS_Z = (0.0, 0.0, -1.0)
 STANDARD = standard_settings()
 FIRST = STANDARD.directions[:1]  # (+z, +z) alone
 
+# Each seed with the int a record stores for it, or None where the seed is rejected
+SEEDS = {
+    "bool": (True, None),
+    "float": (1.7, None),
+    "string": ("3", None),
+    "negative": (-1, None),
+    "numpy-int64": (np.int64(7), 7),
+    "2**70": (2**70, 2**70),
+}
+SEED_USERS = {
+    "simulate_counts": lambda seed: simulate_counts(bell_state("phi+"), FIRST, 1e3, seed=seed),
+    "TomographyRecord": lambda seed: TomographyRecord(FIRST, (1.0,), 1e3, 0.0, seed),
+}
+
 
 def loop_counts(rho, settings, exposure, dark_prob, seed, exact):
     """Per-setting reference for simulate_counts: one projector pair and trace per setting."""
@@ -250,8 +264,8 @@ class TestSimulateCounts:
             ({"exposure": float("inf")}, ValueError, "exposure must be finite"),
             ({"dark_prob": float("nan")}, ValueError, "dark_prob must be finite"),
             ({"dark_prob": float("inf")}, ValueError, "dark_prob must be finite"),
-            ({"seed": 1.7}, TypeError, "integer"),
-            ({"seed": True}, TypeError, "integer"),
+            ({"seed": 1.7}, ValueError, "non-negative integer"),
+            ({"seed": True}, ValueError, "non-negative integer"),
             ({"seed": -1}, ValueError, "non-negative"),
             ({"exposure": True}, ValueError, "not bools"),
             ({"dark_prob": np.False_}, ValueError, "not bools"),
@@ -377,14 +391,14 @@ class TestReconstruct:
                 reconstruct(record)
 
     def test_analyzer_axis_tolerance(self):
-        # an analyzer counts as +-e_j within 1e-9 off-axis; 1e-7 is a tilt
+        # an analyzer counts as +-e_j within 1e-9 off-axis, on either side of that boundary
         def record(tilt):
             settings = with_direction(0, 0, (tilt, 0.0, -np.sqrt(1 - tilt**2)))
             return TomographyRecord(settings, (10.0,) * len(settings), 1e3, 0.0, 0)
 
-        assert np.array_equal(reconstruct(record(1e-10)), reconstruct(record(0.0)))
+        assert np.array_equal(reconstruct(record(5e-10)), reconstruct(record(0.0)))
         with pytest.raises(ValueError, match="signed Pauli axes"):
-            reconstruct(record(1e-7))
+            reconstruct(record(2e-9))
 
     @hypothesis_settings(max_examples=200, deadline=None)
     @given(
@@ -494,7 +508,7 @@ class TestGeometryCache:
 
 
 class TestSeeding:
-    """The vectorized derivation gives each setting the PCG64 state of default_rng([seed, i])."""
+    """One rule checks every seed; each setting draws from the PCG64 state of default_rng([seed, i])."""
 
     @pytest.mark.parametrize(
         "seed",
@@ -506,6 +520,17 @@ class TestSeeding:
         for index, (state, inc) in enumerate(_pcg64_states(seed, 40)):
             reference = np.random.default_rng([seed, index]).bit_generator.state["state"]
             assert (state, inc) == (reference["state"], reference["inc"])
+
+    @pytest.mark.parametrize("use", SEED_USERS.values(), ids=SEED_USERS.keys())
+    @pytest.mark.parametrize("seed, stored", SEEDS.values(), ids=SEEDS.keys())
+    def test_one_seed_rule(self, use, seed, stored):
+        # simulation and records share one check: a non-negative integer, not a bool
+        if stored is None:
+            with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+                use(seed)
+        else:
+            record = use(seed)
+            assert record.seed == stored and type(record.seed) is int
 
 
 class TestRecordJson:
