@@ -29,8 +29,10 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 IDENTITY_2 = np.eye(2, dtype=complex)
-_SPIN_FLIP = kron(SIGMA_Y, SIGMA_Y)
-_PAULI_PAIRS = np.array([[kron(sj, sk) for sk in PAULIS] for sj in PAULIS])
+# _PAULI_BASIS[mu, nu] = sigma_mu x sigma_nu, mu and nu over the identity, x, y, z:
+# the one two-qubit Pauli basis, whose [1:, 1:] block gives the correlation matrix
+_PAULI_BASIS = np.array([[kron(s, t) for t in (IDENTITY_2, *PAULIS)] for s in (IDENTITY_2, *PAULIS)])
+_SPIN_FLIP = _PAULI_BASIS[2, 2]
 
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 
@@ -190,7 +192,7 @@ def correlation_matrix(rho) -> np.ndarray:
 
 def _correlation_matrix(rho) -> np.ndarray:
     # correlation_matrix of validated states
-    return (rho[..., None, None, :, :] @ _PAULI_PAIRS).trace(axis1=-2, axis2=-1).real
+    return (rho[..., None, None, :, :] @ _PAULI_BASIS[1:, 1:]).trace(axis1=-2, axis2=-1).real
 
 
 def bell_diagonal_weights(rho) -> dict[str, float]:
@@ -214,7 +216,7 @@ def _bell_diagonal_weights(rho) -> dict[str, float]:
 def fidelity_pure(rho, target) -> float:
     """Overlap Tr[rho target] of one state with one pure-state projector, in [0, 1]."""
     rho = _spectrum(rho, one=True)[0]
-    target = _one_state(target)
+    target = _spectrum(target, one=True)[0]  # on a valid state, purity 1 means pure
     purity = float(np.trace(target @ target).real)
     if abs(purity - 1.0) > 1e-9:
         raise ValueError("target must be a pure-state projector (Tr[target^2] = 1)")

@@ -28,9 +28,9 @@ import numpy as np
 
 from .channel import FilterElement, PauliNoiseSpec, Z_AXIS, apply_filters, pauli_channel_state
 from .channel import _filter_pairs
-from .qmat import _float_or_array, kron
-from .qstate import IDENTITY_2, PAULIS, concurrence, unit_stokes_vector
-from .qstate import _concurrence, _correlation_matrix, _mutual_information, _spectrum
+from .qmat import _float_or_array
+from .qstate import concurrence, unit_stokes_vector
+from .qstate import _PAULI_BASIS, _concurrence, _correlation_matrix, _mutual_information, _spectrum
 
 #: Stokes direction of the channel-A inherent filter. |H> of photon A defines
 #: +z, so the filter favoring |H> points along +z.
@@ -38,11 +38,6 @@ GAMMA_A_AXIS = Z_AXIS
 
 STRATEGIES = ("none", "match", "optimal")
 _METRICS = ("mutual_info", "concurrence", "transmission")
-
-# sigma_j x 1 then 1 x sigma_k: their expectations are the local Stokes vectors a and b
-_LOCAL_PAULIS = np.array(
-    [kron(s, IDENTITY_2) for s in PAULIS] + [kron(IDENTITY_2, s) for s in PAULIS]
-)
 
 # the artifact columns, one per SweepPoint field and in its order
 _COLUMNS = ("gamma_a", "gamma_b", "strategy", "mutual_info_bits", "concurrence", "transmission")
@@ -71,16 +66,6 @@ class SweepPoint(NamedTuple):
     transmission: float
 
 
-def _as_correlation(t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if t.shape != (3, 3):
-        raise ValueError("correlation matrix must be 3x3")
-    off = t - np.diag(np.diag(t))
-    if np.max(np.abs(off)) > 1e-9:
-        raise ValueError("correlation matrix must be diagonal (Bell-diagonal input)")
-    return t
-
-
 def concurrence_after_filtering(
     c0: float, t, f_a: FilterElement, f_b: FilterElement
 ) -> float:
@@ -94,7 +79,11 @@ def concurrence_after_filtering(
     """
     if not -1e-12 <= c0 <= 1.0 + 1e-9:
         raise ValueError("c0 must lie in [0, 1]")
-    t = _as_correlation(t)
+    t = np.asarray(t, dtype=float)
+    if t.shape != (3, 3):
+        raise ValueError("correlation matrix must be 3x3")
+    if np.max(np.abs(t - np.diag(np.diag(t)))) > 1e-9:
+        raise ValueError("correlation matrix must be diagonal (Bell-diagonal input)")
     dot = float((t @ f_a.axis) @ f_b.axis)
     x, y = np.exp(-2 * f_a.magnitude), np.exp(-2 * f_b.magnitude)
     denom = (1 + dot) * (1 + x * y) + (1 - dot) * (x + y)
@@ -124,22 +113,23 @@ def optimal_magnitude(t, gamma_a_hat, gamma_a) -> float | np.ndarray:
 def plan_recovery(rho, f_a: FilterElement) -> RecoveryPlan:
     """Optimal compensating filter for a Bell-diagonal state behind filter A.
 
-    The closed form holds only for Bell-diagonal input: both local Stokes
-    vectors must vanish and the correlation matrix must be diagonal, each
-    within 1e-9. Any other state raises ValueError rather than getting a
-    wrong prediction. A separable input (zero concurrence) yields a do-nothing
-    plan flagged ``nothing_to_recover``: filtering cannot create entanglement.
+    The closed form holds only for Bell-diagonal input: the Stokes matrix
+    Tr[rho sigma_mu x sigma_nu], local Stokes vectors in row and column 0 and
+    T in the rest, must be diagonal within 1e-9. Any other state raises
+    ValueError rather than getting a wrong prediction. A separable input
+    (zero concurrence) yields a do-nothing plan flagged
+    ``nothing_to_recover``: filtering cannot create entanglement.
     Its filter B has magnitude 0 and the orientation a sweep would give it.
     The input is decomposed once; its concurrence and correlations share that
     decomposition.
     """
     rho, values, vectors = _spectrum(rho, one=True)
-    local = (rho @ _LOCAL_PAULIS).trace(axis1=-2, axis2=-1).real
-    if np.max(np.abs(local)) > 1e-9:
+    stokes = (rho @ _PAULI_BASIS).trace(axis1=-2, axis2=-1).real
+    if np.max(np.abs(stokes - np.diag(np.diag(stokes)))) > 1e-9:
         raise ValueError(
-            "plan_recovery requires a Bell-diagonal state: local Stokes vectors must vanish"
+            "plan_recovery requires a Bell-diagonal state: its Stokes matrix must be diagonal within 1e-9"
         )
-    t = _as_correlation(_correlation_matrix(rho))
+    t = stokes[1:, 1:]
     c0 = float(_concurrence(values, vectors))
     orientation = _compensator_orientation(t, f_a.orientation)
     if c0 <= 0.0:

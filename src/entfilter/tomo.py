@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .qstate import IDENTITY_2, PAULIS, pauli_dot
-from .qstate import _check_unit_norms, _spectrum
+from .qstate import IDENTITY_2, pauli_dot
+from .qstate import _PAULI_BASIS, _check_unit_norms, _spectrum
 
 
 class InsufficientStatisticsError(ValueError):
@@ -55,8 +55,7 @@ _STATIONS = np.array([[0, 0], [1, 1], [1, 0], [0, 1]])
 _MU, _NU = np.array(
     [(0, 0)] + [t for j in (1, 2, 3) for t in ((j, 0), (0, j), (j, 1), (j, 2), (j, 3))]
 ).T
-_SIGMAS = np.array([IDENTITY_2, *PAULIS])
-_TERM_BASIS = qmat.kron(_SIGMAS[_MU], _SIGMAS[_NU])
+_TERM_BASIS = _PAULI_BASIS[_MU, _NU]
 
 
 @dataclass(frozen=True, eq=False)

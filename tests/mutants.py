@@ -1,0 +1,106 @@
+"""Mutation check: does tier-1 pin each roundoff guard and tolerance listed below?
+
+Each mutant rewrites one expression of ``src/entfilter`` in a temporary copy of
+the repository, and tier-1 runs on that copy, one pytest process after another
+(stopping at the first failure). A mutant that tier-1 still passes survives.
+The unmutated copy runs first and must pass. Only the standard library is used;
+pytest does not collect this file.
+
+usage: python tests/mutants.py    (exit status 1 if any mutant survives)
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (what the mutant does, module, expression as written, its replacement)
+MUTANTS = [
+    ("entropy clip to [0, log2 d] removed", "qstate.py",
+     "return entropy.clip(0.0, np.log2(values.shape[-1]))", "return entropy"),
+    ("entropy clip's upper bound removed", "qstate.py",
+     "entropy.clip(0.0, np.log2(values.shape[-1]))", "entropy.clip(0.0, None)"),
+    ("_ENTROPY_EIG_FLOOR 1e-12 -> 1e-10", "qstate.py",
+     "_ENTROPY_EIG_FLOOR = 1e-12", "_ENTROPY_EIG_FLOOR = 1e-10"),
+    ("_ENTROPY_EIG_FLOOR 1e-12 -> 1e-14", "qstate.py",
+     "_ENTROPY_EIG_FLOOR = 1e-12", "_ENTROPY_EIG_FLOOR = 1e-14"),
+    ("transmission cap at 1 removed", "channel.py",
+     "np.minimum(1.0, trace)", "trace"),
+    ("_LOG_BLOCKED_TRACE log 1e-14 -> log 1e-12", "channel.py",
+     "_LOG_BLOCKED_TRACE = np.log(1e-14)", "_LOG_BLOCKED_TRACE = np.log(1e-12)"),
+    ("_LOG_BLOCKED_TRACE log 1e-14 -> log 1e-16", "channel.py",
+     "_LOG_BLOCKED_TRACE = np.log(1e-14)", "_LOG_BLOCKED_TRACE = np.log(1e-16)"),
+    ("concurrence_after_filtering c0 floor at 0 removed", "recover.py",
+     "4 * max(0.0, c0)", "4 * c0"),
+    ("concurrence_after_filtering c0 window -1e-12 -> -1e-9", "recover.py",
+     "-1e-12 <= c0", "-1e-9 <= c0"),
+    ("plan_recovery checks only row and column 0 of the Stokes matrix", "recover.py",
+     "np.max(np.abs(stokes - np.diag(np.diag(stokes))))",
+     "max(np.max(np.abs(stokes[0, 1:])), np.max(np.abs(stokes[1:, 0])))"),
+    ("plan_recovery tolerance 1e-9 -> 1e-8", "recover.py",
+     "np.diag(np.diag(stokes)))) > 1e-9", "np.diag(np.diag(stokes)))) > 1e-8"),
+    ("plan_recovery tolerance 1e-9 -> 1e-10", "recover.py",
+     "np.diag(np.diag(stokes)))) > 1e-9", "np.diag(np.diag(stokes)))) > 1e-10"),
+    ("concurrence_after_filtering diagonal-T tolerance 1e-9 -> 1e-8", "recover.py",
+     "np.diag(np.diag(t)))) > 1e-9", "np.diag(np.diag(t)))) > 1e-8"),
+    ("concurrence_after_filtering diagonal-T tolerance 1e-9 -> 1e-10", "recover.py",
+     "np.diag(np.diag(t)))) > 1e-9", "np.diag(np.diag(t)))) > 1e-10"),
+    ("simulate_counts floor of expected counts at 0 removed", "tomo.py",
+     "np.maximum(mu, 0.0).tolist()", "mu.tolist()"),
+]
+
+
+def tier1(tree: Path) -> tuple[bool, str]:
+    """Run tier-1 on ``tree``, stopping at the first failure: (passed, what pytest reported)."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    lines = result.stdout.strip().splitlines() or [result.stderr.strip()[-200:]]
+    # the test id of each short-summary line "FAILED tests/...::test - message"
+    failed = [line.split()[1] for line in lines if line.startswith(("FAILED ", "ERROR "))]
+    return result.returncode == 0, " ".join([*failed, lines[-1]])
+
+
+def main() -> int:
+    survivors = []
+    with tempfile.TemporaryDirectory() as temp:
+        tree = Path(temp) / "repo"
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        shutil.copytree(ROOT / "src", tree / "src", ignore=ignore)
+        shutil.copytree(ROOT / "tests", tree / "tests", ignore=ignore)
+        for name in ("pyproject.toml", "README.md"):  # test_readme runs README's examples
+            shutil.copy(ROOT / name, tree)
+        passed, summary = tier1(tree)
+        print(f"unmutated: {summary}")
+        if not passed:
+            print("tier-1 fails without any mutant; nothing to judge")
+            return 2
+        print("| mutant | tier-1 |\n| --- | --- |")
+        for name, module, old, new in MUTANTS:
+            path = tree / "src" / "entfilter" / module
+            source = path.read_text()
+            if source.count(old) != 1:
+                raise SystemExit(f"{module}: {old!r} must occur exactly once")
+            path.write_text(source.replace(old, new))
+            try:
+                passed, summary = tier1(tree)
+            finally:
+                path.write_text(source)
+            print(f"| {name} | {summary} |", flush=True)
+            if passed:
+                survivors.append(name)
+    print("survivors:", ", ".join(survivors) if survivors else "none")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

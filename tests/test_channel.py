@@ -246,6 +246,23 @@ class TestApplyFilters:
         with pytest.raises(FilterBlockedError):
             apply_filters(vv, FilterElement(20.0, Z), FilterElement(20.0, Z))
 
+    @pytest.mark.parametrize("trace, blocked", [(2e-14, False), (5e-15, True)])
+    def test_blocked_below_trace_1e14(self, trace, blocked):
+        # |VV><VV| behind two H-passing filters keeps the trace e^-(gA+gB) of P_A x P_B
+        vv = np.diag([0.0, 0.0, 0.0, 1.0])
+        f = FilterElement(-math.log(trace) / 2, Z)
+        if blocked:
+            with pytest.raises(FilterBlockedError, match="trace 5.000e-15"):
+                apply_filters(vv, f, f)
+        else:
+            assert apply_filters(vv, f, f)[1] == pytest.approx(trace**2, rel=1e-9)
+
+    def test_transmission_never_exceeds_one(self):
+        # a trace 1 + 5e-11 is a valid state within TRACE_TOL; unfiltered, it passes
+        # with transmission exactly 1
+        rho = bell_state("phi+") * (1 + 5e-11)
+        assert apply_filters(rho, FilterElement(0.0, Z), FilterElement(0.0, Z))[1] == 1.0
+
     def test_diagonal_mechanism_for_bitflip_noise(self):
         # opposing equal filters keep the co-polarized coincidence
         # probabilities equal while pumping up the HV cross term

@@ -936,13 +936,15 @@ class TestTomo:
         assert first.read_bytes() == second.read_bytes()
 
 
-def test_module_entry_point_runs(tmp_path):
+@pytest.mark.parametrize("module", ["entfilter", "entfilter.cli"])
+def test_module_entry_point_runs(tmp_path, module):
+    # python -m entfilter runs __main__.py; python -m entfilter.cli runs cli.py's __main__ guard
     out = tmp_path / "out.csv"
     result = subprocess.run(
         [
             sys.executable,
             "-m",
-            "entfilter.cli",
+            module,
             "curves",
             "--noise",
             "bitflip",

@@ -1,0 +1,83 @@
+"""The paper's curves against a 40-digit oracle that no BLAS kernel or library code touches."""
+
+import json
+
+import pytest
+from hypothesis import given, settings as hypothesis_settings, strategies as st
+
+from entfilter.channel import PauliNoiseSpec
+from entfilter.cli import main
+from entfilter.recover import STRATEGIES, sweep, sweep_to_json
+
+from oracle import filtered_pair, optimal_gamma_b
+
+NOISES = {"bitflip": PauliNoiseSpec.bit_flip, "phaseflip": PauliNoiseSpec.phase_flip}
+# the CLI defaults every default run below uses: p, the curves' MI normalization
+P, NORMALIZATION = 0.33, 0.9
+
+# Away from the default points, two roundoff floors of today's matrix path set the
+# bounds. The entropy floor leaves out eigenvalues below 1e-12, each worth less than
+# 4e-11 bits: at most two from the marginals, which lower MI, and three from the pair,
+# which raise it, so MI moves by less than 1.2e-10 either way. The concurrence
+# takes square roots of roundoff-level eigenvalues, about sqrt(eps) = 1.5e-8 where a
+# large gamma_a leaves the filtered pair nearly pure; up to gamma_a = 3 it stays far
+# below 1e-12.
+MI_TOLERANCE = 1.5e-10
+
+
+def concurrence_tolerance(gamma_a):
+    return 1e-12 if gamma_a <= 3.0 else 1e-7
+
+
+def expected_gamma_b(noise, strategy, gamma_a):
+    if strategy == "optimal":
+        return optimal_gamma_b(noise, P, gamma_a)
+    return 0.0 if strategy == "none" else gamma_a
+
+
+def assert_near_oracle(noise, p, row, normalization, mi_tolerance=1e-12, c_tolerance=1e-12):
+    mutual_info, concurrence, transmission = filtered_pair(noise, p, row["gamma_a"], row["gamma_b"])
+    assert abs(row["mutual_info_bits"] - normalization * mutual_info) <= mi_tolerance
+    assert abs(row["concurrence"] - concurrence) <= c_tolerance
+    assert abs(row["transmission"] - transmission) <= 1e-12
+
+
+def run_json(tmp_path, *args):
+    out = tmp_path / "out.json"
+    assert main([*args, "--format", "json", "--output", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("noise", NOISES)
+def test_default_curves_match_oracle(tmp_path, noise, strategy):
+    rows = run_json(tmp_path, "curves", "--noise", noise, "--strategy", strategy)
+    assert len(rows) == 60
+    for row in rows:
+        assert abs(row["gamma_b"] - expected_gamma_b(noise, strategy, row["gamma_a"])) <= 1e-12
+        assert_near_oracle(noise, P, row, NORMALIZATION)
+
+
+def test_default_inset_matches_oracle(tmp_path):
+    payload = run_json(tmp_path, "inset")
+    rows = [row for series in payload["series"] for row in series["points"]]
+    assert (payload["noise"], payload["p"], len(rows)) == ("bitflip", P, 363)
+    for row in rows:
+        assert_near_oracle("bitflip", P, row, 1.0)
+
+
+@hypothesis_settings(max_examples=200, deadline=None)
+@given(
+    noise=st.sampled_from(sorted(NOISES)),
+    strategy=st.sampled_from(STRATEGIES),
+    p=st.floats(0.0, 1.0),
+    gamma_a=st.floats(0.0, 300.0),  # below the ~355 edge where the trace turns subnormal
+)
+def test_sweep_matches_oracle(noise, strategy, p, gamma_a):
+    # an optimal gamma_b is atanh of ||T a|| tanh gA, which amplifies the roundoff of
+    # ||T a|| near 1, so each row is compared at its own gamma_b
+    (point,) = sweep(NOISES[noise](p), [gamma_a], strategy, normalization=1.0)
+    if strategy != "optimal":
+        assert point.gamma_b == (0.0 if strategy == "none" else gamma_a)
+    (row,) = sweep_to_json([point])
+    assert_near_oracle(noise, p, row, 1.0, MI_TOLERANCE, concurrence_tolerance(gamma_a))

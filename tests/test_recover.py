@@ -6,8 +6,8 @@ from hypothesis import given, settings as hypothesis_settings, strategies as st
 
 from entfilter import recover
 from entfilter.channel import FilterElement, PauliNoiseSpec, apply_filters, pauli_channel_state
-from entfilter.qstate import bell_state, concurrence, correlation_matrix, fidelity_pure
-from entfilter.qstate import mutual_information, unit_stokes_vector
+from entfilter.qstate import SIGMA_X, SIGMA_Y, SIGMA_Z, bell_state, concurrence, correlation_matrix
+from entfilter.qstate import fidelity_pure, mutual_information, unit_stokes_vector
 from entfilter.recover import (
     CSV_HEADER,
     STRATEGIES,
@@ -25,6 +25,7 @@ from entfilter.recover import (
 )
 
 from helpers import (
+    BELL_PROJECTORS,
     poison_filtered_states,
     random_bell_diagonal,
     random_rank2_bell_diagonal,
@@ -79,6 +80,15 @@ class TestConcurrenceAfterFiltering:
         with pytest.raises(ValueError, match="diagonal"):
             concurrence_after_filtering(0.5, t, FilterElement(0.1, Z), FilterElement(0.1, Z))
 
+    @pytest.mark.parametrize("entry, accepted", [(5e-10, True), (2e-9, False)])
+    def test_correlation_matrix_diagonal_within_1e9(self, entry, accepted):
+        t = _T + entry * np.eye(3, k=1)
+        if accepted:
+            concurrence_after_filtering(0.67, t, _F_A, _F_B)
+        else:
+            with pytest.raises(ValueError, match="must be diagonal"):
+                concurrence_after_filtering(0.67, t, _F_A, _F_B)
+
     def test_rejects_collapsing_denominator(self):
         # an unphysical correlation gain drives the denominator negative
         t = np.diag([1.0, 1.0, -3.0])
@@ -86,6 +96,10 @@ class TestConcurrenceAfterFiltering:
             concurrence_after_filtering(
                 0.5, t, FilterElement(2.0, Z), FilterElement(2.0, Z)
             )
+
+    def test_roundoff_negative_c0_gives_exactly_zero(self):
+        # c0 down to -1e-12 is accepted as the roundoff of a separable state's concurrence
+        assert concurrence_after_filtering(-1e-13, _T, _F_A, _F_B) == 0.0
 
     def test_matches_brute_force_on_random_rank2_states(self):
         rng = np.random.default_rng(101)
@@ -215,6 +229,36 @@ class TestPlanRecovery:
         rho = weight * bell_state("psi-") + (1 - weight) * hh
         with pytest.raises(ValueError, match="Bell-diagonal state"):
             plan_recovery(rho, FilterElement(0.857, Z))
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            # phi+ rotated on qubit A by exp(-i 0.4 sigma_z / 2): entangled, zero local
+            # vectors, T rotated off its diagonal by 0.4 rad
+            np.kron(np.diag(np.exp([-0.2j, 0.2j])), np.eye(2)) @ bell_state("phi+")
+            @ np.kron(np.diag(np.exp([0.2j, -0.2j])), np.eye(2)),
+            # (I + 0.3 sigma_x x sigma_y) / 4: separable, so only the off-diagonal T
+            # tells it from a state whose plan is nothing_to_recover
+            (np.eye(4) + 0.3 * np.kron(SIGMA_X, SIGMA_Y)) / 4,
+        ],
+        ids=["rotated-phi-plus", "x-y-correlated"],
+    )
+    def test_rejects_off_diagonal_correlations(self, rho):
+        with pytest.raises(ValueError, match="Bell-diagonal state"):
+            plan_recovery(rho, FilterElement(0.857, Z))
+
+    @pytest.mark.parametrize("pauli_a, pauli_b", [(SIGMA_X, SIGMA_Y), (SIGMA_Z, np.eye(2))])
+    @pytest.mark.parametrize("entry, accepted", [(5e-10, True), (2e-9, False)])
+    def test_stokes_matrix_diagonal_within_1e9(self, pauli_a, pauli_b, entry, accepted):
+        # a full-rank Bell-diagonal state plus entry * sigma x sigma / 4 carries that
+        # entry off the Stokes diagonal, in T (x, y) or in the local vector of A (z)
+        rho = sum(w * b for w, b in zip((0.4, 0.3, 0.2, 0.1), BELL_PROJECTORS))
+        rho = rho + entry * np.kron(pauli_a, pauli_b) / 4
+        if accepted:
+            plan_recovery(rho, FilterElement(0.857, Z))
+        else:
+            with pytest.raises(ValueError, match="Bell-diagonal state"):
+                plan_recovery(rho, FilterElement(0.857, Z))
 
     def test_accepts_random_bell_diagonal_states(self):
         rng = np.random.default_rng(5)
@@ -575,6 +619,7 @@ REJECTIONS = {
     "correlation-not-3x3": (lambda: concurrence_after_filtering(0.67, np.eye(2), _F_A, _F_B), "3x3"),
     "c0-above-one": (lambda: concurrence_after_filtering(1.5, _T, _F_A, _F_B), r"c0 must lie in \[0, 1\]"),
     "c0-negative": (lambda: concurrence_after_filtering(-0.1, _T, _F_A, _F_B), r"c0 must lie in \[0, 1\]"),
+    "c0-below-roundoff": (lambda: concurrence_after_filtering(-1e-11, _T, _F_A, _F_B), r"c0 must lie in \[0, 1\]"),
     "optimal-magnitude-negative": (lambda: optimal_magnitude(_T, Z, [0.5, -0.1]), "gamma_a must be >= 0"),
     "sweep-negative-grid": (lambda: sweep(BITFLIP, [0.0, -0.1], "none"), "grid values must be >= 0"),
     "sweep-nan-grid": (lambda: sweep(BITFLIP, [0.5, math.nan], "match"), "grid values must be >= 0"),
@@ -591,6 +636,16 @@ REJECTIONS = {
     "fidelity-dimension-mismatch": (
         lambda: fidelity_pure(bell_state("phi+"), np.diag([1.0, 0.0])),
         r"expected one 4x4 two-qubit density matrix, got shape \(2, 2\)",
+    ),
+    # Tr[target^2] = 1 for both, yet neither is a state: the first is not Hermitian,
+    # the second has trace sqrt(2)
+    "fidelity-target-not-hermitian": (
+        lambda: fidelity_pure(bell_state("phi+"), np.pad([[1.0, 5.0]], ((0, 3), (0, 2)))),
+        "not Hermitian",
+    ),
+    "fidelity-target-trace-not-one": (
+        lambda: fidelity_pure(bell_state("phi+"), np.diag([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2)),
+        "trace 1.414",
     ),
 }
 

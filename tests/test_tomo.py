@@ -226,6 +226,13 @@ class TestSimulateCounts:
         record = simulate_counts(phi, setting, exposure=1e5, dark_prob=0.0, exact=True)
         assert record.counts[0] == 0.0
 
+    def test_roundoff_negative_probability_counts_zero(self):
+        # diag(0.5 + 1e-11, 0.5, 0, -1e-11) is valid within PSD_TOL; its VV probability
+        # -1e-11 gives an expected count of exactly 0, not a negative one
+        rho = np.diag([0.5 + 1e-11, 0.5, 0.0, -1e-11])
+        record = simulate_counts(rho, [(MINUS_Z, MINUS_Z)], exposure=1e5, dark_prob=0.0, exact=True)
+        assert record.counts == (0.0,)
+
     def test_copolarized_expectation(self):
         phi = bell_state("phi+")
         record = simulate_counts(phi, [(PLUS_Z, PLUS_Z)], exposure=1e4, dark_prob=0.0, exact=True)
