@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import _dagger, kron
-from .qstate import IDENTITY_2, bell_state, pauli_dot, unit_stokes_vector
+from .qmat import _dagger, hermitian_eig, kron
+from .qstate import IDENTITY_2, PSD_TOL, bell_state, pauli_dot, unit_stokes_vector
 from .qstate import _spectrum
 
 X_AXIS = (1.0, 0.0, 0.0)
@@ -159,11 +159,19 @@ def apply_filters(
     and ``transmission`` is the pair-survival probability for the physically
     normalized filters e^(-g/2) P, whose favored mode passes with unit
     probability. Raises :class:`FilterBlockedError` when the filters remove
-    the state entirely.
+    the state entirely, and ``ValueError`` when the returned state is not
+    physical: an input accepted with an eigenvalue just below 0 (within
+    ``PSD_TOL``) has it divided by the transmission.
     """
     rho_in = _spectrum(rho_in, one=True)[0]
     gamma_a, gamma_b = np.array([f_a.magnitude]), np.array([f_b.magnitude])
     states, transmission = _filter_pairs(rho_in, gamma_a, f_a.orientation, gamma_b, f_b.orientation)
+    lowest = hermitian_eig(states[0])[0][-1]
+    if lowest < -PSD_TOL:
+        raise ValueError(
+            f"filtering amplified a negative eigenvalue of the input to {lowest:.3e} "
+            f"(transmission {transmission[0]:.3e})"
+        )
     return states[0], float(transmission[0])
 
 
@@ -172,8 +180,9 @@ def _filter_pairs(rho, gamma_a, axis_a, gamma_b, axis_b) -> tuple[np.ndarray, np
     pairs = kron(_normalized_filters(gamma_a, axis_a), _normalized_filters(gamma_b, axis_b))
     out = pairs @ rho @ _dagger(pairs)
     trace = out.trace(axis1=1, axis2=2).real
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # the trace P_A x P_B leaves, in logs so that large magnitudes cannot overflow
+        # it; a sum that reaches +inf still means "not blocked"
         log_trace = np.log(trace) + gamma_a + gamma_b
     blocked = ~(log_trace >= _LOG_BLOCKED_TRACE)  # NaN counts as blocked
     if blocked.any():

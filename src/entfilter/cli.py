@@ -14,10 +14,12 @@ flag has one domain, checked as argparse parses it:
 A value outside its domain exits 1 with the usage line and one ``error:`` line
 naming the flag; that holds for ``tomo simulate --p`` with a Bell ``--state`` too.
 
-The commands validate each state once: ``optimize`` the noisy pair in
-``plan_recovery`` and the filtered pair for its mutual information; ``curves``
-and ``inset`` only their filtered stacks, as ``recover`` does; ``inset`` scans
-all its gamma_a values as one stack, in one ``ratio_scan`` call.
+A state is judged where it enters through a public function: ``optimize``
+judges the noisy pair in ``plan_recovery``. What the library builds from its
+own pairs (``optimize``'s filtered pair, the stacks of ``curves`` and
+``inset``) and the estimate ``reconstruct`` projects are decomposed once and
+not judged again. ``inset`` scans all its gamma_a values as one stack, in one
+``ratio_scan`` call.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ import numpy as np
 
 from .channel import FilterElement, PauliNoiseSpec, pauli_channel_state
 from .channel import _filter_pairs
+from .qmat import hermitian_eig
 from .qstate import BELL_LABELS, bell_state, density_matrix_to_json
-from .qstate import _bell_diagonal_weights, _concurrence, _mutual_information, _spectrum
+from .qstate import _bell_diagonal_weights, _concurrence, _mutual_information
 from .recover import (
     GAMMA_A_AXIS,
     STRATEGIES,
@@ -224,12 +227,13 @@ def cmd_optimize(args) -> int:
     f_a = FilterElement(args.gamma_a, GAMMA_A_AXIS)
     plan = plan_recovery(rho, f_a)
     # plan_recovery has checked the pair the library built; the filtered pair is
-    # validated and decomposed once, as a sweep's filtered stack is
+    # decomposed once, as a sweep's filtered stack is, and not judged again
     states, transmission = _filter_pairs(
         rho, np.array([f_a.magnitude]), f_a.orientation,
         np.array([plan.gamma_b_opt]), plan.orientation_b,
     )
-    rho_f, values, _ = _spectrum(states[0])
+    rho_f = states[0]
+    values = hermitian_eig(rho_f)[0]
     report = {
         "noise": args.noise,
         "p": args.p,
@@ -262,8 +266,10 @@ def cmd_tomo_simulate(args) -> int:
 def cmd_tomo_reconstruct(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
         record = record_from_json(json.load(fh))
-    # one decomposition of the estimate feeds all three metrics
-    rho, values, vectors = _spectrum(reconstruct(record))
+    # reconstruct returns a projected, physical estimate: one decomposition of it
+    # feeds all three metrics
+    rho = reconstruct(record)
+    values, vectors = hermitian_eig(rho)
     payload = {
         "state": density_matrix_to_json(rho),
         "metrics": {

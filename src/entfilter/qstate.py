@@ -10,8 +10,11 @@ Conventions, used consistently across the package:
   shape rule of ``qmat.as_matrix``; validation, entropy, mutual information,
   concurrence, correlations and Bell weights return arrays for a stack where
   one state gives floats;
-* each state is decomposed once, by the positivity check of its validation, and
-  its entropy, mutual information and concurrence are taken from that spectrum;
+* a state is judged where it enters through a public function, and the
+  positivity check of that validation decomposes it once: its entropy, mutual
+  information and concurrence are taken from that spectrum. What the library
+  builds from its own pairs, and the estimates ``reconstruct`` projects, are
+  decomposed once by ``qmat.hermitian_eig`` and not judged again;
 * the entry points that take exactly one state (filtering, tomography
   simulation, recovery planning, ``fidelity_pure`` and
   ``density_matrix_to_json``) share one check and one message for it.
@@ -144,8 +147,9 @@ def _entropy_bits(values) -> np.ndarray:
 def mutual_information(rho) -> float | np.ndarray:
     """Mutual quantum information S(A) + S(B) - S(AB) in bits.
 
-    Always in [0, 2] for a valid two-qubit state; tiny negative roundoff
-    (product states) is returned as exactly 0.
+    Always in [0, 2] for a valid two-qubit state. Roundoff can leave the
+    entropy sum below 0 (product states, nearly pure filtered pairs); it is
+    clamped at 0, as the entropies are clipped to [0, log2 d].
     """
     rho, values, _ = _spectrum(rho)
     return _float_or_array(_mutual_information(rho, values))
@@ -158,7 +162,7 @@ def _mutual_information(rho, values) -> np.ndarray:
         + _entropy_bits(hermitian_eig(partial_trace(rho, 1))[0])
         - _entropy_bits(values)
     )
-    return np.where((-1e-12 < mi) & (mi < 0.0), 0.0, mi)
+    return np.maximum(mi, 0.0)
 
 
 def concurrence(rho) -> float | np.ndarray:

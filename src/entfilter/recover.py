@@ -12,10 +12,11 @@ information, concurrence and transmission along the curves an experiment
 would trace out, filtering the whole curve as one stack of states.
 
 The drivers check what the caller passes (noise spec, grid, strategy,
-normalization) and take the noisy pair that ``pauli_channel_state`` builds
-from it as valid, reading its correlations without a second check. The
-filtered stack is validated and decomposed once, all series of a ratio scan
-in one stack. A row is a :class:`SweepPoint` tuple of the artifact columns.
+normalization, and that every gamma_b a ratio scan forms is finite). What
+they build from it is not judged again: they read the correlations of the
+noisy pair that ``pauli_channel_state`` builds, and decompose its filtered
+stack once, all series of a ratio scan in one stack. A row is a
+:class:`SweepPoint` tuple of the artifact columns.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .channel import FilterElement, PauliNoiseSpec, Z_AXIS, apply_filters, pauli_channel_state
 from .channel import _filter_pairs
-from .qmat import _float_or_array
+from .qmat import _float_or_array, hermitian_eig
 from .qstate import concurrence, unit_stokes_vector
 from .qstate import _PAULI_BASIS, _concurrence, _correlation_matrix, _mutual_information, _spectrum
 
@@ -144,8 +145,9 @@ def _compensator_orientation(t, gamma_a_hat) -> tuple[float, float, float]:
     # The compensator's orientation for sweeps and plans alike: -T a normalized,
     # the unit vector b minimizing T a . b. Where T a vanishes (norm below 1e-12:
     # a fully depolarized direction, e.g. p = 1) it falls back to the antipode of
-    # the filter-A axis; the compensator is inert there.
-    a = unit_stokes_vector(gamma_a_hat)
+    # the filter-A axis; the compensator is inert there. Both callers pass an axis
+    # already judged a unit vector: GAMMA_A_AXIS or a FilterElement's orientation.
+    a = np.asarray(gamma_a_hat, dtype=float)
     v = np.asarray(t, dtype=float) @ a
     norm = float(np.linalg.norm(v))
     orientation = -a if norm < 1e-12 else -v / norm
@@ -154,10 +156,11 @@ def _compensator_orientation(t, gamma_a_hat) -> tuple[float, float, float]:
 
 def _evaluate(rho, t, gamma_a, gamma_b, strategy, normalization) -> list[SweepPoint]:
     # filter -> normalize -> (MI, C, T) over arrays of magnitudes; t is rho's correlation
-    # matrix. The filtered stack is validated once, and MI and C share its decomposition.
+    # matrix. Filtering a pair the library built gives valid states, so the stack is
+    # decomposed once, not judged again, and MI and C share that decomposition.
     orientation = _compensator_orientation(t, GAMMA_A_AXIS)
     states, transmission = _filter_pairs(rho, gamma_a, GAMMA_A_AXIS, gamma_b, orientation)
-    states, values, vectors = _spectrum(states)
+    values, vectors = hermitian_eig(states)
     mutual_info = normalization * _mutual_information(states, values)
     concurrences = _concurrence(values, vectors)
     columns = gamma_a, gamma_b, mutual_info, concurrences, transmission
@@ -205,7 +208,8 @@ def ratio_scan(noise: PauliNoiseSpec, gamma_a, ratio_grid) -> list[SweepPoint]:
 
     ``gamma_a`` is one value > 0 or a 1-D sequence of them, filtered as one
     stack and returned series after series, each equal to its one-value scan.
-    Rows carry strategy "ratio". The concurrence column peaks at
+    A gamma_b = gamma_a * ratio that is not finite raises ValueError. Rows
+    carry strategy "ratio". The concurrence column peaks at
     ratio = optimal_magnitude / gamma_a by construction; the mutual-information
     peak sits close to (but not exactly at) the same ratio.
     """
@@ -215,9 +219,13 @@ def ratio_scan(noise: PauliNoiseSpec, gamma_a, ratio_grid) -> list[SweepPoint]:
     ratios = np.asarray(ratio_grid, dtype=float)
     if not (ratios >= 0).all():
         raise ValueError("ratios must be >= 0")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN
+        gamma_b = np.multiply.outer(gamma_a, ratios).ravel()
+    finite = np.isfinite(gamma_b)
+    if not finite.all():
+        raise ValueError(f"gamma_b = gamma_a * ratio must be finite, got {float(gamma_b[~finite][0])}")
     rho = pauli_channel_state(noise)
     gamma_a_grid = np.repeat(gamma_a, ratios.size)
-    gamma_b = np.multiply.outer(gamma_a, ratios).ravel()
     return _evaluate(rho, _correlation_matrix(rho), gamma_a_grid, gamma_b, "ratio", 1.0)
 
 

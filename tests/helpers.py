@@ -72,14 +72,3 @@ def count_calls(monkeypatch, module, name: str) -> list[tuple]:
     monkeypatch.setattr(module, name, counted)
     return calls
 
-
-def poison_filtered_states(monkeypatch, module) -> None:
-    """Patch ``module._filter_pairs`` so that each filtered state it returns holds a NaN entry."""
-    original = module._filter_pairs
-
-    def poisoned(*args):
-        states, transmission = original(*args)
-        states[:, 0, 0] = np.nan
-        return states, transmission
-
-    monkeypatch.setattr(module, "_filter_pairs", poisoned)

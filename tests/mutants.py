@@ -6,7 +6,7 @@ the repository, and tier-1 runs on that copy, one pytest process after another
 The unmutated copy runs first and must pass. Only the standard library is used;
 pytest does not collect this file.
 
-usage: python tests/mutants.py    (exit status 1 if any mutant survives)
+usage: python tests/mutants.py    (about 6-8 min; exit status 1 if any mutant survives)
 """
 
 from __future__ import annotations
@@ -53,6 +53,33 @@ MUTANTS = [
      "np.diag(np.diag(t)))) > 1e-9", "np.diag(np.diag(t)))) > 1e-10"),
     ("simulate_counts floor of expected counts at 0 removed", "tomo.py",
      "np.maximum(mu, 0.0).tolist()", "mu.tolist()"),
+    ("HERMITICITY_TOL 1e-10 -> 1e-8", "qstate.py",
+     "HERMITICITY_TOL = 1e-10", "HERMITICITY_TOL = 1e-8"),
+    ("HERMITICITY_TOL 1e-10 -> 1e-12", "qstate.py",
+     "HERMITICITY_TOL = 1e-10", "HERMITICITY_TOL = 1e-12"),
+    ("TRACE_TOL 1e-10 -> 1e-8", "qstate.py",
+     "TRACE_TOL = 1e-10", "TRACE_TOL = 1e-8"),
+    ("PSD_TOL 1e-10 -> 1e-8", "qstate.py",
+     "PSD_TOL = 1e-10", "PSD_TOL = 1e-8"),
+    ("unit-norm tolerance of Stokes vectors 1e-12 -> 1e-14", "qstate.py",
+     "- 1.0) <= 1e-12", "- 1.0) <= 1e-14"),
+    ("fidelity_pure purity tolerance 1e-9 -> 1e-6", "qstate.py",
+     "abs(purity - 1.0) > 1e-9", "abs(purity - 1.0) > 1e-6"),
+    ("mutual information clamp at 0 removed", "qstate.py",
+     "np.maximum(mi, 0.0)", "mi"),
+    ("concurrence_after_filtering c0 ceiling 1 + 1e-9 -> 1 + 1e-6", "recover.py",
+     "c0 <= 1.0 + 1e-9", "c0 <= 1.0 + 1e-6"),
+    ("concurrence_after_filtering c0 ceiling 1 + 1e-9 -> 1", "recover.py",
+     "c0 <= 1.0 + 1e-9", "c0 <= 1.0"),
+    ("optimal_magnitude ||T a|| ceiling 1 + 1e-9 -> 1 + 1e-6", "recover.py",
+     "gain > 1.0 + 1e-9", "gain > 1.0 + 1e-6"),
+    ("ratio_scan finite-gamma_b check removed", "recover.py",
+     "if not finite.all():", "if False:"),
+    ("_filter_pairs log-trace overflow let through as a warning", "channel.py",
+     'np.errstate(divide="ignore", invalid="ignore", over="ignore")',
+     'np.errstate(divide="ignore", invalid="ignore")'),
+    ("apply_filters check of the state it returns removed", "channel.py",
+     "if lowest < -PSD_TOL:", "if False:"),
 ]
 
 

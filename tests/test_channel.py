@@ -257,6 +257,13 @@ class TestApplyFilters:
         else:
             assert apply_filters(vv, f, f)[1] == pytest.approx(trace**2, rel=1e-9)
 
+    def test_rejects_amplified_negative_eigenvalue(self):
+        # an eigenvalue of -1e-10 is valid input within PSD_TOL, yet dividing it by the
+        # transmission 2e-9 would return a state with eigenvalue -0.051
+        rho = np.diag([1 + 1e-10, -1e-10, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"amplified a negative eigenvalue of the input to -5\.099e-02"):
+            apply_filters(rho, FilterElement(0.0, Z), FilterElement(10.0, MINUS_Z))
+
     def test_transmission_never_exceeds_one(self):
         # a trace 1 + 5e-11 is a valid state within TRACE_TOL; unfiltered, it passes
         # with transmission exactly 1

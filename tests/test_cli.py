@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hypothesis_settings, strategies as st
 
-from entfilter import cli
 from entfilter.channel import FilterElement, PauliNoiseSpec, apply_filters, pauli_channel_state
 from entfilter.cli import INSET_GAMMA_A, _payload_text, _record_text, build_parser, main
 from entfilter.qstate import (
@@ -31,7 +30,7 @@ from entfilter.tomo import (
     standard_settings,
 )
 
-from helpers import matrix_from_json, poison_filtered_states, record_eigh_shapes
+from helpers import matrix_from_json, record_eigh_shapes
 
 MI_UNFILTERED = 2.0 + 0.835 * math.log2(0.835) + 0.165 * math.log2(0.165)
 
@@ -263,6 +262,18 @@ class TestCurves:
         assert main(args + [str(first)]) == 0
         assert main(args + [str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_overflowing_log_trace_writes_its_rows(self, tmp_path, capsys):
+        # at gamma_a = gamma_b = 1e308 the log-domain trace sums to +inf, the "not
+        # blocked" answer; the suite turns a leaked overflow warning into a failure
+        out = tmp_path / "x.csv"
+        argv = ["curves", "--noise", "bitflip", "--strategy", "match", "--gamma-a-max", "1e308"]
+        assert main([*argv, "--steps", "2", "--output", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert out.read_text().splitlines()[1:] == [
+            "0,0,match,1.21847573172,0.67,1",
+            "1e+308,1e+308,match,0,0,0.0825",
+        ]
 
     def test_invalid_enum_is_usage_error(self, tmp_path, capsys):
         code = main(
@@ -558,6 +569,19 @@ class TestInset:
             none_point.mutual_info, abs=1e-9
         )
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_gamma_b_is_one_error(self, tmp_path, capsys, fmt):
+        # 1.7e308 is a finite --gamma-a, but 1.7e308 * 1.2 is not: exit 2 with one
+        # error line, no warning and no artifact (an inf would not be JSON)
+        out = tmp_path / f"x.{fmt}"
+        argv = ["inset", "--gamma-a", "1.7e308", "--steps", "3", "--format", fmt, "--output", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        error = "error: gamma_b = gamma_a * ratio must be finite, got inf\n"
+        assert (code, capsys.readouterr()) == (2, ("", error))
+        assert not out.exists()
+
     def test_phaseflip_peak_at_ratio_one(self, tmp_path):
         out = tmp_path / "pf.json"
         code = main(
@@ -658,11 +682,6 @@ class TestOptimize:
         assert (code, out) == (2, "")
         assert err.startswith("error: filter magnitudes too large to renormalize: the trace ")
         assert err.endswith(" is subnormal\n") and err.count("\n") == 1
-
-    def test_filtered_pair_is_still_validated(self, monkeypatch, capsys):
-        poison_filtered_states(monkeypatch, cli)
-        assert main(["optimize", "--noise", "bitflip", "--gamma-a", "0.857"]) == 2
-        assert capsys.readouterr() == ("", "error: matrix entries must be finite\n")
 
 
 class TestTomo:

@@ -72,12 +72,18 @@ def test_default_inset_matches_oracle(tmp_path):
     strategy=st.sampled_from(STRATEGIES),
     p=st.floats(0.0, 1.0),
     gamma_a=st.floats(0.0, 300.0),  # below the ~355 edge where the trace turns subnormal
+    normalization=st.floats(0.0, 1.0, exclude_min=True),
 )
-def test_sweep_matches_oracle(noise, strategy, p, gamma_a):
+def test_sweep_matches_oracle(noise, strategy, p, gamma_a, normalization):
     # an optimal gamma_b is atanh of ||T a|| tanh gA, which amplifies the roundoff of
     # ||T a|| near 1, so each row is compared at its own gamma_b
-    (point,) = sweep(NOISES[noise](p), [gamma_a], strategy, normalization=1.0)
+    (point,) = sweep(NOISES[noise](p), [gamma_a], strategy, normalization)
     if strategy != "optimal":
         assert point.gamma_b == (0.0 if strategy == "none" else gamma_a)
+    # the ranges hold exactly, whatever the roundoff: MI is clamped at 0, C clipped
+    # to [0, 1] and the transmission capped at 1
+    assert 0.0 <= point.mutual_info <= 2.0 * normalization
+    assert 0.0 <= point.concurrence <= 1.0
+    assert 0.0 <= point.transmission <= 1.0
     (row,) = sweep_to_json([point])
-    assert_near_oracle(noise, p, row, 1.0, MI_TOLERANCE, concurrence_tolerance(gamma_a))
+    assert_near_oracle(noise, p, row, normalization, MI_TOLERANCE, concurrence_tolerance(gamma_a))

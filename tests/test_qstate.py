@@ -18,6 +18,7 @@ from entfilter.qstate import (
     fidelity_pure,
     mutual_information,
     pauli_dot,
+    unit_stokes_vector,
     validate_density_matrix,
     von_neumann_entropy,
 )
@@ -89,6 +90,13 @@ def _with_entry(value):
     return rho
 
 
+def _skewed_phi_plus(defect):
+    # phi+ plus a real antisymmetric pair whose Frobenius defect |rho - rho^dagger| is defect
+    rho = bell_state("phi+")
+    rho[0, 1], rho[1, 0] = defect / (2 * math.sqrt(2)), -defect / (2 * math.sqrt(2))
+    return rho
+
+
 class TestValidateDensityMatrix:
     """The one place a state is judged: every measure takes what it accepts as valid."""
 
@@ -97,13 +105,19 @@ class TestValidateDensityMatrix:
         [
             (_with_entry(0.1), "not Hermitian"),
             (np.diag([1.5, -0.5, 0.0, 0.0]), "negative eigenvalue"),
+            (_skewed_phi_plus(2e-10), "not Hermitian within 1e-10"),
+            (bell_state("phi+") * (1 + 2e-10), "trace 1.0000000002 is not 1 within 1e-10"),
+            (np.diag([1 + 2e-10, -2e-10, 0.0, 0.0]), "negative eigenvalue -2.000e-10"),
             (_with_entry(float("nan")), "must be finite"),
             (_with_entry(float("inf")), "must be finite"),
             (np.eye(3) / 3, r"4x4 two-qubit matrix or an \(N, 4, 4\) stack, got shape \(3, 3\)"),
             (np.full((2, 2, 2, 2), 0.25), r"4x4 two-qubit matrix or an \(N, 4, 4\) stack"),
             (np.eye(2) / 2, r"4x4 two-qubit matrix or an \(N, 4, 4\) stack, got shape \(2, 2\)"),
         ],
-        ids=["non-hermitian", "indefinite", "nan", "inf", "3x3", "rank-4-array", "one-qubit"],
+        ids=[
+            "non-hermitian", "indefinite", "hermiticity-2e-10", "trace-2e-10", "eigenvalue-2e-10",
+            "nan", "inf", "3x3", "rank-4-array", "one-qubit",
+        ],
     )
     def test_rejects(self, rho, message):
         with pytest.raises(ValueError, match=message):
@@ -111,6 +125,13 @@ class TestValidateDensityMatrix:
 
     def test_accepts_roundoff_negative_eigenvalue(self):
         rho = np.diag([1 + 5e-11, -5e-11, 0.0, 0.0])
+        assert np.array_equal(validate_density_matrix(rho), rho)
+
+    @pytest.mark.parametrize(
+        "rho", [_skewed_phi_plus(5e-11), bell_state("phi+") * (1 + 5e-11)], ids=["hermiticity", "trace"]
+    )
+    def test_accepts_roundoff_within_1e10(self, rho):
+        # HERMITICITY_TOL and TRACE_TOL just inside their bound; test_rejects has them just outside
         assert np.array_equal(validate_density_matrix(rho), rho)
 
     def test_concurrence_rejects_indefinite_state(self):
@@ -155,6 +176,17 @@ class TestValidateDensityMatrix:
         message = f"expected one 4x4 two-qubit density matrix, got shape {np.shape(rho)}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             entry(rho)
+
+
+class TestUnitStokesVector:
+    @pytest.mark.parametrize("excess, accepted", [(5e-13, True), (2e-12, False)])
+    def test_unit_norm_within_1e12(self, excess, accepted):
+        direction = (0.0, 0.0, 1.0 + excess)
+        if accepted:
+            assert unit_stokes_vector(direction)[2] == 1.0 + excess
+        else:
+            with pytest.raises(ValueError, match="unit norm within 1e-12"):
+                unit_stokes_vector(direction)
 
 
 class TestVonNeumannEntropy:
@@ -390,6 +422,16 @@ class TestFidelityPure:
     def test_rejects_mixed_target(self):
         with pytest.raises(ValueError, match="pure"):
             fidelity_pure(bell_state("phi+"), np.eye(4) / 4)
+
+    @pytest.mark.parametrize("weight, accepted", [(1e-11, True), (1e-8, False)])
+    def test_target_purity_within_1e9(self, weight, accepted):
+        # (1 - w) phi+ + w phi- has purity 1 - 2w + 2w^2: 2e-11 and 2e-8 below 1
+        target = (1 - weight) * bell_state("phi+") + weight * bell_state("phi-")
+        if accepted:
+            assert fidelity_pure(bell_state("phi+"), target) == pytest.approx(1 - weight, abs=1e-15)
+        else:
+            with pytest.raises(ValueError, match="pure"):
+                fidelity_pure(bell_state("phi+"), target)
 
 
 class TestJsonFormat:

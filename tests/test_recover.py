@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings as hypothesis_settings, strategies as st
 
 from entfilter import recover
 from entfilter.channel import FilterElement, PauliNoiseSpec, apply_filters, pauli_channel_state
+from entfilter.channel import _filter_pairs
 from entfilter.qstate import SIGMA_X, SIGMA_Y, SIGMA_Z, bell_state, concurrence, correlation_matrix
-from entfilter.qstate import fidelity_pure, mutual_information, unit_stokes_vector
+from entfilter.qstate import fidelity_pure, mutual_information, unit_stokes_vector, validate_density_matrix
 from entfilter.recover import (
     CSV_HEADER,
     STRATEGIES,
@@ -26,7 +28,6 @@ from entfilter.recover import (
 
 from helpers import (
     BELL_PROJECTORS,
-    poison_filtered_states,
     random_bell_diagonal,
     random_rank2_bell_diagonal,
     random_unit_vector,
@@ -38,6 +39,14 @@ MINUS_Z = (0.0, 0.0, -1.0)
 
 BITFLIP = PauliNoiseSpec.bit_flip(0.33)
 PHASEFLIP = PauliNoiseSpec.phase_flip(0.33)
+
+# unit noise axes from a polar angle near +z, near -z or anywhere, and an azimuth
+NOISE_AXES = st.tuples(
+    st.one_of(st.floats(0.0, 1e-6), st.floats(math.pi - 1e-6, math.pi), st.floats(0.0, math.pi)),
+    st.floats(0.0, 2 * math.pi),
+).map(lambda polar: (
+    math.sin(polar[0]) * math.cos(polar[1]), math.sin(polar[0]) * math.sin(polar[1]), math.cos(polar[0])
+))
 
 # Mutual information of the unfiltered p = 0.33 mixtures (2 minus the binary
 # entropy of {0.835, 0.165}); same independent oracle as in test_qstate.
@@ -96,6 +105,15 @@ class TestConcurrenceAfterFiltering:
             concurrence_after_filtering(
                 0.5, t, FilterElement(2.0, Z), FilterElement(2.0, Z)
             )
+
+    @pytest.mark.parametrize("excess, accepted", [(5e-10, True), (2e-9, False)])
+    def test_c0_ceiling_within_1e9(self, excess, accepted):
+        # c0 up to 1 + 1e-9 is accepted as the roundoff of a maximally entangled state
+        if accepted:
+            assert concurrence_after_filtering(1.0 + excess, _T, _F_A, _F_B) > 0.0
+        else:
+            with pytest.raises(ValueError, match=r"c0 must lie in \[0, 1\]"):
+                concurrence_after_filtering(1.0 + excess, _T, _F_A, _F_B)
 
     def test_roundoff_negative_c0_gives_exactly_zero(self):
         # c0 down to -1e-12 is accepted as the roundoff of a separable state's concurrence
@@ -186,6 +204,16 @@ class TestOptimalMagnitude:
     def test_rejects_unphysical_correlation_matrix(self):
         with pytest.raises(ValueError, match="exceeds 1"):
             optimal_magnitude(np.diag([2.0, 0.0, 0.0]), (1.0, 0.0, 0.0), 0.5)
+
+    @pytest.mark.parametrize("excess, accepted", [(5e-10, True), (2e-9, False)])
+    def test_gain_ceiling_within_1e9(self, excess, accepted):
+        # ||T a|| up to 1 + 1e-9 is roundoff of 1, where gamma_b = gamma_a
+        t = np.diag([0.0, 0.0, 1.0 + excess])
+        if accepted:
+            assert optimal_magnitude(t, Z, 0.857) == 0.857
+        else:
+            with pytest.raises(ValueError, match="exceeds 1"):
+                optimal_magnitude(t, Z, 0.857)
 
 
 class TestPlanRecovery:
@@ -329,6 +357,11 @@ class TestSweep:
         points = sweep(PauliNoiseSpec.bit_flip(1.0), [0.0, 0.5], "optimal")
         assert all(p.gamma_b == 0.0 for p in points)
 
+    def test_roundoff_negative_mutual_info_is_zero(self):
+        # S(A) + S(B) - S(AB) of this nearly pure pair comes out -5.4e-11: clamped at 0
+        (point,) = sweep(PauliNoiseSpec.bit_flip(1.0), [14.0], "match")
+        assert point.mutual_info == 0.0
+
     def test_point_values_stay_in_range(self):
         grid = np.linspace(0.0, 2.0, 15)
         for noise in (BITFLIP, PHASEFLIP):
@@ -380,21 +413,31 @@ class TestSharedEvaluationPath:
         ratio_scan(BITFLIP, 0.857, np.linspace(0.0, 1.2, 121))
         assert sorted(shapes) == [(121, 2, 2), (121, 2, 2), (121, 4, 4)]
 
-    @pytest.mark.parametrize(
-        "run",
-        [
-            lambda: sweep(BITFLIP, np.linspace(0.0, 1.2, 60), "optimal"),
-            lambda: ratio_scan(BITFLIP, 0.857, np.linspace(0.0, 1.2, 121)),
-            lambda: sweep(BITFLIP, 0.5, "none"),
-            lambda: sweep(PHASEFLIP, [[0.0, 0.4], [0.8, 1.2]], "optimal"),
-        ],
-        ids=["sweep", "ratio_scan", "sweep-scalar-grid", "sweep-2d-grid"],
+    @hypothesis_settings(max_examples=100, deadline=None)
+    @given(
+        axis=NOISE_AXES,
+        p=st.floats(0.0, 1.0),
+        strategy=st.sampled_from(STRATEGIES),
+        gamma_a=st.floats(0.0, 350.0),
+        ratio_max=st.floats(0.0, 3.0),
     )
-    def test_filtered_stack_is_still_validated(self, monkeypatch, run):
-        # trusting the noisy pair must not extend to what filtering makes of it
-        poison_filtered_states(monkeypatch, recover)
-        with pytest.raises(ValueError, match="matrix entries must be finite"):
-            run()
+    def test_filtered_stacks_are_valid_states(self, axis, p, strategy, gamma_a, ratio_max):
+        # the stacks a sweep or ratio scan filters are decomposed, not judged: each
+        # must still pass the check that a state from outside gets
+        stacks = []
+
+        def recorded(*args):
+            states, transmission = _filter_pairs(*args)
+            stacks.append(states)
+            return states, transmission
+
+        spec = PauliNoiseSpec(axis, p)
+        with mock.patch.object(recover, "_filter_pairs", recorded):
+            sweep(spec, np.linspace(0.0, gamma_a, 7), strategy)
+            ratio_scan(spec, [max(gamma_a, 1e-3), 0.857], np.linspace(0.0, ratio_max, 7))
+        assert [len(states) for states in stacks] == [7, 14]
+        for states in stacks:
+            validate_density_matrix(states)
 
 
 class TestRatioScan:
@@ -428,6 +471,16 @@ class TestRatioScan:
     def test_rejects_nonpositive_gamma_a(self):
         with pytest.raises(ValueError):
             ratio_scan(BITFLIP, 0.0, [0.1])
+
+    @pytest.mark.parametrize(
+        "gamma_a, ratios, product",
+        [(math.inf, [0.0, 1.0], "nan"), (1.7e308, [0.0, 0.6, 1.2], "inf")],
+        ids=["infinite-gamma-a", "overflowing-product"],
+    )
+    def test_rejects_non_finite_gamma_b(self, gamma_a, ratios, product):
+        # one ValueError naming the product, not a blocked-filter error or a RuntimeWarning
+        with pytest.raises(ValueError, match=f"gamma_b = gamma_a \\* ratio must be finite, got {product}$"):
+            ratio_scan(BITFLIP, gamma_a, ratios)
 
     @hypothesis_settings(max_examples=60, deadline=None)
     @given(

@@ -357,7 +357,8 @@ class TestReconstruct:
     @hypothesis_settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=36, max_size=36))
     def test_output_always_physical(self, counts):
-        # any non-negative counts give a valid density matrix or a statistics error
+        # any non-negative counts give a valid density matrix or a statistics error;
+        # tomo reconstruct decomposes the estimate without judging it again
         record = TomographyRecord(STANDARD, tuple(counts), 1e3, 0.0, 0)
         try:
             estimate = reconstruct(record)
