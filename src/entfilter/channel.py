@@ -116,8 +116,11 @@ def filter_operator(f: FilterElement) -> np.ndarray:
     """Jones operator of a filter: P = cosh(g/2) I + sinh(g/2) (axis . sigma).
 
     Hermitian and positive definite with eigenvalues e^(+-g/2), hence
-    determinant 1.
+    determinant 1. An infinite magnitude (a perfect polarizer, which
+    ``apply_filters`` takes) has no finite operator and raises ValueError.
     """
+    if f.magnitude == np.inf:
+        raise ValueError("filter operator of an infinite magnitude is not finite")
     return np.exp(f.magnitude / 2) * _normalized_filters(np.array([f.magnitude]), f.orientation)[0]
 
 
@@ -165,8 +168,8 @@ def apply_filters(
     """
     rho_in = _spectrum(rho_in, one=True)[0]
     gamma_a, gamma_b = np.array([f_a.magnitude]), np.array([f_b.magnitude])
-    states, transmission = _filter_pairs(rho_in, gamma_a, f_a.orientation, gamma_b, f_b.orientation)
-    lowest = hermitian_eig(states[0])[0][-1]
+    states, values, _, transmission = _filter_pairs(rho_in, gamma_a, f_a.orientation, gamma_b, f_b.orientation)
+    lowest = values[0, -1]
     if lowest < -PSD_TOL:
         raise ValueError(
             f"filtering amplified a negative eigenvalue of the input to {lowest:.3e} "
@@ -175,8 +178,9 @@ def apply_filters(
     return states[0], float(transmission[0])
 
 
-def _filter_pairs(rho, gamma_a, axis_a, gamma_b, axis_b) -> tuple[np.ndarray, np.ndarray]:
-    # apply_filters of a valid 4x4 state over arrays of magnitudes: N states, N transmissions
+def _filter_pairs(rho, gamma_a, axis_a, gamma_b, axis_b):
+    # apply_filters of a valid 4x4 state over arrays of magnitudes: N states, their one
+    # eigendecomposition (values, vectors), N transmissions; no caller decomposes them again
     pairs = kron(_normalized_filters(gamma_a, axis_a), _normalized_filters(gamma_b, axis_b))
     out = pairs @ rho @ _dagger(pairs)
     trace = out.trace(axis1=1, axis2=2).real
@@ -195,4 +199,5 @@ def _filter_pairs(rho, gamma_a, axis_a, gamma_b, axis_b) -> tuple[np.ndarray, np
             f"filter magnitudes too large to renormalize: the trace {trace.min():.3e} is subnormal"
         )
     states = out / trace[:, None, None]
-    return (states + _dagger(states)) / 2, np.minimum(1.0, trace)
+    states = (states + _dagger(states)) / 2
+    return (states, *hermitian_eig(states), np.minimum(1.0, trace))

@@ -18,8 +18,9 @@ A state is judged where it enters through a public function: ``optimize``
 judges the noisy pair in ``plan_recovery``. What the library builds from its
 own pairs (``optimize``'s filtered pair, the stacks of ``curves`` and
 ``inset``) and the estimate ``reconstruct`` projects are decomposed once and
-not judged again. ``inset`` scans all its gamma_a values as one stack, in one
-``ratio_scan`` call.
+not judged again: the filtering returns each filtered state's spectrum, and
+only ``tomo reconstruct`` decomposes a state here. ``inset`` scans all its
+gamma_a values as one stack, in one ``ratio_scan`` call.
 """
 
 from __future__ import annotations
@@ -226,14 +227,12 @@ def cmd_optimize(args) -> int:
     rho = pauli_channel_state(noise)
     f_a = FilterElement(args.gamma_a, GAMMA_A_AXIS)
     plan = plan_recovery(rho, f_a)
-    # plan_recovery has checked the pair the library built; the filtered pair is
-    # decomposed once, as a sweep's filtered stack is, and not judged again
-    states, transmission = _filter_pairs(
+    # plan_recovery has checked the pair the library built; the filtered pair comes
+    # with its spectrum, as a sweep's filtered stack does, and is not judged again
+    states, values, _, transmission = _filter_pairs(
         rho, np.array([f_a.magnitude]), f_a.orientation,
         np.array([plan.gamma_b_opt]), plan.orientation_b,
     )
-    rho_f = states[0]
-    values = hermitian_eig(rho_f)[0]
     report = {
         "noise": args.noise,
         "p": args.p,
@@ -241,7 +240,7 @@ def cmd_optimize(args) -> int:
         "gamma_b_opt": plan.gamma_b_opt,
         "orientation_b": list(plan.orientation_b),
         "predicted_concurrence": plan.predicted_concurrence,
-        "predicted_mutual_info_bits": float(_mutual_information(rho_f, values)),
+        "predicted_mutual_info_bits": float(_mutual_information(states[0], values[0])),
         "transmission": float(transmission[0]),
         "nothing_to_recover": plan.nothing_to_recover,
     }

@@ -14,7 +14,8 @@ Conventions, used consistently across the package:
   positivity check of that validation decomposes it once: its entropy, mutual
   information and concurrence are taken from that spectrum. What the library
   builds from its own pairs, and the estimates ``reconstruct`` projects, are
-  decomposed once by ``qmat.hermitian_eig`` and not judged again;
+  decomposed once by ``qmat.hermitian_eig`` and not judged again: a filtered
+  stack by ``channel._filter_pairs``, which makes it and returns its spectrum;
 * the entry points that take exactly one state (filtering, tomography
   simulation, recovery planning, ``fidelity_pure`` and
   ``density_matrix_to_json``) share one check and one message for it.

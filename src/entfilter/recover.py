@@ -14,9 +14,11 @@ would trace out, filtering the whole curve as one stack of states.
 The drivers check what the caller passes (noise spec, grid, strategy,
 normalization, and that every gamma_b a ratio scan forms is finite). What
 they build from it is not judged again: they read the correlations of the
-noisy pair that ``pauli_channel_state`` builds, and decompose its filtered
-stack once, all series of a ratio scan in one stack. A row is a
-:class:`SweepPoint` tuple of the artifact columns.
+noisy pair that ``pauli_channel_state`` builds, and take the mutual
+information and concurrence of its filtered stack from the decomposition that
+the filtering returns, all series of a ratio scan in one stack. A row is a
+:class:`SweepPoint` tuple of the artifact columns. The closed forms check the
+correlation matrix a caller passes: a finite real 3x3 array.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .channel import FilterElement, PauliNoiseSpec, Z_AXIS, apply_filters, pauli_channel_state
 from .channel import _filter_pairs
-from .qmat import _float_or_array, hermitian_eig
+from .qmat import _float_or_array
 from .qstate import concurrence, unit_stokes_vector
 from .qstate import _PAULI_BASIS, _concurrence, _correlation_matrix, _mutual_information, _spectrum
 
@@ -73,16 +75,14 @@ def concurrence_after_filtering(
     """Closed-form concurrence of a filtered Bell-diagonal state.
 
     ``c0`` is the concurrence and ``t`` the diagonal correlation matrix of the
-    unfiltered state. Agrees with the Wootters concurrence of the numerically
-    filtered state to within roundoff. Evaluated divided through by e^(gA+gB),
+    unfiltered state, a finite real 3x3 array. Agrees with the Wootters
+    concurrence of the numerically filtered state to within roundoff. Evaluated divided through by e^(gA+gB),
     with x, y = e^(-2gA), e^(-2gB) and d = T a . b, as 4 c0 e^(-gA-gB) /
     [(1+d)(1+xy) + (1-d)(x+y)]: no term overflows or, for |d| <= 1, cancels.
     """
     if not -1e-12 <= c0 <= 1.0 + 1e-9:
         raise ValueError("c0 must lie in [0, 1]")
-    t = np.asarray(t, dtype=float)
-    if t.shape != (3, 3):
-        raise ValueError("correlation matrix must be 3x3")
+    t = _correlation_argument(t)
     if np.max(np.abs(t - np.diag(np.diag(t)))) > 1e-9:
         raise ValueError("correlation matrix must be diagonal (Bell-diagonal input)")
     dot = float((t @ f_a.axis) @ f_b.axis)
@@ -93,17 +93,29 @@ def concurrence_after_filtering(
     return float(4 * max(0.0, c0) * np.exp(-f_a.magnitude - f_b.magnitude) / denom)
 
 
+def _correlation_argument(t) -> np.ndarray:
+    # the correlation matrix a caller passes to a closed form: a finite real 3x3 array,
+    # since a NaN fails none of the closed forms' tolerance tests and would be the answer
+    t = np.asarray(t)
+    if t.shape != (3, 3):
+        raise ValueError("correlation matrix must be 3x3")
+    if np.iscomplexobj(t) or not np.isfinite(t).all():
+        raise ValueError("correlation matrix must be real and finite")
+    return t.astype(float)
+
+
 def optimal_magnitude(t, gamma_a_hat, gamma_a) -> float | np.ndarray:
     """Concurrence-maximizing filter-B magnitude atanh(||T a|| tanh(gA)).
 
-    ``gamma_a`` may be an array. Never exceeds ``gamma_a`` since ||T a|| <= 1
-    for any physical correlation matrix; equals it when ||T a|| = 1 (phase flip).
+    ``t`` is a finite real 3x3 correlation matrix; ``gamma_a`` may be an array.
+    Never exceeds ``gamma_a`` since ||T a|| <= 1 for any physical correlation
+    matrix; equals it when ||T a|| = 1 (phase flip).
     """
     gamma_a = np.asarray(gamma_a, dtype=float)
     if not (gamma_a >= 0).all():
         raise ValueError("gamma_a must be >= 0")
     a = unit_stokes_vector(gamma_a_hat)
-    gain = float(np.linalg.norm(np.asarray(t, dtype=float) @ a))
+    gain = float(np.linalg.norm(_correlation_argument(t) @ a))
     if gain > 1.0 + 1e-9:
         raise ValueError(f"invalid correlation matrix: ||T a|| = {gain} exceeds 1")
     # atanh(tanh(gA)) would round above gA, and reach inf from gA ~ 19
@@ -157,10 +169,9 @@ def _compensator_orientation(t, gamma_a_hat) -> tuple[float, float, float]:
 def _evaluate(rho, t, gamma_a, gamma_b, strategy, normalization) -> list[SweepPoint]:
     # filter -> normalize -> (MI, C, T) over arrays of magnitudes; t is rho's correlation
     # matrix. Filtering a pair the library built gives valid states, so the stack is
-    # decomposed once, not judged again, and MI and C share that decomposition.
+    # not judged again, and MI and C share the decomposition that _filter_pairs returns.
     orientation = _compensator_orientation(t, GAMMA_A_AXIS)
-    states, transmission = _filter_pairs(rho, gamma_a, GAMMA_A_AXIS, gamma_b, orientation)
-    values, vectors = hermitian_eig(states)
+    states, values, vectors, transmission = _filter_pairs(rho, gamma_a, GAMMA_A_AXIS, gamma_b, orientation)
     mutual_info = normalization * _mutual_information(states, values)
     concurrences = _concurrence(values, vectors)
     columns = gamma_a, gamma_b, mutual_info, concurrences, transmission

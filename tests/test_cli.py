@@ -420,8 +420,9 @@ COMMAND_EIGH_SHAPES = {
     ),
     # the three default series are one (3 x 121)-state stack
     ("inset", "--output", "{out}"): [(363, 2, 2)] * 2 + [(363, 4, 4)],
+    # the filtered pair is decomposed as the one-state stack _filter_pairs returns
     ("optimize", "--noise", "bitflip", "--gamma-a", "0.857"): (
-        [(2, 2), (2, 2), (4, 4), (4, 4)]
+        [(1, 4, 4), (2, 2), (2, 2), (4, 4)]
     ),
     ("tomo", "simulate", "--state", "bitflip", "--output", "{out}"): [(4, 4)],
     ("tomo", "reconstruct", "--input", "{record}", "--output", "{out}"): (

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings as hypothesis_settings, strategies as st
 
 from entfilter import recover
-from entfilter.channel import FilterElement, PauliNoiseSpec, apply_filters, pauli_channel_state
+from entfilter.channel import FilterElement, PauliNoiseSpec, apply_filters, filter_operator, pauli_channel_state
 from entfilter.channel import _filter_pairs
+from entfilter.qmat import hermitian_eig
 from entfilter.qstate import SIGMA_X, SIGMA_Y, SIGMA_Z, bell_state, concurrence, correlation_matrix
 from entfilter.qstate import fidelity_pure, mutual_information, unit_stokes_vector, validate_density_matrix
 from entfilter.recover import (
@@ -423,13 +424,17 @@ class TestSharedEvaluationPath:
     )
     def test_filtered_stacks_are_valid_states(self, axis, p, strategy, gamma_a, ratio_max):
         # the stacks a sweep or ratio scan filters are decomposed, not judged: each
-        # must still pass the check that a state from outside gets
+        # must still pass the check that a state from outside gets, and the
+        # decomposition _filter_pairs returns must be hermitian_eig's, bit for bit
         stacks = []
 
         def recorded(*args):
-            states, transmission = _filter_pairs(*args)
+            states, values, vectors, transmission = _filter_pairs(*args)
+            expected_values, expected_vectors = hermitian_eig(states)
+            assert np.array_equal(values, expected_values)
+            assert np.array_equal(vectors, expected_vectors)
             stacks.append(states)
-            return states, transmission
+            return states, values, vectors, transmission
 
         spec = PauliNoiseSpec(axis, p)
         with mock.patch.object(recover, "_filter_pairs", recorded):
@@ -666,6 +671,9 @@ class TestSerialization:
 
 _T = np.diag([1.0, -0.67, 0.67])
 _F_A, _F_B = FilterElement(0.857, Z), FilterElement(0.5, MINUS_Z)
+_T_NAN_OFF_DIAGONAL = np.diag([0.67, -0.67, 1.0])
+_T_NAN_OFF_DIAGONAL[0, 1] = math.nan
+_T_NAN_DIAGONAL = np.diag([0.67, -0.67, math.nan])
 
 # Arguments each public entry point rejects with ValueError, and the message it gives
 REJECTIONS = {
@@ -673,6 +681,31 @@ REJECTIONS = {
     "c0-above-one": (lambda: concurrence_after_filtering(1.5, _T, _F_A, _F_B), r"c0 must lie in \[0, 1\]"),
     "c0-negative": (lambda: concurrence_after_filtering(-0.1, _T, _F_A, _F_B), r"c0 must lie in \[0, 1\]"),
     "c0-below-roundoff": (lambda: concurrence_after_filtering(-1e-11, _T, _F_A, _F_B), r"c0 must lie in \[0, 1\]"),
+    # a NaN passes every comparison the closed forms make, and would be their answer
+    "correlation-nan-off-diagonal": (
+        lambda: concurrence_after_filtering(0.67, _T_NAN_OFF_DIAGONAL, _F_A, _F_B),
+        "correlation matrix must be real and finite",
+    ),
+    "correlation-nan-diagonal": (
+        lambda: concurrence_after_filtering(0.67, _T_NAN_DIAGONAL, _F_A, _F_B),
+        "correlation matrix must be real and finite",
+    ),
+    "optimal-magnitude-nan-correlation": (
+        lambda: optimal_magnitude(_T_NAN_DIAGONAL, Z, 0.5),
+        "correlation matrix must be real and finite",
+    ),
+    "optimal-magnitude-complex-correlation": (
+        lambda: optimal_magnitude(_T * (1 + 1e-3j), Z, 0.5),
+        "correlation matrix must be real and finite",
+    ),
+    "optimal-magnitude-correlation-not-3x3": (
+        lambda: optimal_magnitude(np.full((2, 3), 0.1), Z, 0.5),
+        "correlation matrix must be 3x3",
+    ),
+    "filter-operator-infinite-magnitude": (
+        lambda: filter_operator(FilterElement(math.inf, Z)),
+        "infinite magnitude",
+    ),
     "optimal-magnitude-negative": (lambda: optimal_magnitude(_T, Z, [0.5, -0.1]), "gamma_a must be >= 0"),
     "sweep-negative-grid": (lambda: sweep(BITFLIP, [0.0, -0.1], "none"), "grid values must be >= 0"),
     "sweep-nan-grid": (lambda: sweep(BITFLIP, [0.5, math.nan], "match"), "grid values must be >= 0"),

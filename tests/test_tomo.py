@@ -586,11 +586,17 @@ class TestRecordJson:
         assert all(isinstance(c, int) for c in obj["counts"])
 
     def test_exact_counts_serialize_as_floats(self):
-        record = simulate_counts(
-            bell_state("phi+"), standard_settings(), 1e3 + 0.5, exact=True
-        )
-        obj = record_to_json(record)
-        assert any(isinstance(c, float) for c in obj["counts"])
+        # the writer's one rule: an integral count is an int, any other a float, so an
+        # --exact record mixes both, the phi+ record at the CLI defaults (1e5, 4e-5) too
+        for exposure, dark_prob in [(1e3 + 0.5, 0.0), (1e5, 4e-5)]:
+            record = simulate_counts(
+                bell_state("phi+"), standard_settings(), exposure, dark_prob, exact=True
+            )
+            counts = record_to_json(record)["counts"]
+            for written, count in zip(counts, record.counts, strict=True):
+                assert type(written) is (int if float(count).is_integer() else float)
+                assert written == count
+            assert {type(c) for c in counts} == {int, float}
 
     def test_record_validation(self):
         with pytest.raises(ValueError, match="length"):
