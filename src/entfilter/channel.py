@@ -143,11 +143,11 @@ def dephasing_from_spectrum(spec: BirefringenceSpec) -> PauliNoiseSpec:
     delay tau decoheres by d = exp(-tau^2 sigma^2 / 2); the frequency-averaged
     channel equals the probabilistic Pauli map along the same axis with
     p = 1 - d. The exponent is formed from the product x = tau sigma, as
-    -x^2/2, so that no separate square overflows or underflows.
+    -x^2/2, so that no separate square overflows or underflows, and p as
+    -expm1(-x^2/2), so that it does not cancel at small x.
     """
     x = float(spec.dgd) * float(spec.spectral_width)
-    decoherence = float(np.exp(-(x * x) / 2))
-    return PauliNoiseSpec(axis=spec.axis, p=1.0 - decoherence)
+    return PauliNoiseSpec(axis=spec.axis, p=float(-np.expm1(-(x * x) / 2)))
 
 
 def apply_filters(
@@ -166,7 +166,7 @@ def apply_filters(
     physical: an input accepted with an eigenvalue just below 0 (within
     ``PSD_TOL``) has it divided by the transmission.
     """
-    rho_in = _spectrum(rho_in, one=True)[0]
+    rho_in = _spectrum(rho_in)[0]
     gamma_a, gamma_b = np.array([f_a.magnitude]), np.array([f_b.magnitude])
     states, values, _, transmission = _filter_pairs(rho_in, gamma_a, f_a.orientation, gamma_b, f_b.orientation)
     lowest = values[0, -1]

@@ -1,11 +1,12 @@
 """Internal dense linear-algebra kernels for the 2x2 and 4x4 matrices used everywhere else.
 
 ``as_matrix`` is the one coercion, applied where outside input enters the
-library: a state is one 4x4 two-qubit matrix or an ``(N, 4, 4)`` stack, and 2x2
-matrices stay internal. The other kernels take arrays their callers have
-already validated: they do no coercion and no shape, Hermiticity or positivity
-check, since ``qstate.validate_density_matrix`` alone decides what a valid
-state is. Each takes one matrix or an ``(N, d, d)`` stack. ``hermitian_eig`` is the package's
+library, and holds the one shape rule: a public function takes one 4x4
+two-qubit state, and stacks stay internal, as do 2x2 matrices. The other
+kernels take arrays their callers have already validated: they do no
+coercion and no shape, Hermiticity or positivity check, since
+``qstate.validate_density_matrix`` alone decides what a valid state is. Each
+takes one matrix or an ``(N, d, d)`` stack. ``hermitian_eig`` is the package's
 one eigendecomposition: ``matrix_sqrt_psd`` takes the decomposition it returns.
 """
 
@@ -15,10 +16,10 @@ import numpy as np
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a finite complex 4x4 two-qubit matrix or an (N, 4, 4) stack; nothing else is a state."""
+    """Coerce to one finite complex 4x4 two-qubit matrix; nothing else is a state."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim not in (2, 3) or a.shape[-2:] != (4, 4):
-        raise ValueError(f"expected a 4x4 two-qubit matrix or an (N, 4, 4) stack, got shape {a.shape}")
+    if a.shape != (4, 4):
+        raise ValueError(f"expected one 4x4 two-qubit density matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
@@ -28,21 +29,18 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _float_or_array(values):
-    return float(values) if values.ndim == 0 else values
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product (row-major blocks) of two 2x2 matrices or two (N, 2, 2) stacks, pairwise."""
     return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(a.shape[:-2] + (4, 4))
 
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(values, vectors)`` of (m + m^dagger)/2, eigenvalues descending.
+    """``(values, vectors)`` of a Hermitian matrix or stack, eigenvalues descending.
 
-    The columns of ``vectors`` are the matching orthonormal eigenvectors.
+    ``eigh`` reads only the lower triangle of ``m``. The columns of
+    ``vectors`` are the matching orthonormal eigenvectors.
     """
-    values, vectors = np.linalg.eigh((m + _dagger(m)) / 2)
+    values, vectors = np.linalg.eigh(m)
     return values[..., ::-1].copy(), vectors[..., ::-1].copy()
 
 

@@ -6,19 +6,15 @@ Conventions, used consistently across the package:
 * Pauli order sigma_1 = X, sigma_2 = Y, sigma_3 = Z, so |H> sits at +z in
   Stokes space;
 * entropies are base-2 (bits);
-* a state is one 4x4 two-qubit matrix or an (N, 4, 4) stack of them, the one
-  shape rule of ``qmat.as_matrix``; validation, entropy, mutual information,
-  concurrence, correlations and Bell weights return arrays for a stack where
-  one state gives floats;
-* a state is judged where it enters through a public function, and the
-  positivity check of that validation decomposes it once: its entropy, mutual
-  information and concurrence are taken from that spectrum. What the library
-  builds from its own pairs, and the estimates ``reconstruct`` projects, are
-  decomposed once by ``qmat.hermitian_eig`` and not judged again: a filtered
-  stack by ``channel._filter_pairs``, which makes it and returns its spectrum;
-* the entry points that take exactly one state (filtering, tomography
-  simulation, recovery planning, ``fidelity_pure`` and
-  ``density_matrix_to_json``) share one check and one message for it.
+* a public function takes one 4x4 two-qubit state, the one shape rule of
+  ``qmat.as_matrix``; stacks are internal;
+* a state is judged where it enters through a public function. That check
+  alone averages it with its conjugate transpose, and its positivity check
+  decomposes it once: its entropy, mutual information and concurrence are
+  taken from that spectrum. What the library builds from its own pairs, and
+  the estimates ``reconstruct`` projects, are exactly Hermitian, decomposed
+  once by ``qmat.hermitian_eig`` and not judged again: a filtered stack by
+  ``channel._filter_pairs``, which makes it and returns its spectrum.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import qmat
-from .qmat import _dagger, _float_or_array, hermitian_eig, kron, matrix_sqrt_psd, partial_trace
+from .qmat import _dagger, hermitian_eig, kron, matrix_sqrt_psd, partial_trace
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -95,47 +91,42 @@ def bell_state(label: str) -> np.ndarray:
 
 
 def validate_density_matrix(rho) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of each state; return the coerced array.
+    """Check the shape, Hermiticity, unit trace and positivity of one state; return the coerced array.
 
     The one place a state is judged: the ``qmat`` kernels and the measures
     below take what this accepts without checking it again.
     """
-    return _spectrum(rho)[0]
+    rho = qmat.as_matrix(rho)
+    _spectrum(rho)
+    return rho
 
 
-def _one_state(m) -> np.ndarray:
-    # as_matrix of exactly one state: the shape check of every entry point that takes one
-    if np.shape(m) != (4, 4):
-        raise ValueError(f"expected one 4x4 two-qubit density matrix, got shape {np.shape(m)}")
-    return qmat.as_matrix(m)
-
-
-def _spectrum(rho, one: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # validate_density_matrix, returning (rho, values, vectors) of the hermitian_eig its
-    # positivity check takes, so that the measures below need no decomposition of their
-    # own; one=True admits exactly one state, by _one_state
-    rho = _one_state(rho) if one else qmat.as_matrix(rho)
-    # Frobenius distance of each matrix from its conjugate transpose
-    defect = np.sqrt((abs(rho - _dagger(rho)) ** 2).sum(axis=(-2, -1)))
-    if (defect > HERMITICITY_TOL).any():
+def _spectrum(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # validate_density_matrix, returning (rho, values, vectors): the state averaged with
+    # its conjugate transpose, which makes it exactly Hermitian for every kernel after
+    # this check, and the hermitian_eig its positivity check takes, so that the measures
+    # below need no decomposition of their own
+    rho = qmat.as_matrix(rho)
+    # Frobenius distance of the matrix from its conjugate transpose
+    if np.sqrt((abs(rho - _dagger(rho)) ** 2).sum()) > HERMITICITY_TOL:
         raise ValueError("density matrix is not Hermitian within 1e-10")
-    trace = rho.trace(axis1=-2, axis2=-1).real
-    off = abs(trace - 1.0) > TRACE_TOL
-    if off.any():
-        raise ValueError(f"density matrix trace {float(trace[off][0])!r} is not 1 within 1e-10")
+    trace = float(rho.trace().real)
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise ValueError(f"density matrix trace {trace!r} is not 1 within 1e-10")
+    rho = (rho + _dagger(rho)) / 2
     values, vectors = hermitian_eig(rho)
-    if (values < -PSD_TOL).any():
-        raise ValueError(f"density matrix has negative eigenvalue {values.min():.3e}")
+    if values[-1] < -PSD_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {values[-1]:.3e}")
     return rho, values, vectors
 
 
-def von_neumann_entropy(rho) -> float | np.ndarray:
+def von_neumann_entropy(rho) -> float:
     """Entropy -sum(w log2 w) over the eigenvalues, in bits.
 
     Eigenvalues below 1e-12 are dropped (0 log 0 = 0); the result is clamped
     to [0, log2(dim)] to absorb roundoff at the boundaries.
     """
-    return _float_or_array(_entropy_bits(_spectrum(rho)[1]))
+    return float(_entropy_bits(_spectrum(rho)[1]))
 
 
 def _entropy_bits(values) -> np.ndarray:
@@ -145,7 +136,7 @@ def _entropy_bits(values) -> np.ndarray:
     return entropy.clip(0.0, np.log2(values.shape[-1]))
 
 
-def mutual_information(rho) -> float | np.ndarray:
+def mutual_information(rho) -> float:
     """Mutual quantum information S(A) + S(B) - S(AB) in bits.
 
     Always in [0, 2] for a valid two-qubit state. Roundoff can leave the
@@ -153,7 +144,7 @@ def mutual_information(rho) -> float | np.ndarray:
     clamped at 0, as the entropies are clipped to [0, log2 d].
     """
     rho, values, _ = _spectrum(rho)
-    return _float_or_array(_mutual_information(rho, values))
+    return float(_mutual_information(rho, values))
 
 
 def _mutual_information(rho, values) -> np.ndarray:
@@ -166,7 +157,7 @@ def _mutual_information(rho, values) -> np.ndarray:
     return np.maximum(mi, 0.0)
 
 
-def concurrence(rho) -> float | np.ndarray:
+def concurrence(rho) -> float:
     """Wootters concurrence max(0, l1 - l2 - l3 - l4) of a two-qubit state.
 
     The l_i are the descending square roots of the eigenvalues of the
@@ -174,13 +165,15 @@ def concurrence(rho) -> float | np.ndarray:
     rho_tilde = (sigma_y x sigma_y) rho* (sigma_y x sigma_y). They are
     evaluated here as the singular values of
     K = sqrt(rho) (sigma_y x sigma_y) sqrt(rho)*, which satisfies
-    K K^dagger = sqrt(rho) rho_tilde sqrt(rho); going through K avoids the
-    ~1e-8 noise floor that square roots of near-zero eigenvalues would
-    otherwise introduce for low-rank states. The result is clipped to
-    [0, 1], since roundoff lifts maximally entangled states a few ulps above 1.
+    K K^dagger = sqrt(rho) rho_tilde sqrt(rho). On filtered noisy pairs this
+    is within about 4e-14 of a 40-digit reference up to gamma_a = 3, but up
+    to 1.6e-8 off where filtering leaves the pair nearly pure, since
+    ``matrix_sqrt_psd`` takes square roots of roundoff-level eigenvalues
+    (ROADMAP item 2). The result is clipped to [0, 1], since roundoff lifts
+    maximally entangled states a few ulps above 1.
     """
     _, values, vectors = _spectrum(rho)
-    return _float_or_array(_concurrence(values, vectors))
+    return float(_concurrence(values, vectors))
 
 
 def _concurrence(values, vectors) -> np.ndarray:
@@ -211,17 +204,14 @@ def bell_diagonal_weights(rho) -> dict[str, float]:
 
 
 def _bell_diagonal_weights(rho) -> dict[str, float]:
-    # bell_diagonal_weights of validated states
-    return {
-        label: _float_or_array(np.real(w.conj() @ rho @ w) / 2)
-        for label, w in _BELL_COMPONENTS.items()
-    }
+    # bell_diagonal_weights of one validated state
+    return {label: float(np.real(w.conj() @ rho @ w) / 2) for label, w in _BELL_COMPONENTS.items()}
 
 
 def fidelity_pure(rho, target) -> float:
     """Overlap Tr[rho target] of one state with one pure-state projector, in [0, 1]."""
-    rho = _spectrum(rho, one=True)[0]
-    target = _spectrum(target, one=True)[0]  # on a valid state, purity 1 means pure
+    rho = _spectrum(rho)[0]
+    target = _spectrum(target)[0]  # on a valid state, purity 1 means pure
     purity = float(np.trace(target @ target).real)
     if abs(purity - 1.0) > 1e-9:
         raise ValueError("target must be a pure-state projector (Tr[target^2] = 1)")
@@ -233,5 +223,5 @@ def density_matrix_to_json(rho) -> dict:
     """JSON-ready dict of one state: nested [re, im] pairs plus the basis ordering."""
     return {
         "basis": ["HH", "HV", "VH", "VV"],
-        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in _one_state(rho)],
+        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in qmat.as_matrix(rho)],
     }

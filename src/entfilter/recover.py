@@ -31,7 +31,6 @@ import numpy as np
 
 from .channel import FilterElement, PauliNoiseSpec, Z_AXIS, apply_filters, pauli_channel_state
 from .channel import _filter_pairs
-from .qmat import _float_or_array
 from .qstate import concurrence, unit_stokes_vector
 from .qstate import _PAULI_BASIS, _concurrence, _correlation_matrix, _mutual_information, _spectrum
 
@@ -120,7 +119,7 @@ def optimal_magnitude(t, gamma_a_hat, gamma_a) -> float | np.ndarray:
         raise ValueError(f"invalid correlation matrix: ||T a|| = {gain} exceeds 1")
     # atanh(tanh(gA)) would round above gA, and reach inf from gA ~ 19
     gamma_b = gamma_a if gain >= 1.0 else np.arctanh(gain * np.tanh(gamma_a))
-    return _float_or_array(gamma_b)
+    return float(gamma_b) if gamma_b.ndim == 0 else gamma_b
 
 
 def plan_recovery(rho, f_a: FilterElement) -> RecoveryPlan:
@@ -136,7 +135,7 @@ def plan_recovery(rho, f_a: FilterElement) -> RecoveryPlan:
     The input is decomposed once; its concurrence and correlations share that
     decomposition.
     """
-    rho, values, vectors = _spectrum(rho, one=True)
+    rho, values, vectors = _spectrum(rho)
     stokes = (rho @ _PAULI_BASIS).trace(axis1=-2, axis2=-1).real
     if np.max(np.abs(stokes - np.diag(np.diag(stokes)))) > 1e-9:
         raise ValueError(

@@ -189,7 +189,7 @@ def simulate_counts(
     independently. With ``exact=True`` the expected values are stored
     without sampling.
     """
-    rho = _spectrum(rho, one=True)[0]
+    rho = _spectrum(rho)[0]
     _check_acquisition(exposure, dark_prob)
     seed = _check_seed(seed)
     settings = _as_settings(settings)

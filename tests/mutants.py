@@ -93,6 +93,10 @@ MUTANTS = [
      "if np.iscomplexobj(t) or not", "if not"),
     ("filter_operator infinite-magnitude check removed", "channel.py",
      "if f.magnitude == np.inf:", "if False:"),
+    ("_spectrum stops averaging the state with its conjugate transpose", "qstate.py",
+     "rho = (rho + _dagger(rho)) / 2", "rho = rho"),
+    ("as_matrix accepts (N, 4, 4) stacks again", "qmat.py",
+     "a.shape != (4, 4)", "a.shape[-2:] != (4, 4)"),
 ]
 
 

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -205,6 +206,16 @@ class TestDephasingFromSpectrum:
             ns = pauli_dot(axis)
             closed = (1 - noise.p / 2) * rho + (noise.p / 2) * (ns @ rho @ ns)
             assert np.max(np.abs(averaged - closed)) < 1e-6
+
+    @pytest.mark.parametrize("x", [1e-9, 1e-6, 1e-4, 0.3])
+    def test_small_product_keeps_full_precision(self, x):
+        # p = 1 - exp(-x^2/2) against a 40-digit evaluation; subtracting exp from 1
+        # cancels at small x (8.9e-5 off at x = 1e-6, and 0 instead of 5e-19 at x = 1e-9)
+        with decimal.localcontext() as context:
+            context.prec = 40
+            exact = 1 - (-decimal.Decimal(x) ** 2 / 2).exp()
+        p = dephasing_from_spectrum(BirefringenceSpec(x, Z, 1.0)).p
+        assert abs(decimal.Decimal(p) / exact - 1) <= decimal.Decimal("1e-15")
 
 
 class TestApplyFilters:

@@ -23,7 +23,7 @@ from entfilter.qstate import (
     von_neumann_entropy,
 )
 from entfilter.qmat import hermitian_eig, partial_trace
-from entfilter.qstate import _entropy_bits, _spectrum
+from entfilter.qstate import _concurrence, _entropy_bits, _mutual_information
 from entfilter.recover import plan_recovery
 from entfilter.tomo import simulate_counts, standard_settings
 
@@ -42,10 +42,17 @@ Z = (0.0, 0.0, 1.0)
 ENTROPY_BF_033 = -(0.835 * math.log2(0.835) + 0.165 * math.log2(0.165))
 
 
-def unclamped_mutual_information(rho):
-    # S(A) + S(B) - S(AB) from the library's own kernels, without the clamp to 0
-    rho, values, _ = _spectrum(rho)
-    marginals = (hermitian_eig(partial_trace(rho, keep))[0] for keep in (0, 1))
+def stack_spectrum(states):
+    # (states, values, vectors) as a sweep's stack reaches the measure kernels: made exactly
+    # Hermitian, as channel._filter_pairs leaves it, then decomposed once by hermitian_eig
+    states = (states + states.conj().swapaxes(-1, -2)) / 2
+    return (states, *hermitian_eig(states))
+
+
+def unclamped_mutual_information(states):
+    # S(A) + S(B) - S(AB) of one state or a stack from the library's own kernels, without the clamp to 0
+    states, values, _ = stack_spectrum(states)
+    marginals = (hermitian_eig(partial_trace(states, keep))[0] for keep in (0, 1))
     return sum(map(_entropy_bits, marginals)) - _entropy_bits(values)
 
 
@@ -110,9 +117,9 @@ class TestValidateDensityMatrix:
             (np.diag([1 + 2e-10, -2e-10, 0.0, 0.0]), "negative eigenvalue -2.000e-10"),
             (_with_entry(float("nan")), "must be finite"),
             (_with_entry(float("inf")), "must be finite"),
-            (np.eye(3) / 3, r"4x4 two-qubit matrix or an \(N, 4, 4\) stack, got shape \(3, 3\)"),
-            (np.full((2, 2, 2, 2), 0.25), r"4x4 two-qubit matrix or an \(N, 4, 4\) stack"),
-            (np.eye(2) / 2, r"4x4 two-qubit matrix or an \(N, 4, 4\) stack, got shape \(2, 2\)"),
+            (np.eye(3) / 3, r"^expected one 4x4 two-qubit density matrix, got shape \(3, 3\)$"),
+            (np.full((2, 2, 2, 2), 0.25), r"^expected one 4x4 two-qubit density matrix, got shape \(2, 2, 2, 2\)$"),
+            (np.eye(2) / 2, r"^expected one 4x4 two-qubit density matrix, got shape \(2, 2\)$"),
         ],
         ids=[
             "non-hermitian", "indefinite", "hermiticity-2e-10", "trace-2e-10", "eigenvalue-2e-10",
@@ -133,6 +140,15 @@ class TestValidateDensityMatrix:
     def test_accepts_roundoff_within_1e10(self, rho):
         # HERMITICITY_TOL and TRACE_TOL just inside their bound; test_rejects has them just outside
         assert np.array_equal(validate_density_matrix(rho), rho)
+
+    def test_measures_take_the_hermitian_part_of_the_state(self):
+        # a state Hermitian only within HERMITICITY_TOL is averaged with its conjugate
+        # transpose where it enters, so it and that transpose give the same float, bit for bit
+        rho = 0.9 * bell_state("phi+") + 0.1 * np.eye(4) / 4
+        rho[0, 3] += 5e-11
+        for measure in (von_neumann_entropy, mutual_information, concurrence):
+            value = measure(rho)
+            assert type(value) is float and value == measure(rho.conj().T)
 
     def test_concurrence_rejects_indefinite_state(self):
         with pytest.raises(ValueError, match="negative eigenvalue"):
@@ -156,6 +172,12 @@ class TestValidateDensityMatrix:
             lambda rho: fidelity_pure(rho, rho),
             lambda rho: fidelity_pure(bell_state("phi+"), rho),
             density_matrix_to_json,
+            validate_density_matrix,
+            von_neumann_entropy,
+            mutual_information,
+            concurrence,
+            correlation_matrix,
+            bell_diagonal_weights,
         ],
         ids=[
             "apply_filters",
@@ -164,15 +186,26 @@ class TestValidateDensityMatrix:
             "fidelity_pure-state",
             "fidelity_pure-target",
             "density_matrix_to_json",
+            "validate_density_matrix",
+            "von_neumann_entropy",
+            "mutual_information",
+            "concurrence",
+            "correlation_matrix",
+            "bell_diagonal_weights",
         ],
     )
     @pytest.mark.parametrize(
         "rho",
-        [np.array([bell_state("phi+"), bell_state("psi-")]), np.eye(2) / 2],
-        ids=["stack", "one-qubit"],
+        [
+            np.array([bell_state("phi+"), bell_state("psi-")]),
+            np.array([bell_state("phi+"), 2 * bell_state("psi-")]),
+            np.eye(2) / 2,
+        ],
+        ids=["stack", "stack-with-invalid-state", "one-qubit"],
     )
     def test_single_state_entry_points_share_one_check(self, entry, rho):
-        # one message for every shape but (4, 4), naming the shape it got
+        # every public function that takes a state takes one: one message for every
+        # shape but (4, 4), naming the shape it got, before any state of a stack is judged
         message = f"expected one 4x4 two-qubit density matrix, got shape {np.shape(rho)}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             entry(rho)
@@ -207,16 +240,18 @@ class TestVonNeumannEntropy:
 
     def test_roundoff_stays_within_zero_and_two(self):
         # the eigenvalue sums of pure and of rotated maximally mixed states land a few
-        # ulps either side of 0 and 2; the clip keeps both inside [0, 2], alone and in a stack
+        # ulps either side of 0 and 2; the clip keeps both inside [0, 2], alone and in the
+        # stack kernels a sweep takes
         rng = np.random.default_rng(1)
         vectors = rng.normal(size=(20, 4)) + 1j * rng.normal(size=(20, 4))
         vectors /= np.linalg.norm(vectors, axis=1)[:, None]
         pure = np.einsum("ni,nj->nij", vectors, vectors.conj())
-        entropies = von_neumann_entropy(pure)
+        entropies = _entropy_bits(stack_spectrum(pure)[1])
         assert ((0.0 <= entropies) & (entropies < 1e-14)).all()
         assert all(von_neumann_entropy(rho) >= 0.0 for rho in pure)
         unitaries = np.linalg.qr(rng.normal(size=(2000, 4, 4)) + 1j * rng.normal(size=(2000, 4, 4)))[0]
-        entropies = von_neumann_entropy(unitaries @ (np.eye(4) / 4) @ unitaries.conj().swapaxes(1, 2))
+        mixed = unitaries @ (np.eye(4) / 4) @ unitaries.conj().swapaxes(1, 2)
+        entropies = _entropy_bits(stack_spectrum(mixed)[1])
         assert ((2.0 - 1e-14 < entropies) & (entropies <= 2.0)).all()
 
     @pytest.mark.parametrize("weight, counted", [(5e-13, False), (2e-12, True)])
@@ -239,14 +274,14 @@ class TestMutualInformation:
 
     def test_roundoff_negative_is_exactly_zero(self):
         # a product state's entropies cancel only to within roundoff; where the
-        # remainder is negative, the clamp returns exactly 0, alone and in a stack
+        # remainder is negative, the clamp returns exactly 0, alone and in the stack kernel
         rng = np.random.default_rng(3)
         states = np.array(
             [np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2)) for _ in range(20)]
         )
         negative = unclamped_mutual_information(states) < 0
         assert negative.sum() >= 3
-        assert (mutual_information(states)[negative] == 0.0).all()
+        assert (_mutual_information(*stack_spectrum(states)[:2])[negative] == 0.0).all()
         alone = [rho for rho in states if unclamped_mutual_information(rho) < 0]
         assert alone and all(mutual_information(rho) == 0.0 for rho in alone)
 
@@ -259,8 +294,9 @@ class TestMutualInformation:
 
     def test_nonnegative_on_random_states(self):
         rng = np.random.default_rng(17)
-        states = np.array([random_density_matrix(rng) for _ in range(10_000)])
-        mi, c = mutual_information(states), concurrence(states)
+        # in the stack kernels a sweep takes
+        states, values, vectors = stack_spectrum(np.array([random_density_matrix(rng) for _ in range(10_000)]))
+        mi, c = _mutual_information(states, values), _concurrence(values, vectors)
         assert np.all((0.0 <= mi) & (mi <= 2.0))
         assert np.all((0.0 <= c) & (c <= 1.0))
 
@@ -306,11 +342,11 @@ class TestConcurrence:
 
     def test_never_exceeds_one_on_rotated_bell_state(self):
         # local rotations of phi+ on qubit A; unclipped, about a third of them
-        # come out a few ulps above 1
+        # come out a few ulps above 1 in the stack kernel a sweep takes
         rng = np.random.default_rng(0)
         rotations = np.array([np.kron(random_unitary(rng), np.eye(2)) for _ in range(2000)])
         states = rotations @ bell_state("phi+") @ rotations.conj().swapaxes(-1, -2)
-        assert concurrence(states).max() == 1.0
+        assert _concurrence(*stack_spectrum(states)[1:]).max() == 1.0
 
     def test_bell_diagonal_closed_form(self):
         rng = np.random.default_rng(29)
@@ -323,21 +359,6 @@ class TestConcurrence:
 
 
 class TestStacks:
-    def test_stack_matches_per_state_calls(self):
-        rng = np.random.default_rng(43)
-        states = np.array([random_density_matrix(rng) for _ in range(40)] + list(BELL_PROJECTORS))
-        for measure in (mutual_information, concurrence, von_neumann_entropy):
-            single = [measure(rho) for rho in states]
-            assert all(type(value) is float for value in single)
-            stacked = measure(states)
-            assert stacked.shape == (len(states),)
-            assert np.max(np.abs(stacked - single)) <= 1e-15
-        single_t = [correlation_matrix(rho) for rho in states]
-        assert np.max(np.abs(correlation_matrix(states) - single_t)) <= 1e-15
-        stacked_w = bell_diagonal_weights(states)
-        for rho, *weights in zip(states, *stacked_w.values()):
-            assert list(bell_diagonal_weights(rho).values()) == pytest.approx(weights, abs=1e-15)
-
     def test_pauli_dot_of_stacked_directions(self):
         rng = np.random.default_rng(47)
         directions = rng.normal(size=(5, 2, 3))
@@ -345,11 +366,6 @@ class TestStacks:
         assert stacked.shape == (5, 2, 2, 2)
         for d, op in zip(directions.reshape(-1, 3), stacked.reshape(-1, 2, 2)):
             assert np.array_equal(op, d[0] * SIGMA_X + d[1] * SIGMA_Y + d[2] * SIGMA_Z)
-
-    def test_one_invalid_state_rejects_the_stack(self):
-        states = np.array([bell_state("phi+"), 2 * bell_state("psi-")])
-        with pytest.raises(ValueError, match="trace 2.0"):
-            validate_density_matrix(states)
 
 
 class TestCorrelationMatrix:

@@ -442,7 +442,8 @@ class TestSharedEvaluationPath:
             ratio_scan(spec, [max(gamma_a, 1e-3), 0.857], np.linspace(0.0, ratio_max, 7))
         assert [len(states) for states in stacks] == [7, 14]
         for states in stacks:
-            validate_density_matrix(states)
+            for rho in states:
+                validate_density_matrix(rho)
 
 
 class TestRatioScan:
