@@ -106,10 +106,16 @@ class BirefringenceSpec:
         object.__setattr__(self, "axis", _as_unit_tuple(self.axis))
 
 
-def _normalized_filters(gammas: np.ndarray, axis) -> np.ndarray:
-    # (N, 2, 2) stack of e^(-g/2) P = P+ + e^-g P- with P+- = (I +- axis.sigma)/2: no cancellation
+def _filter_projectors(axis) -> tuple[np.ndarray, np.ndarray]:
+    # P+ and P- = (I +- axis.sigma)/2, onto the mode a filter along axis favors and the one it attenuates
     n = pauli_dot(axis)
-    return (IDENTITY_2 + n) / 2 + np.exp(-gammas)[:, None, None] * ((IDENTITY_2 - n) / 2)
+    return (IDENTITY_2 + n) / 2, (IDENTITY_2 - n) / 2
+
+
+def _normalized_filters(gammas: np.ndarray, axis) -> np.ndarray:
+    # (N, 2, 2) stack of e^(-g/2) P = P+ + e^-g P-: no cancellation
+    plus, minus = _filter_projectors(axis)
+    return plus + np.exp(-gammas)[:, None, None] * minus
 
 
 def filter_operator(f: FilterElement) -> np.ndarray:
@@ -180,10 +186,21 @@ def apply_filters(
 
 def _filter_pairs(rho, gamma_a, axis_a, gamma_b, axis_b):
     # apply_filters of a valid 4x4 state over arrays of magnitudes: N states, their one
-    # eigendecomposition (values, vectors), N transmissions; no caller decomposes them again
+    # eigendecomposition (values, vectors), N transmissions. The matrix path, for states
+    # from outside and for optimize; a sweep's curves take recover's closed-form kernel
     pairs = kron(_normalized_filters(gamma_a, axis_a), _normalized_filters(gamma_b, axis_b))
     out = pairs @ rho @ _dagger(pairs)
     trace = out.trace(axis1=1, axis2=2).real
+    transmission = _transmission(trace, gamma_a, gamma_b)
+    states = out / trace[:, None, None]
+    states = (states + _dagger(states)) / 2
+    return (states, *hermitian_eig(states), transmission)
+
+
+def _transmission(trace, gamma_a, gamma_b) -> np.ndarray:
+    # the transmissions of N pairs that the normalized filters of magnitudes gamma_a, gamma_b
+    # leave with these traces, capped at 1 against roundoff; every filtered pair, on the
+    # matrix path and in recover's kernel, passes these blocked and subnormal rules
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # the trace P_A x P_B leaves, in logs so that large magnitudes cannot overflow
         # it; a sum that reaches +inf still means "not blocked"
@@ -198,6 +215,4 @@ def _filter_pairs(rho, gamma_a, axis_a, gamma_b, axis_b):
         raise ValueError(
             f"filter magnitudes too large to renormalize: the trace {trace.min():.3e} is subnormal"
         )
-    states = out / trace[:, None, None]
-    states = (states + _dagger(states)) / 2
-    return (states, *hermitian_eig(states), np.minimum(1.0, trace))
+    return np.minimum(1.0, trace)

@@ -14,7 +14,12 @@ Conventions, used consistently across the package:
   taken from that spectrum. What the library builds from its own pairs, and
   the estimates ``reconstruct`` projects, are exactly Hermitian, decomposed
   once by ``qmat.hermitian_eig`` and not judged again: a filtered stack by
-  ``channel._filter_pairs``, which makes it and returns its spectrum.
+  ``channel._filter_pairs``, which makes it and returns its spectrum;
+* one entropy rule (``_entropy_bits``: every positive eigenvalue counts) and
+  one mutual-information rule (``_information_bits``: clamped at 0) serve
+  these measures and the closed-form curves of ``recover.sweep`` and
+  ``ratio_scan``, which take their spectra from 2x2 Gram matrices and form no
+  4x4 state.
 """
 
 from __future__ import annotations
@@ -51,8 +56,6 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 #: Eigenvalues above this (negative) floor are roundoff; kernels clip them to 0.
 PSD_TOL = 1e-10
-# Eigenvalues below this floor are excluded from entropy sums.
-_ENTROPY_EIG_FLOOR = 1e-12
 
 
 def unit_stokes_vector(v) -> np.ndarray:
@@ -123,15 +126,17 @@ def _spectrum(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def von_neumann_entropy(rho) -> float:
     """Entropy -sum(w log2 w) over the eigenvalues, in bits.
 
-    Eigenvalues below 1e-12 are dropped (0 log 0 = 0); the result is clamped
-    to [0, log2(dim)] to absorb roundoff at the boundaries.
+    Eigenvalues <= 0 are dropped (0 log 0 = 0, and a negative one is
+    roundoff); every positive one counts. The result is clamped to
+    [0, log2(dim)] to absorb roundoff at the boundaries.
     """
     return float(_entropy_bits(_spectrum(rho)[1]))
 
 
 def _entropy_bits(values) -> np.ndarray:
-    # von_neumann_entropy from the hermitian_eig eigenvalues of validated states
-    w = np.where(values > _ENTROPY_EIG_FLOOR, values, 1.0)  # 1 log 1 = 0 drops it from the sum
+    # von_neumann_entropy from the eigenvalues (last axis) of validated states: the one
+    # entropy rule, which recover's curve kernel shares
+    w = np.where(values > 0.0, values, 1.0)  # 1 log 1 = 0 drops it from the sum
     entropy = -(w * np.log2(w)).sum(axis=-1)
     return entropy.clip(0.0, np.log2(values.shape[-1]))
 
@@ -149,12 +154,14 @@ def mutual_information(rho) -> float:
 
 def _mutual_information(rho, values) -> np.ndarray:
     # mutual_information of validated states with their hermitian_eig eigenvalues
-    mi = (
-        _entropy_bits(hermitian_eig(partial_trace(rho, 0))[0])
-        + _entropy_bits(hermitian_eig(partial_trace(rho, 1))[0])
-        - _entropy_bits(values)
-    )
-    return np.maximum(mi, 0.0)
+    s_a, s_b = (_entropy_bits(hermitian_eig(partial_trace(rho, keep))[0]) for keep in (0, 1))
+    return _information_bits(s_a, s_b, _entropy_bits(values))
+
+
+def _information_bits(s_a, s_b, s_ab) -> np.ndarray:
+    # S(A) + S(B) - S(AB) from the three entropies, clamped at 0 against roundoff: the one
+    # mutual-information rule, which recover's curve kernel shares
+    return np.maximum(s_a + s_b - s_ab, 0.0)
 
 
 def concurrence(rho) -> float:
@@ -168,9 +175,11 @@ def concurrence(rho) -> float:
     K K^dagger = sqrt(rho) rho_tilde sqrt(rho). On filtered noisy pairs this
     is within about 4e-14 of a 40-digit reference up to gamma_a = 3, but up
     to 1.6e-8 off where filtering leaves the pair nearly pure, since
-    ``matrix_sqrt_psd`` takes square roots of roundoff-level eigenvalues
-    (ROADMAP item 2). The result is clipped to [0, 1], since roundoff lifts
-    maximally entangled states a few ulps above 1.
+    ``matrix_sqrt_psd`` takes square roots of roundoff-level eigenvalues.
+    That concerns this measure and ``apply_filters`` users only: the curves of
+    ``recover.sweep`` and ``ratio_scan`` take their concurrence from a closed
+    form. The result is clipped to [0, 1], since roundoff lifts maximally
+    entangled states a few ulps above 1.
     """
     _, values, vectors = _spectrum(rho)
     return float(_concurrence(values, vectors))

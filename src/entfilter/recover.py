@@ -9,14 +9,14 @@ state with concurrence
 so the best channel-B filter points along -T a and has magnitude
 atanh(||T a|| tanh(gA)). The sweep and ratio-scan drivers evaluate mutual
 information, concurrence and transmission along the curves an experiment
-would trace out, filtering the whole curve as one stack of states.
+would trace out, the whole curve at once.
 
 The drivers check what the caller passes (noise spec, grid, strategy,
-normalization, and that every gamma_b a ratio scan forms is finite). What
-they build from it is not judged again: they read the correlations of the
-noisy pair that ``pauli_channel_state`` builds, and take the mutual
-information and concurrence of its filtered stack from the decomposition that
-the filtering returns, all series of a ratio scan in one stack. A row is a
+normalization, and that every gamma_b a ratio scan forms is finite). They
+read the correlations of the noisy pair that ``pauli_channel_state`` builds,
+then take every column from a closed form over the pair's two pure
+components (``_evaluate``), all series of a ratio scan in one stack: along a
+curve no 4x4 state is formed, decomposed or judged. A row is a
 :class:`SweepPoint` tuple of the artifact columns. The closed forms check the
 correlation matrix a caller passes: a finite real 3x3 array.
 """
@@ -30,9 +30,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import FilterElement, PauliNoiseSpec, Z_AXIS, apply_filters, pauli_channel_state
-from .channel import _filter_pairs
-from .qstate import concurrence, unit_stokes_vector
-from .qstate import _PAULI_BASIS, _concurrence, _correlation_matrix, _mutual_information, _spectrum
+from .channel import _filter_projectors, _transmission
+from .qstate import IDENTITY_2, concurrence, pauli_dot, unit_stokes_vector
+from .qstate import _PAULI_BASIS, _concurrence, _correlation_matrix, _entropy_bits, _information_bits, _spectrum
 
 #: Stokes direction of the channel-A inherent filter. |H> of photon A defines
 #: +z, so the filter favoring |H> points along +z.
@@ -45,6 +45,8 @@ _METRICS = ("mutual_info", "concurrence", "transmission")
 _COLUMNS = ("gamma_a", "gamma_b", "strategy", "mutual_info_bits", "concurrence", "transmission")
 CSV_HEADER = ",".join(_COLUMNS)
 _CSV_ROW = "%.12g,%.12g,%s,%.12g,%.12g,%.12g"
+# the six column pairs i < j of a 2x4 matrix, whose 2x2 minors Cauchy-Binet sums
+_MINOR_I, _MINOR_J = [0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]
 
 
 @dataclass(frozen=True)
@@ -165,17 +167,59 @@ def _compensator_orientation(t, gamma_a_hat) -> tuple[float, float, float]:
     return tuple(float(x) + 0.0 for x in orientation)
 
 
-def _evaluate(rho, t, gamma_a, gamma_b, strategy, normalization) -> list[SweepPoint]:
-    # filter -> normalize -> (MI, C, T) over arrays of magnitudes; t is rho's correlation
-    # matrix. Filtering a pair the library built gives valid states, so the stack is
-    # not judged again, and MI and C share the decomposition that _filter_pairs returns.
+def _evaluate(noise, t, gamma_a, gamma_b, strategy, normalization) -> list[SweepPoint]:
+    """The curve columns (MI, C, T) of the filtered noisy pair over arrays of magnitudes.
+
+    A closed form, with no eigendecomposition and no SVD. ``pauli_channel_state(noise)``
+    is (1 - p/2)|phi+><phi+| + (p/2)(n.sigma x 1)|phi+><phi+|(n.sigma x 1), whose two
+    pure components have the 2x2 amplitude matrices U_1 = sqrt(1 - p/2) I/sqrt2 and
+    U_2 = sqrt(p/2) (n.sigma)/sqrt2. The normalized filters e^(-g/2) P map them to
+    W_k = F_A U_k F_B^T, and every column follows from W:
+
+    * T = sum |W|^2, the trace, which ``channel._transmission`` checks and caps;
+    * S(AB), S(A) and S(B) are the entropies of M M^dagger for the three 2x4 reshapes M
+      of W / sqrt(T) with rows k, a and b: the Gram matrix of the components and the
+      two marginals. Of [[a, b], [b*, d]], the larger eigenvalue is
+      (a + d + hypot(a - d, 2|b|)) / 2 and the smaller one det / larger, det taken as the
+      sum of the six squared 2x2 minors of M (Cauchy-Binet), so that neither cancels
+      where the pair is nearly pure;
+    * C = |det F_A| |det F_B| C0 / T (Verstraete, Dehaene & De Moor, PRA 64, 010101(R),
+      2001), where det e^(-g/2) P = e^(-g) and C0 = 1 - p for every noise axis (the
+      Wootters concurrence, PRL 80, 2245, 1998). It is formed as a product of two
+      exponentials, since e^(-gA - gB) overflows in the sum, and capped at 1 against
+      roundoff.
+
+    ``t`` is the pair's correlation matrix, which sets the compensator's orientation.
+    """
     orientation = _compensator_orientation(t, GAMMA_A_AXIS)
-    states, values, vectors, transmission = _filter_pairs(rho, gamma_a, GAMMA_A_AXIS, gamma_b, orientation)
-    mutual_info = normalization * _mutual_information(states, values)
-    concurrences = _concurrence(values, vectors)
+    p = noise.p
+    components = np.array([np.sqrt((1 - p / 2) / 2) * IDENTITY_2, np.sqrt(p / 4) * pauli_dot(noise.axis)])
+    # e^(-g/2) P = P+ + e^-g P-, so W is a sum over the projector pairs: X_st = P^s_A U_k (P^t_B)^T
+    # weighted 1, e^-gB, e^-gA and e^-gA e^-gB. Each X_st is laid out as the three 2x4
+    # reshapes side by side, so that W comes as the (N, 3, 2, 4) rows k, a and b
+    projectors_a, projectors_b = (np.array(_filter_projectors(axis)) for axis in (GAMMA_A_AXIS, orientation))
+    terms = np.einsum("sai,kij,tbj->stkab", projectors_a, components, projectors_b).reshape(4, 2, 2, 2)
+    terms = np.stack([terms.reshape(4, 2, 4), terms.transpose(0, 2, 1, 3).reshape(4, 2, 4),
+                      terms.transpose(0, 3, 1, 2).reshape(4, 2, 4)], axis=1)
+    decay_a, decay_b = np.exp(-gamma_a)[:, None, None, None], np.exp(-gamma_b)[:, None, None, None]
+    decay_ab = decay_a * decay_b
+    rows = terms[0] + decay_b * terms[1] + decay_a * terms[2] + decay_ab * terms[3]
+    trace = (rows[:, 0].real ** 2 + rows[:, 0].imag ** 2).sum(axis=(1, 2))
+    transmission = _transmission(trace, gamma_a, gamma_b)
+    rows = rows / np.sqrt(trace)[:, None, None, None]  # entries of order 1: no minor underflows
+    r0, r1 = rows[..., 0, :], rows[..., 1, :]
+    norms = (rows.real ** 2 + rows.imag ** 2).sum(axis=-1)
+    a, d = norms[..., 0], norms[..., 1]
+    b = abs((r0 * r1.conj()).sum(axis=-1))
+    minors = r0[..., _MINOR_I] * r1[..., _MINOR_J] - r0[..., _MINOR_J] * r1[..., _MINOR_I]
+    det = (minors.real ** 2 + minors.imag ** 2).sum(axis=-1)
+    larger = (a + d + np.hypot(a - d, 2 * b)) / 2
+    s_ab, s_a, s_b = _entropy_bits(np.stack([larger, det / larger], axis=-1)).T
+    mutual_info = normalization * _information_bits(s_a, s_b, s_ab)
+    concurrences = np.minimum((1 - p) * decay_ab[:, 0, 0, 0] / trace, 1.0)
     columns = gamma_a, gamma_b, mutual_info, concurrences, transmission
-    a, b, mi, c, tr = (column.tolist() for column in columns)
-    return list(map(SweepPoint, a, b, repeat(strategy), mi, c, tr))
+    g_a, g_b, mi, c, tr = (column.tolist() for column in columns)
+    return list(map(SweepPoint, g_a, g_b, repeat(strategy), mi, c, tr))
 
 
 def sweep(
@@ -202,15 +246,14 @@ def sweep(
     gamma_a = np.asarray(gamma_a_grid, dtype=float).ravel()  # a scalar is a one-point grid
     if not (gamma_a >= 0).all():
         raise ValueError("gamma_a grid values must be >= 0")
-    rho = pauli_channel_state(noise)
-    t = _correlation_matrix(rho)
+    t = _correlation_matrix(pauli_channel_state(noise))
     if strategy == "none":
         gamma_b = np.zeros_like(gamma_a)
     elif strategy == "match":
         gamma_b = gamma_a
     else:
         gamma_b = optimal_magnitude(t, GAMMA_A_AXIS, gamma_a)
-    return _evaluate(rho, t, gamma_a, gamma_b, strategy, normalization)
+    return _evaluate(noise, t, gamma_a, gamma_b, strategy, normalization)
 
 
 def ratio_scan(noise: PauliNoiseSpec, gamma_a, ratio_grid) -> list[SweepPoint]:
@@ -234,9 +277,8 @@ def ratio_scan(noise: PauliNoiseSpec, gamma_a, ratio_grid) -> list[SweepPoint]:
     finite = np.isfinite(gamma_b)
     if not finite.all():
         raise ValueError(f"gamma_b = gamma_a * ratio must be finite, got {float(gamma_b[~finite][0])}")
-    rho = pauli_channel_state(noise)
-    gamma_a_grid = np.repeat(gamma_a, ratios.size)
-    return _evaluate(rho, _correlation_matrix(rho), gamma_a_grid, gamma_b, "ratio", 1.0)
+    t = _correlation_matrix(pauli_channel_state(noise))
+    return _evaluate(noise, t, np.repeat(gamma_a, ratios.size), gamma_b, "ratio", 1.0)
 
 
 def argmax_ratio(points: list[SweepPoint], metric: str = "mutual_info") -> float:

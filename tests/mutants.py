@@ -31,10 +31,8 @@ MUTANTS = [
      "return entropy.clip(0.0, np.log2(values.shape[-1]))", "return entropy"),
     ("entropy clip's upper bound removed", "qstate.py",
      "entropy.clip(0.0, np.log2(values.shape[-1]))", "entropy.clip(0.0, None)"),
-    ("_ENTROPY_EIG_FLOOR 1e-12 -> 1e-10", "qstate.py",
-     "_ENTROPY_EIG_FLOOR = 1e-12", "_ENTROPY_EIG_FLOOR = 1e-10"),
-    ("_ENTROPY_EIG_FLOOR 1e-12 -> 1e-14", "qstate.py",
-     "_ENTROPY_EIG_FLOOR = 1e-12", "_ENTROPY_EIG_FLOOR = 1e-14"),
+    ("entropy drops positive eigenvalues below 1e-12 again", "qstate.py",
+     "np.where(values > 0.0, values, 1.0)", "np.where(values > 1e-12, values, 1.0)"),
     ("transmission cap at 1 removed", "channel.py",
      "np.minimum(1.0, trace)", "trace"),
     ("_LOG_BLOCKED_TRACE log 1e-14 -> log 1e-12", "channel.py",
@@ -71,7 +69,15 @@ MUTANTS = [
     ("fidelity_pure purity tolerance 1e-9 -> 1e-6", "qstate.py",
      "abs(purity - 1.0) > 1e-9", "abs(purity - 1.0) > 1e-6"),
     ("mutual information clamp at 0 removed", "qstate.py",
-     "np.maximum(mi, 0.0)", "mi"),
+     "np.maximum(s_a + s_b - s_ab, 0.0)", "s_a + s_b - s_ab"),
+    ("curve concurrence without its (1 - p) factor", "recover.py",
+     "(1 - p) * decay_ab", "decay_ab"),
+    ("curve concurrence cap at 1 removed", "recover.py",
+     "np.minimum((1 - p) * decay_ab[:, 0, 0, 0] / trace, 1.0)", "(1 - p) * decay_ab[:, 0, 0, 0] / trace"),
+    ("curve kernel's smaller eigenvalue from the cancelling difference, not det / larger", "recover.py",
+     "[larger, det / larger]", "[larger, (a + d - np.hypot(a - d, 2 * b)) / 2]"),
+    ("curve kernel skips the shared trace rules", "recover.py",
+     "transmission = _transmission(trace, gamma_a, gamma_b)", "transmission = np.minimum(1.0, trace)"),
     ("concurrence_after_filtering c0 ceiling 1 + 1e-9 -> 1 + 1e-6", "recover.py",
      "c0 <= 1.0 + 1e-9", "c0 <= 1.0 + 1e-6"),
     ("concurrence_after_filtering c0 ceiling 1 + 1e-9 -> 1", "recover.py",
@@ -80,7 +86,7 @@ MUTANTS = [
      "gain > 1.0 + 1e-9", "gain > 1.0 + 1e-6"),
     ("ratio_scan finite-gamma_b check removed", "recover.py",
      "if not finite.all():", "if False:"),
-    ("_filter_pairs log-trace overflow let through as a warning", "channel.py",
+    ("_transmission log-trace overflow let through as a warning", "channel.py",
      'np.errstate(divide="ignore", invalid="ignore", over="ignore")',
      'np.errstate(divide="ignore", invalid="ignore")'),
     ("apply_filters check of the state it returns removed", "channel.py",

@@ -30,7 +30,7 @@ from entfilter.tomo import (
     standard_settings,
 )
 
-from helpers import matrix_from_json, record_eigh_shapes
+from helpers import count_calls, matrix_from_json, record_eigh_shapes
 
 MI_UNFILTERED = 2.0 + 0.835 * math.log2(0.835) + 0.165 * math.log2(0.165)
 
@@ -406,20 +406,13 @@ def test_reconstruct_reads_each_record_settings(tmp_path):
 
 
 # Shapes of the Hermitian decompositions each command takes, sorted:
-# - curves: the 60 filtered states and their two reduced stacks; the noisy
-#   pair the library built is not decomposed;
-# - inset: the same three stacks for each of the three default gamma_A values;
 # - optimize: the plan's input, and the filtered state with its two reduced
 #   states;
 # - tomo simulate: the state it samples;
 # - tomo reconstruct: the physicality projection of the raw estimate, then the
 #   one decomposition its three metrics share, with two reduced states.
+# curves and inset take none (test_curve_commands_call_neither_eigh_nor_svd).
 COMMAND_EIGH_SHAPES = {
-    ("curves", "--noise", "bitflip", "--output", "{out}"): (
-        [(60, 2, 2), (60, 2, 2), (60, 4, 4)]
-    ),
-    # the three default series are one (3 x 121)-state stack
-    ("inset", "--output", "{out}"): [(363, 2, 2)] * 2 + [(363, 4, 4)],
     # the filtered pair is decomposed as the one-state stack _filter_pairs returns
     ("optimize", "--noise", "bitflip", "--gamma-a", "0.857"): (
         [(1, 4, 4), (2, 2), (2, 2), (4, 4)]
@@ -438,6 +431,19 @@ def test_each_command_decomposes_each_state_once(tmp_path, monkeypatch, capsys, 
     shapes = record_eigh_shapes(monkeypatch)
     assert main([arg.format(**paths) for arg in argv]) == 0
     assert sorted(shapes) == COMMAND_EIGH_SHAPES[argv]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["curves", "--noise", "bitflip", "--output", "{out}"], ["inset", "--output", "{out}"]],
+    ids=["curves", "inset"],
+)
+def test_curve_commands_call_neither_eigh_nor_svd(tmp_path, monkeypatch, argv):
+    # the curves come from the closed-form kernel in recover._evaluate
+    shapes = record_eigh_shapes(monkeypatch)
+    svds = count_calls(monkeypatch, np.linalg, "svd")
+    assert main([arg.format(out=tmp_path / "out") for arg in argv]) == 0
+    assert (shapes, svds) == ([], [])
 
 
 def test_phaseflip_optimum_holds_at_large_filter_strength(tmp_path):
