@@ -16,11 +16,12 @@ naming the flag; that holds for ``tomo simulate --p`` with a Bell ``--state`` to
 
 A state is judged where it enters through a public function: ``optimize``
 judges the noisy pair in ``plan_recovery``. What the library builds from its
-own pairs (``optimize``'s filtered pair, the stacks of ``curves`` and
-``inset``) and the estimate ``reconstruct`` projects are decomposed once and
-not judged again: the filtering returns each filtered state's spectrum, and
-only ``tomo reconstruct`` decomposes a state here. ``inset`` scans all its
-gamma_a values as one stack, in one ``ratio_scan`` call.
+own pairs (``optimize``'s filtered pair) and the estimate ``reconstruct``
+projects are decomposed once and not judged again: the filtering returns each
+filtered state's spectrum, and only ``tomo reconstruct`` decomposes a state
+here. ``curves`` and ``inset`` form no 4x4 state: ``inset`` scans all its
+gamma_a values as one stack of closed-form curve points, in one
+``ratio_scan`` call.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .recover import (
     sweep_to_csv,
     sweep_to_json,
 )
+from .recover import _json_text
 from .tomo import (
     reconstruct,
     record_from_json,
@@ -193,7 +195,7 @@ def cmd_curves(args) -> int:
     if args.format == "csv":
         _write_text(args.output, sweep_to_csv(points))
     else:
-        _write_text(args.output, json.dumps(sweep_to_json(points), indent=2) + "\n")
+        _write_text(args.output, _json_text(points))
     return EXIT_OK
 
 

@@ -13,30 +13,35 @@ would trace out, the whole curve at once.
 
 The drivers check what the caller passes (noise spec, grid, strategy,
 normalization, and that every gamma_b a ratio scan forms is finite). They
-read the correlations of the noisy pair that ``pauli_channel_state`` builds,
-then take every column from a closed form over the pair's two pure
-components (``_evaluate``), all series of a ratio scan in one stack: along a
-curve no 4x4 state is formed, decomposed or judged. A row is a
+take T a of the noisy pair in closed form, which sets the compensator's
+orientation and optimum, then every column from a closed form over the
+pair's two pure components in the eigenframe of the two filters
+(``_evaluate``), all series of a ratio scan in one stack: neither the set-up
+nor a curve forms, decomposes or judges a 4x4 state. A row is a
 :class:`SweepPoint` tuple of the artifact columns. The closed forms check the
 correlation matrix a caller passes: a finite real 3x3 array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import combinations, repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import FilterElement, PauliNoiseSpec, Z_AXIS, apply_filters, pauli_channel_state
-from .channel import _filter_projectors, _transmission
-from .qstate import IDENTITY_2, concurrence, pauli_dot, unit_stokes_vector
-from .qstate import _PAULI_BASIS, _concurrence, _correlation_matrix, _entropy_bits, _information_bits, _spectrum
+from .channel import FilterElement, PauliNoiseSpec, Z_AXIS, apply_filters
+from .channel import _transmission
+from .qstate import concurrence, unit_stokes_vector
+from .qstate import _PAULI_BASIS, _concurrence, _entropy_bits, _information_bits, _spectrum
 
 #: Stokes direction of the channel-A inherent filter. |H> of photon A defines
 #: +z, so the filter favoring |H> points along +z.
 GAMMA_A_AXIS = Z_AXIS
+# T0 a for phi+, the pair every noisy channel state starts from: its correlation matrix
+# T0 = diag(1, -1, 1) keeps the filter-A axis z
+_PHI_PLUS_T_A = GAMMA_A_AXIS
 
 STRATEGIES = ("none", "match", "optimal")
 _METRICS = ("mutual_info", "concurrence", "transmission")
@@ -45,8 +50,10 @@ _METRICS = ("mutual_info", "concurrence", "transmission")
 _COLUMNS = ("gamma_a", "gamma_b", "strategy", "mutual_info_bits", "concurrence", "transmission")
 CSV_HEADER = ",".join(_COLUMNS)
 _CSV_ROW = "%.12g,%.12g,%s,%.12g,%.12g,%.12g"
-# the six column pairs i < j of a 2x4 matrix, whose 2x2 minors Cauchy-Binet sums
-_MINOR_I, _MINOR_J = [0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]
+# one row of the JSON array as json.dumps(indent=2) lays it out: floats through repr
+_JSON_ROW = "  {\n%s\n  }" % ",\n".join(
+    '    "%s": %s' % (name, '"%s"' if name == "strategy" else "%r") for name in _COLUMNS
+)
 
 
 @dataclass(frozen=True)
@@ -119,8 +126,7 @@ def optimal_magnitude(t, gamma_a_hat, gamma_a) -> float | np.ndarray:
     gain = float(np.linalg.norm(_correlation_argument(t) @ a))
     if gain > 1.0 + 1e-9:
         raise ValueError(f"invalid correlation matrix: ||T a|| = {gain} exceeds 1")
-    # atanh(tanh(gA)) would round above gA, and reach inf from gA ~ 19
-    gamma_b = gamma_a if gain >= 1.0 else np.arctanh(gain * np.tanh(gamma_a))
+    gamma_b = _optimum(gain, gamma_a)
     return float(gamma_b) if gamma_b.ndim == 0 else gamma_b
 
 
@@ -155,71 +161,186 @@ def plan_recovery(rho, f_a: FilterElement) -> RecoveryPlan:
 
 
 def _compensator_orientation(t, gamma_a_hat) -> tuple[float, float, float]:
-    # The compensator's orientation for sweeps and plans alike: -T a normalized,
-    # the unit vector b minimizing T a . b. Where T a vanishes (norm below 1e-12:
-    # a fully depolarized direction, e.g. p = 1) it falls back to the antipode of
-    # the filter-A axis; the compensator is inert there. Both callers pass an axis
-    # already judged a unit vector: GAMMA_A_AXIS or a FilterElement's orientation.
+    # The compensator's orientation from a correlation matrix, as _compensator gives it:
+    # plan_recovery passes a FilterElement's orientation, already judged a unit vector
     a = np.asarray(gamma_a_hat, dtype=float)
-    v = np.asarray(t, dtype=float) @ a
-    norm = float(np.linalg.norm(v))
-    orientation = -a if norm < 1e-12 else -v / norm
-    return tuple(float(x) + 0.0 for x in orientation)
+    return _compensator(np.asarray(t, dtype=float) @ a, a)[1]
 
 
-def _evaluate(noise, t, gamma_a, gamma_b, strategy, normalization) -> list[SweepPoint]:
+def _compensator(t_a, a) -> tuple[float, tuple[float, float, float]]:
+    # (||T a||, the compensator's orientation) from the vector T a, for sweeps and plans
+    # alike: the orientation is -T a normalized, the unit vector b minimizing T a . b.
+    # Where T a vanishes (norm below 1e-12: a fully depolarized direction, e.g. p = 1) it
+    # falls back to the antipode of the filter-A axis a; the compensator is inert there
+    gain = math.hypot(*t_a)
+    orientation = [-x for x in a] if gain < 1e-12 else [-x / gain for x in t_a]
+    return gain, tuple(float(x) + 0.0 for x in orientation)
+
+
+def _optimum(gain, gamma_a):
+    # the concurrence-maximizing filter-B magnitude atanh(gain tanh gA); atanh(tanh(gA))
+    # would round above gA, and reach inf from gA ~ 19, so a gain of 1 returns gA itself
+    return gamma_a if gain >= 1.0 else np.arctanh(gain * np.tanh(gamma_a))
+
+
+def _filter_a_correlations(noise) -> tuple[float, float, float]:
+    # T a of pauli_channel_state(noise), a = GAMMA_A_AXIS, in closed form. The noise map keeps
+    # the Stokes component of photon A along n and scales the rest by 1 - p, so
+    # T = T0 + p (n n^T - I) T0 with T0 the correlation matrix of phi+. Written this way a
+    # phase flip (n = a) leaves T a = T0 a exactly, and a bit flip at p = 1 leaves 0
+    p, n = noise.p, noise.axis
+    along = sum(ni * t for ni, t in zip(n, _PHI_PLUS_T_A))  # n . T0 a
+    return tuple(t + p * (ni * along - t) for t, ni in zip(_PHI_PLUS_T_A, n))
+
+
+# The curve kernel's layout, fixed for every call. In the eigenframe of the two filters a
+# filtered component is diag(1, x) M_k diag(1, y), with x = e^-gA and y = e^-gB, so entry
+# (a, b) of M_k carries the scale x^a y^b. Of the (2, 2, 2) stack M, flattened as
+# 4k + 2a + b, the three 2x4 reshapes whose rows are k, a and b take these entries:
+_RESHAPES = (
+    ((0, 1, 2, 3), (4, 5, 6, 7)),  # rows k, columns (a, b)
+    ((0, 1, 4, 5), (2, 3, 6, 7)),  # rows a, columns (k, b)
+    ((0, 2, 4, 6), (1, 3, 5, 7)),  # rows b, columns (k, a)
+)
+_COMPONENT = np.arange(8) // 4  # k of each entry
+# The scale of a product of two entries is one of the nine monomials x^i y^j (i, j <= 2),
+# numbered 3i + j: the sum of the two entries' numbers 3a + b
+_SCALE = [3 * (i // 2 % 2) + i % 2 for i in range(8)]
+
+
+def _gram_layout():
+    # Each term of a Gram entry is one entry of H, the outer product of M with its
+    # conjugate, times a monomial. Per term: its index in H viewed as floats, its sign and
+    # where it adds in a (9, 10) table: per monomial, the z, x and y components of the
+    # Bloch vectors of the three Gram matrices (G = (I + r.sigma)/2), then the trace
+    terms = []
+    for r, (row_0, row_1) in enumerate(_RESHAPES):
+        for i, j in zip(row_0, row_1):
+            terms += [(i, i, 0, 1.0, 3 * r), (j, j, 0, -1.0, 3 * r),  # z = G00 - G11
+                      (i, j, 0, 2.0, 3 * r + 1), (i, j, 1, 2.0, 3 * r + 2)]  # x - iy = 2 G01
+    terms += [(i, i, 0, 1.0, 9) for i in range(8)]  # T = sum |M|^2 x^2a y^2b
+    return [np.array(column) for column in zip(*[
+        (2 * (8 * i + j) + part, sign, 10 * (_SCALE[i] + _SCALE[j]) + column)
+        for i, j, part, sign, column in terms
+    ])]
+
+
+def _minor_layout():
+    # Cauchy-Binet: a reshape's Gram determinant is the sum of its six squared 2x2 minors
+    # e_a e_b - e_c e_d, one per column pair c < d. Per minor: the indices of its two
+    # products in the flattened outer product of M with itself, and where its square adds
+    # in a (9, 3) table, at the squared monomial of (0, c) (1, d), equal to that of
+    # (0, d) (1, c) since the scales factor as x^a y^b
+    minors = [
+        (8 * row_0[c] + row_1[d], 8 * row_0[d] + row_1[c], 3 * (_SCALE[row_0[c]] + _SCALE[row_1[d]]) + r)
+        for r, (row_0, row_1) in enumerate(_RESHAPES)
+        for c, d in combinations(range(4), 2)
+    ]
+    return [np.array(column) for column in zip(*minors)]
+
+
+_GRAM_TERMS, _GRAM_SIGNS, _GRAM_TARGETS = _gram_layout()
+_MINOR_AB, _MINOR_CD, _MINOR_TARGETS = _minor_layout()
+
+
+def _coefficients(noise, orientation):
+    # The kernel's per-call constants from M_k = U_k conj(R), the pair's components in the
+    # eigenframe of filter B: (trace, Bloch, determinant) coefficients over the monomials,
+    # shapes (9,), (9, 9) and (9, 3). R, whose columns are the eigenvectors of b.sigma for
+    # +1 and -1, is taken in the branch of the sign of b_z, where 1 +- b_z does not cancel
+    bx, by, bz = orientation
+    if bz >= 0:
+        norm = math.sqrt(2 * (1 + bz))
+        u0, u1 = (1 + bz) / norm, complex(bx, by) / norm
+    else:
+        norm = math.sqrt(2 * (1 - bz))
+        u0, u1 = complex(bx, -by) / norm, (1 - bz) / norm
+    # U_k = sqrt(w_k) V_k with V_1 = I and V_2 = n.sigma. Within a component, H takes the
+    # weight w_k itself, not the square of its root, so that T is exact where V_k conj(R) is
+    p, (nx, ny, nz) = noise.p, noise.axis
+    unitaries = np.array([[[1, 0], [0, 1]], [[nz, complex(nx, -ny)], [complex(nx, ny), -nz]]])
+    unitaries = (unitaries @ np.array([[u0.conjugate(), -u1], [u1.conjugate(), u0]])).ravel()
+    w_1, w_2 = (1 - p / 2) / 2, p / 4
+    root_1, root_2 = math.sqrt(w_1), math.sqrt(w_2)
+    weights = np.array([[w_1, root_1 * root_2], [root_1 * root_2, w_2]])[_COMPONENT[:, None], _COMPONENT]
+    grams = np.outer(unitaries, unitaries.conj()) * weights
+    table = np.bincount(_GRAM_TARGETS, grams.view(float).ravel()[_GRAM_TERMS] * _GRAM_SIGNS, minlength=90)
+    entries = np.array([root_1, root_2])[_COMPONENT] * unitaries
+    products = np.outer(entries, entries).ravel()
+    minors = products[_MINOR_AB] - products[_MINOR_CD]
+    minors = np.bincount(_MINOR_TARGETS, minors.real ** 2 + minors.imag ** 2, minlength=27)
+    table = table.reshape(9, 10)
+    return table[:, 9], table[:, :9], minors.reshape(9, 3)
+
+
+def _live(coefficients):
+    # the monomials with a nonzero coefficient, and their coefficients: a monomial whose
+    # coefficients are all zero is dropped before it is multiplied, since it can overflow
+    # where its cells carry no component (1/T^2 past gA ~ 177 at p = 0), and inf * 0 is NaN
+    live = coefficients.any(axis=1).nonzero()[0]
+    return live, coefficients[live]
+
+
+def _evaluate(noise, orientation, gamma_a, gamma_b, strategy, normalization) -> list[SweepPoint]:
     """The curve columns (MI, C, T) of the filtered noisy pair over arrays of magnitudes.
 
     A closed form, with no eigendecomposition and no SVD. ``pauli_channel_state(noise)``
     is (1 - p/2)|phi+><phi+| + (p/2)(n.sigma x 1)|phi+><phi+|(n.sigma x 1), whose two
     pure components have the 2x2 amplitude matrices U_1 = sqrt(1 - p/2) I/sqrt2 and
     U_2 = sqrt(p/2) (n.sigma)/sqrt2. The normalized filters e^(-g/2) P map them to
-    W_k = F_A U_k F_B^T, and every column follows from W:
+    W_k = F_A U_k F_B^T. The kernel works in the eigenframe of the two filters, where
+    local filters are diagonal (Verstraete, Dehaene & De Moor, PRA 64, 010101(R), 2001):
+    F_A = diag(1, x) already, x = e^-gA, since filter A lies along z, and F_B^T =
+    conj(R) diag(1, y) R^T, y = e^-gB, with R the eigenvectors of b.sigma. The local
+    unitary R^T on photon B changes none of the columns, so W_k may be taken as
+    diag(1, x) M_k diag(1, y) with M_k = U_k conj(R) fixed for the call: entry (a, b) is
+    M_k[a, b] x^a y^b. Every column then follows from the nine monomials x^i y^j:
 
-    * T = sum |W|^2, the trace, which ``channel._transmission`` checks and caps;
-    * S(AB), S(A) and S(B) are the entropies of M M^dagger for the three 2x4 reshapes M
-      of W / sqrt(T) with rows k, a and b: the Gram matrix of the components and the
-      two marginals. Of [[a, b], [b*, d]], the larger eigenvalue is
-      (a + d + hypot(a - d, 2|b|)) / 2 and the smaller one det / larger, det taken as the
-      sum of the six squared 2x2 minors of M (Cauchy-Binet), so that neither cancels
-      where the pair is nearly pure;
-    * C = |det F_A| |det F_B| C0 / T (Verstraete, Dehaene & De Moor, PRA 64, 010101(R),
-      2001), where det e^(-g/2) P = e^(-g) and C0 = 1 - p for every noise axis (the
-      Wootters concurrence, PRL 80, 2245, 1998). It is formed as a product of two
-      exponentials, since e^(-gA - gB) overflows in the sum, and capped at 1 against
-      roundoff.
+    * T = sum |W|^2 = sum |M_k[a, b]|^2 x^2a y^2b, the trace, which
+      ``channel._transmission`` checks and caps;
+    * S(AB), S(A) and S(B) are the entropies of the Gram matrices G of the three 2x4
+      reshapes of W / sqrt(T) with rows k, a and b: the components and the two
+      marginals. Each Gram entry is a fixed combination of the monomials over T, so of
+      G = (I + r.sigma)/2 the larger eigenvalue is (1 + |r|)/2, and the smaller one is
+      det G / larger, the determinant taken by Cauchy-Binet as a sum of squared 2x2
+      minors: a non-negative combination of the squared monomials over T^2, in which
+      nothing cancels where the pair is nearly pure;
+    * C = |det F_A| |det F_B| C0 / T = (1 - p) x y / T, with C0 = 1 - p for every noise
+      axis (the Wootters concurrence, PRL 80, 2245, 1998), capped at 1 against roundoff.
 
-    ``t`` is the pair's correlation matrix, which sets the compensator's orientation.
+    One rule keeps the monomials finite in a product: a monomial whose coefficients are
+    all zero is dropped before it is multiplied (``_live``). Every sum over the short
+    monomial axis is einsum's elementwise sum of products, not a BLAS matrix product, so
+    that a point's columns do not depend on how many points share the call.
+
+    ``orientation`` is the compensator's, -T a normalized.
     """
-    orientation = _compensator_orientation(t, GAMMA_A_AXIS)
     p = noise.p
-    components = np.array([np.sqrt((1 - p / 2) / 2) * IDENTITY_2, np.sqrt(p / 4) * pauli_dot(noise.axis)])
-    # e^(-g/2) P = P+ + e^-g P-, so W is a sum over the projector pairs: X_st = P^s_A U_k (P^t_B)^T
-    # weighted 1, e^-gB, e^-gA and e^-gA e^-gB. Each X_st is laid out as the three 2x4
-    # reshapes side by side, so that W comes as the (N, 3, 2, 4) rows k, a and b
-    projectors_a, projectors_b = (np.array(_filter_projectors(axis)) for axis in (GAMMA_A_AXIS, orientation))
-    terms = np.einsum("sai,kij,tbj->stkab", projectors_a, components, projectors_b).reshape(4, 2, 2, 2)
-    terms = np.stack([terms.reshape(4, 2, 4), terms.transpose(0, 2, 1, 3).reshape(4, 2, 4),
-                      terms.transpose(0, 3, 1, 2).reshape(4, 2, 4)], axis=1)
-    decay_a, decay_b = np.exp(-gamma_a)[:, None, None, None], np.exp(-gamma_b)[:, None, None, None]
-    decay_ab = decay_a * decay_b
-    rows = terms[0] + decay_b * terms[1] + decay_a * terms[2] + decay_ab * terms[3]
-    trace = (rows[:, 0].real ** 2 + rows[:, 0].imag ** 2).sum(axis=(1, 2))
+    trace_weights, bloch, minors = _coefficients(noise, orientation)
+    first, bloch = _live(bloch)
+    second, minors = _live(minors)
+    powers = np.ones((2, 3, gamma_a.size))  # 1, x, x^2 and 1, y, y^2
+    np.exp(-gamma_a, out=powers[0, 1])
+    np.exp(-gamma_b, out=powers[1, 1])
+    np.multiply(powers[:, 1], powers[:, 1], out=powers[:, 2])
+    monomials = np.einsum("in,jn->nij", powers[0], powers[1]).reshape(-1, 9)
+    trace = np.einsum("nm,m->n", monomials, trace_weights)
     transmission = _transmission(trace, gamma_a, gamma_b)
-    rows = rows / np.sqrt(trace)[:, None, None, None]  # entries of order 1: no minor underflows
-    r0, r1 = rows[..., 0, :], rows[..., 1, :]
-    norms = (rows.real ** 2 + rows.imag ** 2).sum(axis=-1)
-    a, d = norms[..., 0], norms[..., 1]
-    b = abs((r0 * r1.conj()).sum(axis=-1))
-    minors = r0[..., _MINOR_I] * r1[..., _MINOR_J] - r0[..., _MINOR_J] * r1[..., _MINOR_I]
-    det = (minors.real ** 2 + minors.imag ** 2).sum(axis=-1)
-    larger = (a + d + np.hypot(a - d, 2 * b)) / 2
-    s_ab, s_a, s_b = _entropy_bits(np.stack([larger, det / larger], axis=-1)).T
+    monomials /= trace[:, None]  # each over T
+    bloch = np.einsum("nm,mo->no", monomials[:, first], bloch).reshape(-1, 3, 3)
+    values = np.empty((gamma_a.size, 3, 2))  # the larger and the smaller eigenvalue of each G
+    larger, smaller = values[..., 0], values[..., 1]
+    np.sqrt(np.einsum("nri,nri->nr", bloch, bloch), out=larger)
+    larger += 1
+    larger /= 2
+    det = np.einsum("nm,mr->nr", monomials[:, second] ** 2, minors)
+    np.divide(det, larger, out=smaller)
+    s_ab, s_a, s_b = _entropy_bits(values).T
     mutual_info = normalization * _information_bits(s_a, s_b, s_ab)
-    concurrences = np.minimum((1 - p) * decay_ab[:, 0, 0, 0] / trace, 1.0)
-    columns = gamma_a, gamma_b, mutual_info, concurrences, transmission
-    g_a, g_b, mi, c, tr = (column.tolist() for column in columns)
-    return list(map(SweepPoint, g_a, g_b, repeat(strategy), mi, c, tr))
+    concurrences = np.minimum((1 - p) * monomials[:, 4], 1.0)
+    columns = zip(gamma_a.tolist(), gamma_b.tolist(), repeat(strategy), mutual_info.tolist(),
+                  concurrences.tolist(), transmission.tolist())
+    return list(map(tuple.__new__, repeat(SweepPoint), columns))
 
 
 def sweep(
@@ -246,14 +367,14 @@ def sweep(
     gamma_a = np.asarray(gamma_a_grid, dtype=float).ravel()  # a scalar is a one-point grid
     if not (gamma_a >= 0).all():
         raise ValueError("gamma_a grid values must be >= 0")
-    t = _correlation_matrix(pauli_channel_state(noise))
+    gain, orientation = _compensator(_filter_a_correlations(noise), GAMMA_A_AXIS)
     if strategy == "none":
         gamma_b = np.zeros_like(gamma_a)
     elif strategy == "match":
         gamma_b = gamma_a
     else:
-        gamma_b = optimal_magnitude(t, GAMMA_A_AXIS, gamma_a)
-    return _evaluate(noise, t, gamma_a, gamma_b, strategy, normalization)
+        gamma_b = _optimum(gain, gamma_a)
+    return _evaluate(noise, orientation, gamma_a, gamma_b, strategy, normalization)
 
 
 def ratio_scan(noise: PauliNoiseSpec, gamma_a, ratio_grid) -> list[SweepPoint]:
@@ -277,8 +398,8 @@ def ratio_scan(noise: PauliNoiseSpec, gamma_a, ratio_grid) -> list[SweepPoint]:
     finite = np.isfinite(gamma_b)
     if not finite.all():
         raise ValueError(f"gamma_b = gamma_a * ratio must be finite, got {float(gamma_b[~finite][0])}")
-    t = _correlation_matrix(pauli_channel_state(noise))
-    return _evaluate(noise, t, np.repeat(gamma_a, ratios.size), gamma_b, "ratio", 1.0)
+    orientation = _compensator(_filter_a_correlations(noise), GAMMA_A_AXIS)[1]
+    return _evaluate(noise, orientation, np.repeat(gamma_a, ratios.size), gamma_b, "ratio", 1.0)
 
 
 def argmax_ratio(points: list[SweepPoint], metric: str = "mutual_info") -> float:
@@ -314,3 +435,13 @@ def sweep_to_csv(points: list[SweepPoint]) -> str:
 def sweep_to_json(points: list[SweepPoint]) -> list[dict]:
     """JSON array with the same columns and order as the CSV."""
     return [dict(zip(_COLUMNS, p)) for p in points]
+
+
+def _json_text(points: list[SweepPoint]) -> str:
+    """``json.dumps(sweep_to_json(points), indent=2) + "\n"``, from one fixed row layout.
+
+    The columns are floats, as a sweep gives them, and the strategy plain ASCII.
+    """
+    if not points:
+        return "[]\n"
+    return "[\n%s\n]\n" % ",\n".join([_JSON_ROW % p for p in points])

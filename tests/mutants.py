@@ -71,11 +71,13 @@ MUTANTS = [
     ("mutual information clamp at 0 removed", "qstate.py",
      "np.maximum(s_a + s_b - s_ab, 0.0)", "s_a + s_b - s_ab"),
     ("curve concurrence without its (1 - p) factor", "recover.py",
-     "(1 - p) * decay_ab", "decay_ab"),
+     "(1 - p) * monomials[:, 4]", "monomials[:, 4]"),
     ("curve concurrence cap at 1 removed", "recover.py",
-     "np.minimum((1 - p) * decay_ab[:, 0, 0, 0] / trace, 1.0)", "(1 - p) * decay_ab[:, 0, 0, 0] / trace"),
+     "np.minimum((1 - p) * monomials[:, 4], 1.0)", "(1 - p) * monomials[:, 4]"),
     ("curve kernel's smaller eigenvalue from the cancelling difference, not det / larger", "recover.py",
-     "[larger, det / larger]", "[larger, (a + d - np.hypot(a - d, 2 * b)) / 2]"),
+     "np.divide(det, larger, out=smaller)", "np.subtract(1, larger, out=smaller)"),
+    ("curve kernel keeps the monomials whose coefficients are all zero", "recover.py",
+     "live = coefficients.any(axis=1).nonzero()[0]", "live = np.arange(len(coefficients))"),
     ("curve kernel skips the shared trace rules", "recover.py",
      "transmission = _transmission(trace, gamma_a, gamma_b)", "transmission = np.minimum(1.0, trace)"),
     ("concurrence_after_filtering c0 ceiling 1 + 1e-9 -> 1 + 1e-6", "recover.py",

@@ -60,6 +60,22 @@ def test_default_inset_matches_oracle(tmp_path):
         assert_near_oracle("bitflip", P, row, 1.0)
 
 
+# Where p is 0 or 1 some cells of the filtered components carry no amplitude, and a monomial
+# of the curve kernel may then have all-zero coefficients; hypothesis almost never draws p
+# exactly 0 or 1, so these edges are listed
+EDGE_P = (0.0, 1e-9, 1 - 1e-9, 1.0)
+EDGE_GAMMA_A = (1.99, 44.4, 165.0, 300.0)
+
+
+@pytest.mark.parametrize("p", EDGE_P)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("noise", NOISES)
+def test_edge_weights_match_oracle(noise, strategy, p):
+    # each row at its own gamma_b, as in test_sweep_matches_oracle
+    for row in sweep_to_json(sweep(NOISES[noise](p), EDGE_GAMMA_A, strategy)):
+        assert_near_oracle(noise, p, row, 1.0, MI_TOLERANCE)
+
+
 @hypothesis_settings(max_examples=200, deadline=None)
 @given(
     noise=st.sampled_from(sorted(NOISES)),

@@ -1,3 +1,4 @@
+import json
 import math
 from unittest import mock
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hypothesis_settings, strategies as st
 
-from entfilter import channel
+from entfilter import channel, recover
 from entfilter.channel import FilterBlockedError, FilterElement, PauliNoiseSpec, apply_filters, filter_operator
 from entfilter.channel import pauli_channel_state
 from entfilter.channel import _filter_pairs
@@ -25,7 +26,10 @@ from entfilter.recover import (
     sweep,
     sweep_to_csv,
     sweep_to_json,
+    _compensator,
     _compensator_orientation,
+    _filter_a_correlations,
+    _json_text,
 )
 
 from helpers import (
@@ -428,9 +432,13 @@ class TestCurveKernel:
         assert (shapes, svds) == ([], [])
 
     def test_concurrence_capped_at_one(self):
-        # phi+ behind matched filters: e^-gA e^-gB over the trace lands an ulp above 1 at
-        # some magnitudes (33 of these 3001 where this was written); the cap holds it at 1
+        # phi+ behind matched filters: e^-gA e^-gB over the trace is exactly 1. Where gamma_b
+        # misses gamma_a by a few ulps it lands an ulp above 1 at some magnitudes (7 of these
+        # 4 x 2001 where this was written); the cap holds it at 1
         points = sweep(PauliNoiseSpec.bit_flip(0.0), np.linspace(0.0, 30.0, 3001), "match")
+        assert max(point.concurrence for point in points) == 1.0
+        ratios = np.linspace(1 - 1e-6, 1 + 1e-6, 2001)
+        points = ratio_scan(PauliNoiseSpec.bit_flip(0.0), [0.5, 0.857, 1.0, 2.0], ratios)
         assert max(point.concurrence for point in points) == 1.0
 
     @pytest.mark.parametrize(
@@ -478,6 +486,55 @@ class TestCurveKernel:
             apply_filters(rho, FilterElement(gamma_a, Z), f_b)
         (states,) = stacks
         validate_density_matrix(states[0])
+
+
+class TestClosedFormSetUp:
+    """sweep and ratio_scan take T a of the noisy pair in closed form, with no 4x4 state."""
+
+    @hypothesis_settings(max_examples=200, deadline=None)
+    @given(axis=NOISE_AXES, p=st.floats(0.0, 1.0), gamma_a=st.floats(0.0, 5.0))
+    def test_matches_the_matrix_path(self, axis, p, gamma_a):
+        spec = PauliNoiseSpec(axis, p)
+        t = correlation_matrix(pauli_channel_state(spec))
+        t_a = _filter_a_correlations(spec)
+        assert np.abs(np.subtract(t_a, t @ np.asarray(Z))).max() <= 4.4e-16
+        with mock.patch.object(recover, "_evaluate", wraps=recover._evaluate) as evaluate:
+            (point,) = sweep(spec, [gamma_a], "optimal")
+        # a last-bit difference in T a moves the direction of -T a by up to that over
+        # ||T a||, and the optimum atanh(||T a|| tanh gA) by up to that times its slope
+        gain = math.hypot(*t_a)
+        orientation = evaluate.call_args.args[1]
+        expected = _compensator_orientation(t, Z)
+        assert np.abs(np.subtract(orientation, expected)).max() <= (1e-15 / min(gain, 1.0) if gain else 0.0)
+        slope = math.tanh(gamma_a) / (1 - (min(gain, 1.0) * math.tanh(gamma_a)) ** 2)
+        assert abs(point.gamma_b - optimal_magnitude(t, Z, gamma_a)) <= 1e-15 * (1 + slope)
+
+    def test_phaseflip_optimum_is_gamma_a(self):
+        # T a = T0 a exactly for a phase flip, so ||T a|| = 1 and gamma_b = gamma_a, at
+        # every p and even where tanh gA rounds to 1
+        for p in (0.0, 0.1, 0.33, 0.7, 1.0):
+            assert _filter_a_correlations(PauliNoiseSpec.phase_flip(p)) == (0.0, 0.0, 1.0)
+            points = sweep(PauliNoiseSpec.phase_flip(p), [0.857, 25.0], "optimal")
+            assert [point.gamma_b for point in points] == [0.857, 25.0]
+
+    @pytest.mark.parametrize(
+        "scan",
+        [lambda spec: sweep(spec, [0.5], "optimal"), lambda spec: ratio_scan(spec, 0.5, [1.0])],
+        ids=["sweep", "ratio_scan"],
+    )
+    def test_vanishing_correlations_fall_back_to_the_antipode(self, scan):
+        # bit flip at p = 1 leaves T a = 0 exactly: the orientation is -a, below 1e-12
+        spec = PauliNoiseSpec.bit_flip(1.0)
+        assert _filter_a_correlations(spec) == (0.0, 0.0, 0.0)
+        with mock.patch.object(recover, "_evaluate", wraps=recover._evaluate) as evaluate:
+            scan(spec)
+        assert evaluate.call_args.args[1] == MINUS_Z
+        assert _compensator((0.0, 0.0, 9e-13), Z) == (9e-13, MINUS_Z)
+        assert _compensator((0.0, 0.0, -2e-12), Z) == (2e-12, Z)
+
+    def test_builds_no_two_qubit_state(self):
+        # the noisy pair and its correlation matrix are out of recover's reach
+        assert not {"pauli_channel_state", "_correlation_matrix", "correlation_matrix"} & set(vars(recover))
 
 
 class TestRatioScan:
@@ -696,6 +753,21 @@ class TestSerialization:
             for p in points
         ]
         assert [list(row.items()) for row in sweep_to_json(points)] == expected
+
+    @hypothesis_settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                SweepPoint,
+                *[st.floats(allow_nan=False, allow_infinity=False)] * 2,
+                st.sampled_from((*STRATEGIES, "ratio")),
+                *[st.floats(allow_nan=False, allow_infinity=False)] * 3,
+            ),
+            max_size=20,
+        )
+    )
+    def test_json_writer_matches_json_dumps(self, points):
+        assert _json_text(points) == json.dumps(sweep_to_json(points), indent=2) + "\n"
 
     def test_sweep_point_is_a_tuple_of_its_columns(self):
         point = SweepPoint(0.5, 0.25, "ratio", 1.5, 0.5, 0.75)
