@@ -30,6 +30,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from itertools import chain
 
@@ -114,14 +116,29 @@ def _named_state(name: str, p: float) -> np.ndarray:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    # Written in place, then a regular file is cut to the bytes written: opening with
+    # O_TRUNC frees a non-empty file's blocks first, which costs more than the write on
+    # some filesystems. A write that fails partway still cuts the file, so no tail of
+    # an older file is left. A device or pipe (/dev/null, /dev/stdout) is not truncated.
+    data = memoryview(text.encode("utf-8"))
+    written = 0
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        try:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
 
 
-# Fixed layouts of the two tomography artifacts: each writer gives the bytes of
-# json.dumps(obj, indent=2) + "\n" from a few %-formats and joins. Numbers print
-# as json prints them: floats through float.__repr__ (so float subclasses such
-# as np.float64 print as plain floats), ints through int.__repr__.
+# Fixed layouts of the two tomography artifacts and the optimize report: each
+# writer gives the bytes of json.dumps(obj, indent=2), plus "\n" for the files,
+# from a few %-formats and joins. Numbers print as json prints them: floats
+# through float.__repr__ (so float subclasses such as np.float64 print as plain
+# floats), ints through int.__repr__.
 _DIRECTION_PAIR = (
     "    [\n      [\n        %s,\n        %s,\n        %s\n      ],\n"
     "      [\n        %s,\n        %s,\n        %s\n      ]\n    ]"
@@ -135,6 +152,12 @@ _PAYLOAD = (
     '{\n  "state": {\n    "basis": %s,\n    "matrix": %s\n  },\n'
     '  "metrics": {\n    "concurrence": %s,\n    "mutual_info_bits": %s,\n'
     '    "bell_weights": {\n%s\n    }\n  }\n}\n'
+)
+_REPORT = (
+    '{\n  "noise": "%s",\n  "p": %s,\n  "gamma_a": %s,\n  "gamma_b_opt": %s,\n'
+    '  "orientation_b": [\n    %s,\n    %s,\n    %s\n  ],\n'
+    '  "predicted_concurrence": %s,\n  "predicted_mutual_info_bits": %s,\n'
+    '  "transmission": %s,\n  "nothing_to_recover": %s\n}'
 )
 
 
@@ -188,6 +211,17 @@ def _payload_text(payload: dict) -> str:
     )
 
 
+def _report_text(noise: str, numbers, nothing_to_recover: bool) -> str:
+    """The ``optimize`` report as ``json.dumps(report, indent=2)`` gives it.
+
+    ``numbers`` are the report's nine finite numbers in the order of ``_REPORT``:
+    p, gamma_a, gamma_b_opt, the three of orientation_b, the predicted concurrence
+    and mutual information, and the transmission. ``noise`` is a plain-ASCII name.
+    """
+    flag = "true" if nothing_to_recover else "false"
+    return _REPORT % (noise, *map(_number, numbers), flag)
+
+
 def cmd_curves(args) -> int:
     noise = _noise_spec(args.noise, args.p)
     grid = np.linspace(0.0, args.gamma_a_max, args.steps)
@@ -235,18 +269,16 @@ def cmd_optimize(args) -> int:
         rho, np.array([f_a.magnitude]), f_a.orientation,
         np.array([plan.gamma_b_opt]), plan.orientation_b,
     )
-    report = {
-        "noise": args.noise,
-        "p": args.p,
-        "gamma_a": args.gamma_a,
-        "gamma_b_opt": plan.gamma_b_opt,
-        "orientation_b": list(plan.orientation_b),
-        "predicted_concurrence": plan.predicted_concurrence,
-        "predicted_mutual_info_bits": float(_mutual_information(states[0], values[0])),
-        "transmission": float(transmission[0]),
-        "nothing_to_recover": plan.nothing_to_recover,
-    }
-    print(json.dumps(report, indent=2))
+    numbers = (
+        args.p,
+        args.gamma_a,
+        plan.gamma_b_opt,
+        *plan.orientation_b,
+        plan.predicted_concurrence,
+        float(_mutual_information(states[0], values[0])),
+        float(transmission[0]),
+    )
+    print(_report_text(args.noise, numbers, plan.nothing_to_recover))
     return EXIT_OK
 
 

@@ -3,16 +3,25 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hypothesis_settings, strategies as st
+from hypothesis import example, given, settings as hypothesis_settings, strategies as st
 
 from entfilter.channel import FilterElement, PauliNoiseSpec, apply_filters, pauli_channel_state
-from entfilter.cli import INSET_GAMMA_A, _payload_text, _record_text, build_parser, main
+from entfilter.cli import (
+    INSET_GAMMA_A,
+    NOISE_TYPES,
+    _payload_text,
+    _record_text,
+    _report_text,
+    build_parser,
+    main,
+)
 from entfilter.qstate import (
     bell_diagonal_weights,
     bell_state,
@@ -376,6 +385,33 @@ def test_payload_writer_matches_json_dumps(rank):
             },
         }
         assert _payload_text(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+_REPORT_NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@hypothesis_settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(NOISE_TYPES),
+    st.lists(st.one_of(_REPORT_NUMBERS, _REPORT_NUMBERS.map(np.float64)), min_size=9, max_size=9),
+    st.booleans(),
+)
+@example("bitflip", [-0.0, 5e-324, 1e308, -0.0, 0.0, 1.0, -5e-324, -1e308, 0.5], False)
+@example("phaseflip", [0.0, 1e308, 5e-324, 0.0, 0.0, -1.0, 1.0, 0.0, 1e-300], True)
+def test_report_writer_matches_json_dumps(noise, numbers, flag):
+    p, gamma_a, gamma_b, *orientation, concurrence_, mutual_info, transmission = numbers
+    report = {
+        "noise": noise,
+        "p": p,
+        "gamma_a": gamma_a,
+        "gamma_b_opt": gamma_b,
+        "orientation_b": orientation,
+        "predicted_concurrence": concurrence_,
+        "predicted_mutual_info_bits": mutual_info,
+        "transmission": transmission,
+        "nothing_to_recover": flag,
+    }
+    assert _report_text(noise, numbers, flag) == json.dumps(report, indent=2)
 
 
 def test_reconstruct_reads_each_record_settings(tmp_path):
@@ -1012,3 +1048,85 @@ class TestParserReuse:
         assert main(["optimize", "--noise", "bogus", "--gamma-a", "0.5"]) == 1
         assert main(["optimize", "--noise", "bitflip", "--gamma-a", "0.5"]) == 0
         assert json.loads(capsys.readouterr().out)["gamma_a"] == 0.5
+
+
+# Each command that writes a file: the argv writes to {out}, and tomo reconstruct
+# reads the record at {record}
+WRITING_COMMANDS = {
+    "curves-csv": ["curves", "--noise", "bitflip", "--steps", "5", "--output", "{out}"],
+    "curves-json": ["curves", "--noise", "phaseflip", "--steps", "5", "--format", "json", "--output", "{out}"],
+    "inset-csv": ["inset", "--steps", "5", "--output", "{out}"],
+    "inset-json": ["inset", "--steps", "5", "--format", "json", "--output", "{out}"],
+    "tomo-simulate": ["tomo", "simulate", "--state", "bitflip", "--seed", "7", "--output", "{out}"],
+    "tomo-reconstruct": ["tomo", "reconstruct", "--input", "{record}", "--output", "{out}"],
+}
+
+
+def run_writer(tmp_path, argv, out) -> None:
+    record = tmp_path / "input-record.json"
+    if "{record}" in argv and not record.exists():
+        assert main(["tomo", "simulate", "--state", "phi+", "--seed", "3", "--output", str(record)]) == 0
+    assert main([arg.format(out=out, record=record) for arg in argv]) == 0
+
+
+@pytest.mark.parametrize("argv", WRITING_COMMANDS.values(), ids=WRITING_COMMANDS.keys())
+@pytest.mark.parametrize("existing", ["longer", "shorter"])
+def test_overwrite_equals_fresh_write(tmp_path, argv, existing):
+    # an artifact is written in place over an existing file, which is then cut to the
+    # artifact's length: a longer file leaves no tail, a shorter one no head of its own
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    run_writer(tmp_path, argv, fresh)
+    expected = fresh.read_bytes()
+    out.write_bytes(b"#" * (2 * len(expected)) if existing == "longer" else b"{}")
+    run_writer(tmp_path, argv, out)
+    assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("argv", WRITING_COMMANDS.values(), ids=WRITING_COMMANDS.keys())
+def test_new_file_mode_matches_open(tmp_path, argv):
+    # a file the command creates gets the mode open(path, "w") gives under the umask
+    out, reference = tmp_path / "out", tmp_path / "reference"
+    umask = os.umask(0o027)
+    try:
+        run_writer(tmp_path, argv, out)
+        open(reference, "w").close()
+    finally:
+        os.umask(umask)
+    assert os.stat(out).st_mode == os.stat(reference).st_mode
+
+
+@pytest.mark.parametrize("argv", WRITING_COMMANDS.values(), ids=WRITING_COMMANDS.keys())
+def test_device_output_is_written_without_truncation(tmp_path, argv):
+    # a character device or a pipe cannot be truncated; each gets the whole artifact
+    run_writer(tmp_path, argv, os.devnull)
+    fresh = tmp_path / "fresh"
+    run_writer(tmp_path, argv, fresh)
+    read_end, write_end = os.pipe()
+    with os.fdopen(read_end, "rb") as pipe:
+        try:
+            run_writer(tmp_path, argv, f"/dev/fd/{write_end}")
+        finally:
+            os.close(write_end)
+        assert pipe.read() == fresh.read_bytes()
+
+
+def test_failed_write_leaves_only_the_new_head(tmp_path, monkeypatch, capsys):
+    # a write that fails partway (a full disk) cuts the file to the bytes it wrote, so
+    # no tail of the older, longer file is left behind the new artifact's head
+    argv = WRITING_COMMANDS["tomo-simulate"]
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    run_writer(tmp_path, argv, fresh)
+    expected = fresh.read_bytes()
+    out.write_bytes(b"#" * (2 * len(expected)))
+    real_write, half = os.write, len(expected) // 2
+
+    def write_then_fail(fd, data):
+        if len(data) < len(expected):
+            raise OSError(28, "No space left on device")
+        return real_write(fd, data[:half])
+
+    monkeypatch.setattr(os, "write", write_then_fail)
+    assert main([arg.format(out=out) for arg in argv]) == 2
+    monkeypatch.undo()
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.read_bytes() == expected[:half]

@@ -655,3 +655,90 @@ class TestRecordJson:
         fields[field] = (value,) if field == "counts" else value
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TomographyRecord(**fields)
+
+
+# A well-formed two-setting record as json.load gives it, and malformed copies of
+# it: each value below put in one place, and settings that are no list of pairs of
+# 3-vectors. The reader tests every number's type at once and walks a record item
+# by item only after that test fails, so each message must read as the walk words it.
+def _json_record():
+    return {
+        "settings": [[[0, 0, 1], [0, 0, 1]], [[1.0, 0, 0], [0, 1, 0]]],
+        "counts": [5, 7.5],
+        "exposure": 100.0,
+        "dark_prob": 0,
+        "seed": 0,
+    }
+
+
+def _float_error(value) -> str:
+    # float()'s own wording, which the Python version sets
+    try:
+        float(value)
+    except (TypeError, OverflowError) as exc:
+        return str(exc)
+    raise AssertionError(f"float() accepts {value!r}")
+
+
+_NOT_A_NUMBER = {
+    "string": ("1", "expected a number, got str"),
+    "bool": (True, "expected a number, got bool"),
+    "null": (None, _float_error(None)),
+    "list": ([1.0], _float_error([1.0])),
+    "dict": ({"x": 1.0}, _float_error({"x": 1.0})),
+    "10**400": (10**400, "int too large to convert to float"),
+}
+_PLACES = {
+    # the second component of setting 1's A direction
+    "direction": ("settings", lambda obj, v: obj["settings"][1][0].__setitem__(1, v)),
+    "count": ("counts", lambda obj, v: obj["counts"].__setitem__(1, v)),
+    "exposure": ("exposure", lambda obj, v: obj.__setitem__("exposure", v)),
+    "dark_prob": ("dark_prob", lambda obj, v: obj.__setitem__("dark_prob", v)),
+}
+_MALFORMED_SETTING = {
+    "2-vector": ([[0, 0, 1], [0, 0]], "expected a Stokes 3-vector, got shape (2,)"),
+    "4-vector": ([[0, 0, 1], [0, 0, 1, 0]], "expected a Stokes 3-vector, got shape (4,)"),
+    "one-direction": ([[0, 0, 1]], "not enough values to unpack (expected 2, got 1)"),
+    "three-directions": ([[0, 0, 1]] * 3, "too many values to unpack (expected 2)"),
+    "number": (5, "cannot unpack non-iterable int object"),
+}
+MALFORMED_RECORDS = {
+    **{
+        f"{kind}-{place}": (field, put, value, message)
+        for place, (field, put) in _PLACES.items()
+        for kind, (value, message) in _NOT_A_NUMBER.items()
+    },
+    **{
+        f"setting-{kind}": ("settings", lambda obj, v: obj["settings"].__setitem__(1, v), value, message)
+        for kind, (value, message) in _MALFORMED_SETTING.items()
+    },
+    **{
+        f"missing-{field}": (field, lambda obj, _, field=field: obj.pop(field), None, "missing")
+        for field in ("settings", "counts", "exposure", "dark_prob", "seed")
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "field, put, value, message", MALFORMED_RECORDS.values(), ids=MALFORMED_RECORDS.keys()
+)
+def test_malformed_record_message(field, put, value, message):
+    obj = _json_record()
+    put(obj, value)
+    with pytest.raises(ValueError) as caught:
+        record_from_json(obj)
+    assert str(caught.value) == f"record field {field!r}: {message}"
+
+
+def test_json_record_reads_as_floats():
+    # ints and floats alike read as floats, the direction's signed zero with its sign
+    obj = _json_record()
+    obj["settings"][1][1][0] = -0.0
+    record = record_from_json(obj)
+    assert record.counts == (5.0, 7.5) and {type(c) for c in record.counts} == {float}
+    assert record.settings.directions.tolist() == [
+        [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
+        [[1.0, 0.0, 0.0], [-0.0, 1.0, 0.0]],
+    ]
+    assert np.signbit(record.settings.directions[1, 1, 0])
+    assert (record.exposure, record.dark_prob, record.seed) == (100.0, 0.0, 0)
