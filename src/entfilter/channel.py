@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmat import _dagger, hermitian_eig, kron
-from .qstate import IDENTITY_2, PSD_TOL, bell_state, pauli_dot, unit_stokes_vector
-from .qstate import _spectrum
+from .qstate import IDENTITY_2, PSD_TOL, bell_state, pauli_dot
+from .qstate import _spectrum, _unit_components
 
 X_AXIS = (1.0, 0.0, 0.0)
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -25,6 +25,8 @@ _PHI_PLUS = bell_state("phi+")  # the pair every noisy channel state starts from
 
 # Log of the trace below which a filter pair P_A x P_B has blocked the state.
 _LOG_BLOCKED_TRACE = np.log(1e-14)
+# Smallest normal double: a pair trace below it is subnormal, and dividing by it overflows.
+_TINY = np.finfo(float).tiny
 
 
 class FilterBlockedError(ValueError):
@@ -32,9 +34,9 @@ class FilterBlockedError(ValueError):
 
 
 def _as_unit_tuple(v) -> tuple[float, float, float]:
-    a = unit_stokes_vector(v)
+    x, y, z = _unit_components(np.asarray(v, dtype=float))
     # + 0.0 turns IEEE -0.0 into +0.0 for clean serialization
-    return (float(a[0]) + 0.0, float(a[1]) + 0.0, float(a[2]) + 0.0)
+    return (x + 0.0, y + 0.0, z + 0.0)
 
 
 @dataclass(frozen=True)
@@ -205,14 +207,14 @@ def _transmission(trace, gamma_a, gamma_b) -> np.ndarray:
         # the trace P_A x P_B leaves, in logs so that large magnitudes cannot overflow
         # it; a sum that reaches +inf still means "not blocked"
         log_trace = np.log(trace) + gamma_a + gamma_b
-    blocked = ~(log_trace >= _LOG_BLOCKED_TRACE)  # NaN counts as blocked
-    if blocked.any():
+    passed = log_trace >= _LOG_BLOCKED_TRACE  # NaN counts as blocked
+    if not passed.all():
         raise FilterBlockedError(
             "filters block the state entirely (normalization trace "
-            f"{np.exp(log_trace[blocked][0]):.3e})"
+            f"{np.exp(log_trace[~passed][0]):.3e})"
         )
-    if (trace < np.finfo(float).tiny).any():  # subnormal: dividing by it overflows
-        raise ValueError(
-            f"filter magnitudes too large to renormalize: the trace {trace.min():.3e} is subnormal"
-        )
+    # no trace is NaN or negative here, as its log would have blocked; an empty grid has none
+    lowest = trace.min(initial=np.inf)
+    if lowest < _TINY:
+        raise ValueError(f"filter magnitudes too large to renormalize: the trace {lowest:.3e} is subnormal")
     return np.minimum(1.0, trace)

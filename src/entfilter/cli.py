@@ -50,16 +50,15 @@ from .recover import (
     ratio_scan,
     sweep,
     sweep_to_csv,
-    sweep_to_json,
 )
-from .recover import _json_text
+from .recover import _JSON_ROW, _json_text
 from .tomo import (
     reconstruct,
     record_from_json,
-    record_to_json,
     simulate_counts,
     standard_settings,
 )
+from .tomo import _json_counts
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -134,11 +133,11 @@ def _write_text(path: str, text: str) -> None:
             os.close(fd)
 
 
-# Fixed layouts of the two tomography artifacts and the optimize report: each
-# writer gives the bytes of json.dumps(obj, indent=2), plus "\n" for the files,
-# from a few %-formats and joins. Numbers print as json prints them: floats
-# through float.__repr__ (so float subclasses such as np.float64 print as plain
-# floats), ints through int.__repr__.
+# Fixed layouts of the two tomography artifacts, the inset JSON and the optimize
+# report: each writer gives the bytes of json.dumps(obj, indent=2), plus "\n" for
+# the files, from a few %-formats and joins. Numbers print as json prints them:
+# floats through float.__repr__ (so float subclasses such as np.float64 print as
+# plain floats), ints through int.__repr__.
 _DIRECTION_PAIR = (
     "    [\n      [\n        %s,\n        %s,\n        %s\n      ],\n"
     "      [\n        %s,\n        %s,\n        %s\n      ]\n    ]"
@@ -153,6 +152,12 @@ _PAYLOAD = (
     '  "metrics": {\n    "concurrence": %s,\n    "mutual_info_bits": %s,\n'
     '    "bell_weights": {\n%s\n    }\n  }\n}\n'
 )
+# an inset series wraps its rows, recover's _JSON_ROW six spaces deeper, in fixed lines
+_INSET = '{\n  "noise": "%s",\n  "p": %s,\n  "series": [\n%s\n  ]\n}\n'
+_SERIES = (
+    '    {\n      "gamma_a": %s,\n      "argmax_ratio": %s,\n      "points": [\n%s\n      ]\n    }'
+)
+_SERIES_ROW = "      " + _JSON_ROW.replace("\n", "\n      ")
 _REPORT = (
     '{\n  "noise": "%s",\n  "p": %s,\n  "gamma_a": %s,\n  "gamma_b_opt": %s,\n'
     '  "orientation_b": [\n    %s,\n    %s,\n    %s\n  ],\n'
@@ -172,21 +177,21 @@ def _array(item: str, count: int, values, indent: str) -> str:
     return "[\n%s\n%s]" % (",\n".join([item] * count) % tuple(values), indent)
 
 
-def _record_text(record: dict) -> str:
-    """``record_to_json`` output as ``json.dumps(record, indent=2) + "\n"`` gives it.
+def _record_text(record) -> str:
+    """A record file as ``json.dumps(record_to_json(record), indent=2) + "\n"`` gives it.
 
-    Directions are floats; counts, exposure and dark_prob floats or ints (not
-    bools); the seed an int. Every number is finite, since ``TomographyRecord``
+    The direction text is the one the settings instance builds once; counts are
+    written by the rule ``record_to_json`` applies, and exposure and dark_prob are
+    floats or ints (not bools). Every number is finite, since ``TomographyRecord``
     validates them.
     """
-    settings, counts = record["settings"], record["counts"]
-    directions = chain.from_iterable(chain.from_iterable(settings))
+    settings, counts = record.settings, _json_counts(record.counts)
     return _RECORD % (
-        _array(_DIRECTION_PAIR, len(settings), map(float.__repr__, directions), "  "),
+        _array(_DIRECTION_PAIR, len(settings), settings._direction_text, "  "),
         _array("    %s", len(counts), map(_number, counts), "  "),
-        _number(record["exposure"]),
-        _number(record["dark_prob"]),
-        int.__repr__(record["seed"]),
+        _number(record.exposure),
+        _number(record.dark_prob),
+        int.__repr__(record.seed),
     )
 
 
@@ -209,6 +214,21 @@ def _payload_text(payload: dict) -> str:
         float.__repr__(metrics["mutual_info_bits"]),
         ",\n".join(['      "%s": %s' % (k, float.__repr__(w)) for k, w in weights.items()]),
     )
+
+
+def _inset_text(noise: str, p: float, gamma_a_values, series, best) -> str:
+    """The ``inset --format json`` payload as ``json.dumps(payload, indent=2) + "\n"`` gives it.
+
+    ``series`` holds one non-empty run of ``SweepPoint`` rows per value of
+    ``gamma_a_values``, and ``best`` the run's argmax ratio. Every number is a
+    finite Python float, as a ratio scan and argparse give them, and ``noise``
+    and the rows' strategy are plain ASCII.
+    """
+    blocks = [
+        _SERIES % (float.__repr__(gamma_a), float.__repr__(ratio), ",\n".join([_SERIES_ROW % row for row in rows]))
+        for gamma_a, rows, ratio in zip(gamma_a_values, series, best)
+    ]
+    return _INSET % (noise, float.__repr__(p), ",\n".join(blocks))
 
 
 def _report_text(noise: str, numbers, nothing_to_recover: bool) -> str:
@@ -246,15 +266,7 @@ def cmd_inset(args) -> int:
         )
         _write_text(args.output, sweep_to_csv(points) + summary)
     else:
-        payload = {
-            "noise": args.noise,
-            "p": args.p,
-            "series": [
-                {"gamma_a": gamma_a, "argmax_ratio": ratio, "points": sweep_to_json(run)}
-                for gamma_a, run, ratio in zip(gamma_a_values, series, best)
-            ],
-        }
-        _write_text(args.output, json.dumps(payload, indent=2) + "\n")
+        _write_text(args.output, _inset_text(args.noise, args.p, gamma_a_values, series, best))
     return EXIT_OK
 
 
@@ -292,7 +304,7 @@ def cmd_tomo_simulate(args) -> int:
         seed=args.seed,
         exact=args.exact,
     )
-    _write_text(args.output, _record_text(record_to_json(record)))
+    _write_text(args.output, _record_text(record))
     return EXIT_OK
 
 

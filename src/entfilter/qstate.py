@@ -19,10 +19,16 @@ Conventions, used consistently across the package:
   one mutual-information rule (``_information_bits``: clamped at 0) serve
   these measures and the closed-form curves of ``recover.sweep`` and
   ``ratio_scan``, which take their spectra from 2x2 Gram matrices and form no
-  4x4 state.
+  4x4 state;
+* the mutual information decomposes a state's two marginals as one
+  ``(..., 2, 2, 2)`` stack, in one ``hermitian_eig`` call, and the Bell
+  weights read the few real entries they sum from the state, in the order of
+  the matrix products they replace.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,7 +43,9 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 # _PAULI_BASIS[mu, nu] = sigma_mu x sigma_nu, mu and nu over the identity, x, y, z:
 # the one two-qubit Pauli basis, whose [1:, 1:] block gives the correlation matrix
 _PAULI_BASIS = np.array([[kron(s, t) for t in (IDENTITY_2, *PAULIS)] for s in (IDENTITY_2, *PAULIS)])
-_SPIN_FLIP = _PAULI_BASIS[2, 2]
+# A @ (sigma_y x sigma_y) reverses the columns of A and negates the first and last:
+# A[..., ::-1] * _SPIN_FLIP_SIGNS
+_SPIN_FLIP_SIGNS = np.array([-1, 1, 1, -1], dtype=complex)
 
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 
@@ -56,21 +64,33 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 #: Eigenvalues above this (negative) floor are roundoff; kernels clip them to 0.
 PSD_TOL = 1e-10
+# Largest |norm - 1| of a unit Stokes direction
+_UNIT_NORM_TOL = 1e-12
+_NOT_UNIT = f"Stokes vector must have unit norm within {_UNIT_NORM_TOL:g}"
 
 
 def unit_stokes_vector(v) -> np.ndarray:
     """Validate and return a real 3-vector of unit length (within 1e-12)."""
     a = np.asarray(v, dtype=float)
-    if a.shape != (3,):
-        raise ValueError(f"expected a Stokes 3-vector, got shape {a.shape}")
-    _check_unit_norms(a)
+    _unit_components(a)
     return a
 
 
+def _unit_components(a: np.ndarray) -> tuple[float, float, float]:
+    # the three floats of a float array that must be one unit Stokes direction: in Python
+    # floats, the norm is the sum _check_unit_norms forms; the negated test rejects NaN
+    if a.shape != (3,):
+        raise ValueError(f"expected a Stokes 3-vector, got shape {a.shape}")
+    x, y, z = a.tolist()
+    if not abs(math.sqrt((x * x + y * y) + z * z) - 1.0) <= _UNIT_NORM_TOL:
+        raise ValueError(_NOT_UNIT)
+    return x, y, z
+
+
 def _check_unit_norms(directions: np.ndarray) -> None:
-    # every (..., 3) float direction must have unit norm within 1e-12; the negated test rejects NaN
-    if not (abs(np.sqrt(np.add.reduce(directions * directions, axis=-1)) - 1.0) <= 1e-12).all():
-        raise ValueError("Stokes vector must have unit norm within 1e-12")
+    # every (..., 3) float direction must have unit norm; the negated test rejects NaN
+    if not (abs(np.sqrt(np.add.reduce(directions * directions, axis=-1)) - 1.0) <= _UNIT_NORM_TOL).all():
+        raise ValueError(_NOT_UNIT)
 
 
 def pauli_dot(axis) -> np.ndarray:
@@ -110,13 +130,15 @@ def _spectrum(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # this check, and the hermitian_eig its positivity check takes, so that the measures
     # below need no decomposition of their own
     rho = qmat.as_matrix(rho)
+    dagger = _dagger(rho)
     # Frobenius distance of the matrix from its conjugate transpose
-    if np.sqrt((abs(rho - _dagger(rho)) ** 2).sum()) > HERMITICITY_TOL:
+    defect = rho - dagger
+    if math.sqrt(np.vdot(defect, defect).real) > HERMITICITY_TOL:
         raise ValueError("density matrix is not Hermitian within 1e-10")
     trace = float(rho.trace().real)
     if abs(trace - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix trace {trace!r} is not 1 within 1e-10")
-    rho = (rho + _dagger(rho)) / 2
+    rho = (rho + dagger) / 2
     values, vectors = hermitian_eig(rho)
     if values[-1] < -PSD_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {values[-1]:.3e}")
@@ -138,7 +160,9 @@ def _entropy_bits(values) -> np.ndarray:
     # entropy rule, which recover's curve kernel shares
     w = np.where(values > 0.0, values, 1.0)  # 1 log 1 = 0 drops it from the sum
     entropy = -(w * np.log2(w)).sum(axis=-1)
-    return entropy.clip(0.0, np.log2(values.shape[-1]))
+    # clipped to [0, log2 d]; 0.0 comes first, since np.maximum returns its second argument
+    # on a tie: a pure state's entropy stays -0.0, the bits ndarray.clip gives
+    return np.minimum(np.maximum(0.0, entropy), math.log2(values.shape[-1]))
 
 
 def mutual_information(rho) -> float:
@@ -153,8 +177,9 @@ def mutual_information(rho) -> float:
 
 
 def _mutual_information(rho, values) -> np.ndarray:
-    # mutual_information of validated states with their hermitian_eig eigenvalues
-    s_a, s_b = (_entropy_bits(hermitian_eig(partial_trace(rho, keep))[0]) for keep in (0, 1))
+    # mutual_information of validated states with their hermitian_eig eigenvalues: the two
+    # marginals are decomposed as one stack, and eigh treats each matrix of a stack alone
+    s_a, s_b = _entropy_bits(hermitian_eig(partial_trace(rho, (0, 1)))[0]).T
     return _information_bits(s_a, s_b, _entropy_bits(values))
 
 
@@ -188,7 +213,7 @@ def concurrence(rho) -> float:
 def _concurrence(values, vectors) -> np.ndarray:
     # concurrence of validated states from their hermitian_eig decomposition
     root = matrix_sqrt_psd(values, vectors)
-    lam = np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
+    lam = np.linalg.svd((root[..., ::-1] * _SPIN_FLIP_SIGNS) @ root.conj(), compute_uv=False)
     return np.clip(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0, 1.0)
 
 
@@ -213,8 +238,16 @@ def bell_diagonal_weights(rho) -> dict[str, float]:
 
 
 def _bell_diagonal_weights(rho) -> dict[str, float]:
-    # bell_diagonal_weights of one validated state
-    return {label: float(np.real(w.conj() @ rho @ w) / 2) for label, w in _BELL_COMPONENTS.items()}
+    # bell_diagonal_weights of one validated state: w.conj() @ rho @ w / 2 of each
+    # unnormalized Bell vector, its real part summed from the entries it reads, in the
+    # order of the two products
+    (r00, _, _, r03), (_, r11, r12, _), (_, r21, r22, _), (r30, _, _, r33) = rho.real.tolist()
+    return {
+        "phi+": ((r00 + r30) + (r03 + r33)) / 2,
+        "phi-": ((r00 - r30) - (r03 - r33)) / 2,
+        "psi+": ((r11 + r21) + (r12 + r22)) / 2,
+        "psi-": ((r11 - r21) - (r12 - r22)) / 2,
+    }
 
 
 def fidelity_pure(rho, target) -> float:

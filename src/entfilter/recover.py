@@ -93,12 +93,17 @@ def concurrence_after_filtering(
     t = _correlation_argument(t)
     if np.max(np.abs(t - np.diag(np.diag(t)))) > 1e-9:
         raise ValueError("correlation matrix must be diagonal (Bell-diagonal input)")
-    dot = float((t @ f_a.axis) @ f_b.axis)
-    x, y = np.exp(-2 * f_a.magnitude), np.exp(-2 * f_b.magnitude)
+    return _filtered_concurrence(c0, float((t @ f_a.axis) @ f_b.axis), f_a.magnitude, f_b.magnitude)
+
+
+def _filtered_concurrence(c0, dot, gamma_a, gamma_b) -> float:
+    # the closed form of concurrence_after_filtering, from c0 and d = T a . b of a checked
+    # Bell-diagonal state
+    x, y = np.exp(-2 * gamma_a), np.exp(-2 * gamma_b)
     denom = (1 + dot) * (1 + x * y) + (1 - dot) * (x + y)
     if denom <= 0:
         raise ValueError("unphysical filter configuration (denominator <= 0)")
-    return float(4 * max(0.0, c0) * np.exp(-f_a.magnitude - f_b.magnitude) / denom)
+    return float(4 * max(0.0, c0) * np.exp(-gamma_a - gamma_b) / denom)
 
 
 def _correlation_argument(t) -> np.ndarray:
@@ -122,12 +127,17 @@ def optimal_magnitude(t, gamma_a_hat, gamma_a) -> float | np.ndarray:
     gamma_a = np.asarray(gamma_a, dtype=float)
     if not (gamma_a >= 0).all():
         raise ValueError("gamma_a must be >= 0")
-    a = unit_stokes_vector(gamma_a_hat)
-    gain = float(np.linalg.norm(_correlation_argument(t) @ a))
+    gamma_b = _optimal_magnitude(_correlation_argument(t) @ unit_stokes_vector(gamma_a_hat), gamma_a)
+    return float(gamma_b) if gamma_b.ndim == 0 else gamma_b
+
+
+def _optimal_magnitude(t_a, gamma_a):
+    # the closed form of optimal_magnitude, from the vector T a of a real correlation matrix
+    # and a unit a
+    gain = float(np.linalg.norm(t_a))
     if gain > 1.0 + 1e-9:
         raise ValueError(f"invalid correlation matrix: ||T a|| = {gain} exceeds 1")
-    gamma_b = _optimum(gain, gamma_a)
-    return float(gamma_b) if gamma_b.ndim == 0 else gamma_b
+    return _optimum(gain, gamma_a)
 
 
 def plan_recovery(rho, f_a: FilterElement) -> RecoveryPlan:
@@ -141,7 +151,9 @@ def plan_recovery(rho, f_a: FilterElement) -> RecoveryPlan:
     ``nothing_to_recover``: filtering cannot create entanglement.
     Its filter B has magnitude 0 and the orientation a sweep would give it.
     The input is decomposed once; its concurrence and correlations share that
-    decomposition.
+    decomposition, and the optimum and the predicted concurrence come from the
+    closed forms of ``optimal_magnitude`` and ``concurrence_after_filtering``,
+    with no second check of the correlations checked here.
     """
     rho, values, vectors = _spectrum(rho)
     stokes = (rho @ _PAULI_BASIS).trace(axis1=-2, axis2=-1).real
@@ -154,10 +166,10 @@ def plan_recovery(rho, f_a: FilterElement) -> RecoveryPlan:
     orientation = _compensator_orientation(t, f_a.orientation)
     if c0 <= 0.0:
         return RecoveryPlan(0.0, orientation, 0.0, nothing_to_recover=True)
-    magnitude = optimal_magnitude(t, f_a.orientation, f_a.magnitude)
-    f_b = FilterElement(magnitude, orientation)
-    predicted = concurrence_after_filtering(c0, t, f_a, f_b)
-    return RecoveryPlan(magnitude, f_b.orientation, predicted)
+    t_a = t @ f_a.axis
+    magnitude = float(_optimal_magnitude(t_a, f_a.magnitude))
+    predicted = _filtered_concurrence(c0, float(t_a @ orientation), f_a.magnitude, magnitude)
+    return RecoveryPlan(magnitude, orientation, predicted)
 
 
 def _compensator_orientation(t, gamma_a_hat) -> tuple[float, float, float]:

@@ -15,6 +15,7 @@ integer, not a bool, else ValueError.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -56,6 +57,7 @@ _MU, _NU = np.array(
     [(0, 0)] + [t for j in (1, 2, 3) for t in ((j, 0), (0, j), (j, 1), (j, 2), (j, 3))]
 ).T
 _TERM_BASIS = _PAULI_BASIS[_MU, _NU]
+_TERMS = 4 * _MU + _NU  # their cells in the flat 4x4 pooling table
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,15 +91,22 @@ class MeasurementSettings:
         return _read_only(qmat.kron(projectors[:, 0], projectors[:, 1]))
 
     @functools.cached_property
-    def pooling_layout(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-        """Read-only (4, S) row and column cells and signs, and (S,) weights 1 / (repeats of
-        the setting's signed axis pair); off-axis directions raise on every access."""
+    def pooling_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (4, S) cells and signs, and (S,) weights 1 / (repeats of the setting's
+        signed axis pair). A cell is the index 4 mu + nu of the Pauli-basis term mu, nu a
+        setting's count pools into; off-axis directions raise on every access."""
         axis, sign = _signed_axes(self.directions)
         used = _STATIONS[:, None, :]
-        cells = _read_only(used * (axis + 1)).transpose(2, 0, 1)
+        cells = _read_only((used * (axis + 1)) @ (4, 1))
         pair = (2 * axis + (sign < 0)) @ (6, 1)  # index of the signed axis pair, 0..35
         signs = _read_only(np.where(used, sign, 1.0).prod(axis=-1))
-        return tuple(cells), signs, _read_only(1.0 / np.bincount(pair)[pair])
+        return cells, signs, _read_only(1.0 / np.bincount(pair)[pair])
+
+    @functools.cached_property
+    def _direction_text(self) -> tuple[str, ...]:
+        # float.__repr__ of each direction component, in (S, 2, 3) order: the text a record
+        # file prints, built once per instance as the projector pairs are
+        return tuple(map(float.__repr__, self.directions.ravel().tolist()))
 
 
 def _as_settings(settings) -> MeasurementSettings:
@@ -130,9 +139,9 @@ class TomographyRecord:
         if len(self.counts) != len(self.settings):
             raise ValueError("counts length must equal settings length")
         # chained comparisons are False for NaN
-        if not all(0 <= c < np.inf for c in self.counts):
+        if not all(0 <= c < math.inf for c in self.counts):
             raise ValueError("counts must be finite and non-negative")
-        if not sum(self.counts) < np.inf:  # reconstruct pools them into sums
+        if not sum(self.counts) < math.inf:  # reconstruct pools them into sums
             raise ValueError("counts must have a finite total")
         _check_acquisition(self.exposure, self.dark_prob)
         object.__setattr__(self, "seed", _check_seed(self.seed))
@@ -198,14 +207,13 @@ def simulate_counts(
     if not exact:
         bit_generator = np.random.PCG64(0)  # each draw below sets its own state
         poisson = np.random.Generator(bit_generator).poisson
+        # one state dict for every draw: the setter copies what it reads
+        full = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+        words = full["state"]
         sampled = []
         for (state, inc), m in zip(_pcg64_states(seed, len(counts)), counts):
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+            words["state"], words["inc"] = state, inc
+            bit_generator.state = full
             sampled.append(float(poisson(m)))
         counts = sampled
     return TomographyRecord(
@@ -326,19 +334,18 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
     missing or has zero total counts.
     """
     cells, signs, weights = record.settings.pooling_layout
-    counts = np.broadcast_to(weights * np.asarray(record.counts, dtype=float), signs.shape)
-    signed = np.zeros((4, 4))
-    pooled = np.zeros((4, 4))
-    # unbuffered, so each cell sums its counts in setting order
-    np.add.at(signed, cells, signs * counts)
-    np.add.at(pooled, cells, counts)
-    if np.any(pooled[1:, 1:] <= 0):
-        j, k = np.argwhere(pooled[1:, 1:] <= 0)[0]
+    counts = weights * np.asarray(record.counts, dtype=float)
+    # bincount sums each cell's counts in input order, setting after setting
+    signed = np.bincount(cells.ravel(), (signs * counts).ravel(), minlength=16)
+    pooled = np.bincount(cells.ravel(), np.broadcast_to(counts, signs.shape).ravel(), minlength=16)
+    empty = pooled.reshape(4, 4)[1:, 1:] <= 0
+    if empty.any():
+        j, k = np.argwhere(empty)[0]
         raise InsufficientStatisticsError(
             f"setting group (axis {j}, axis {k}) has zero total counts"
         )
     stokes = signed / pooled  # the identity's own cell gives exactly 1
-    rho = (stokes[_MU, _NU][:, None, None] * _TERM_BASIS).sum(axis=0) / 4.0
+    rho = (stokes[_TERMS][:, None, None] * _TERM_BASIS).sum(axis=0) / 4.0
 
     values, vectors = qmat.hermitian_eig(rho)
     clipped = np.clip(values, 0.0, None)
@@ -348,16 +355,18 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
 
 def record_to_json(record: TomographyRecord) -> dict:
     """JSON-ready dict with the documented schema."""
-    counts = [
-        int(c) if float(c).is_integer() else float(c) for c in record.counts
-    ]
     return {
         "settings": record.settings.directions.tolist(),
-        "counts": counts,
+        "counts": _json_counts(record.counts),
         "exposure": record.exposure,
         "dark_prob": record.dark_prob,
         "seed": record.seed,
     }
+
+
+def _json_counts(counts) -> list:
+    # the counts as a record file holds them: each integral one an int, the others floats
+    return [int(c) if float(c).is_integer() else float(c) for c in counts]
 
 
 def record_from_json(obj: dict) -> TomographyRecord:

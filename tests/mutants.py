@@ -28,9 +28,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # (what the mutant does, module, expression as written, its replacement)
 MUTANTS = [
     ("entropy clip to [0, log2 d] removed", "qstate.py",
-     "return entropy.clip(0.0, np.log2(values.shape[-1]))", "return entropy"),
+     "return np.minimum(np.maximum(0.0, entropy), math.log2(values.shape[-1]))", "return entropy"),
     ("entropy clip's upper bound removed", "qstate.py",
-     "entropy.clip(0.0, np.log2(values.shape[-1]))", "entropy.clip(0.0, None)"),
+     "np.minimum(np.maximum(0.0, entropy), math.log2(values.shape[-1]))", "np.maximum(0.0, entropy)"),
+    ("entropy lower bound turns a pure state's -0.0 into +0.0, unlike the clip it replaced", "qstate.py",
+     "np.maximum(0.0, entropy)", "np.maximum(entropy, 0.0)"),
     ("entropy drops positive eigenvalues below 1e-12 again", "qstate.py",
      "np.where(values > 0.0, values, 1.0)", "np.where(values > 1e-12, values, 1.0)"),
     ("transmission cap at 1 removed", "channel.py",
@@ -65,7 +67,10 @@ MUTANTS = [
     ("PSD_TOL 1e-10 -> 1e-8", "qstate.py",
      "PSD_TOL = 1e-10", "PSD_TOL = 1e-8"),
     ("unit-norm tolerance of Stokes vectors 1e-12 -> 1e-14", "qstate.py",
-     "- 1.0) <= 1e-12", "- 1.0) <= 1e-14"),
+     "_UNIT_NORM_TOL = 1e-12", "_UNIT_NORM_TOL = 1e-14"),
+    ("one unit Stokes direction lets a NaN through", "qstate.py",
+     "if not abs(math.sqrt((x * x + y * y) + z * z) - 1.0) <= _UNIT_NORM_TOL:",
+     "if abs(math.sqrt((x * x + y * y) + z * z) - 1.0) > _UNIT_NORM_TOL:"),
     ("fidelity_pure purity tolerance 1e-9 -> 1e-6", "qstate.py",
      "abs(purity - 1.0) > 1e-9", "abs(purity - 1.0) > 1e-6"),
     ("mutual information clamp at 0 removed", "qstate.py",
@@ -102,7 +107,13 @@ MUTANTS = [
     ("filter_operator infinite-magnitude check removed", "channel.py",
      "if f.magnitude == np.inf:", "if False:"),
     ("_spectrum stops averaging the state with its conjugate transpose", "qstate.py",
-     "rho = (rho + _dagger(rho)) / 2", "rho = rho"),
+     "rho = (rho + dagger) / 2", "rho = rho"),
+    ("_transmission lets a NaN log trace through the blocked rule", "channel.py",
+     "passed = log_trace >= _LOG_BLOCKED_TRACE", "passed = ~(log_trace < _LOG_BLOCKED_TRACE)"),
+    ("_transmission subnormal rule removed", "channel.py",
+     "if lowest < _TINY:", "if False:"),
+    ("plan_recovery's closed form loses its denominator guard", "recover.py",
+     "if denom <= 0:", "if denom < 0:"),
     ("as_matrix accepts (N, 4, 4) stacks again", "qmat.py",
      "a.shape != (4, 4)", "a.shape[-2:] != (4, 4)"),
 ]

@@ -24,6 +24,8 @@ from entfilter.qstate import (
     validate_density_matrix,
 )
 
+from entfilter.channel import _as_unit_tuple, _transmission
+
 from helpers import random_density_matrix, random_unit_vector
 
 Z = (0.0, 0.0, 1.0)
@@ -292,3 +294,77 @@ class TestApplyFilters:
                 )
                 assert abs(rho_f[0, 0].real - rho_f[3, 3].real) < 1e-12
                 assert rho_f[1, 1].real > rho[1, 1].real
+
+
+# The formulations the channel helpers replaced, kept as references.
+def array_unit_tuple(v):
+    # the direction checked through numpy, then read back as floats
+    a = np.asarray(v, dtype=float)
+    if a.shape != (3,):
+        raise ValueError(f"expected a Stokes 3-vector, got shape {a.shape}")
+    if not abs(np.sqrt(np.add.reduce(a * a, axis=-1)) - 1.0) <= 1e-12:
+        raise ValueError("Stokes vector must have unit norm within 1e-12")
+    return (float(a[0]) + 0.0, float(a[1]) + 0.0, float(a[2]) + 0.0)
+
+
+def any_transmission(trace, gamma_a, gamma_b):
+    # the blocked and subnormal rules as two .any() tests, the bound from np.finfo
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_trace = np.log(trace) + gamma_a + gamma_b
+    blocked = ~(log_trace >= np.log(1e-14))
+    if blocked.any():
+        raise FilterBlockedError(
+            "filters block the state entirely (normalization trace "
+            f"{np.exp(log_trace[blocked][0]):.3e})"
+        )
+    if (trace < np.finfo(float).tiny).any():
+        raise ValueError(
+            f"filter magnitudes too large to renormalize: the trace {trace.min():.3e} is subnormal"
+        )
+    return np.minimum(1.0, trace)
+
+
+def outcome(call, *args):
+    # the result's bits, or the exception's type and message
+    try:
+        return repr(call(*args))
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def unit_boundary_directions():
+    # norms 1 +- 1e-12, each stepped by up to 3 ulps, along an axis (with a -0.0 entry)
+    # and along random directions; then NaN, infinite, signed-zero and misshapen input
+    rng = np.random.default_rng(89)
+    axes = [(0.0, -0.0, 1.0), (-1.0, 0.0, -0.0)] + [tuple(random_unit_vector(rng)) for _ in range(40)]
+    for axis in axes:
+        for edge in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
+            for step in range(-3, 4):
+                scale = edge + step * math.ulp(edge)
+                yield tuple(scale * x for x in axis)
+    yield from [(math.nan, 0.0, 0.0), (0.0, 0.0, math.inf), (-0.0, -0.0, -1.0), [0, 0, 1], (0.0, 1.0), np.eye(3)]
+
+
+class TestMatchesReplacedFormulation:
+    def test_unit_tuple_accepts_and_rejects_alike(self):
+        for v in unit_boundary_directions():
+            assert outcome(_as_unit_tuple, v) == outcome(array_unit_tuple, v), v
+
+    @pytest.mark.parametrize(
+        "trace, gamma",
+        [
+            ([0.5, 1.0 + 1e-12], 0.0),
+            ([0.5, 5e-15], 0.0),  # blocked
+            ([0.5, math.nan], 0.0),  # NaN counts as blocked
+            ([0.5, -1e-3], 0.0),
+            ([0.5, 0.0], 1e308),  # a zero trace is blocked at any magnitude
+            ([0.0, 0.5], math.inf),  # log 0 + inf is NaN: blocked
+            ([1e-310, 0.5], 400.0),  # passes the blocked rule, subnormal
+            ([0.5, 2e-308, 1e-320], 800.0),
+            ([0.5, 1e-300], 1e308),  # the log-trace sum overflows to +inf: not blocked
+            ([], 0.0),
+        ],
+    )
+    def test_transmission_rules_and_messages(self, trace, gamma):
+        trace, gammas = np.array(trace), np.full(len(trace), gamma)
+        assert outcome(_transmission, trace, gammas, gammas) == outcome(any_transmission, trace, gammas, gammas)

@@ -16,6 +16,7 @@ from entfilter.channel import FilterElement, PauliNoiseSpec, apply_filters, paul
 from entfilter.cli import (
     INSET_GAMMA_A,
     NOISE_TYPES,
+    _inset_text,
     _payload_text,
     _record_text,
     _report_text,
@@ -30,7 +31,7 @@ from entfilter.qstate import (
     fidelity_pure,
     mutual_information,
 )
-from entfilter.recover import GAMMA_A_AXIS, plan_recovery, sweep
+from entfilter.recover import GAMMA_A_AXIS, SweepPoint, plan_recovery, sweep, sweep_to_json
 from entfilter.tomo import (
     TomographyRecord,
     reconstruct,
@@ -362,8 +363,7 @@ def test_record_writer_matches_json_dumps(rows, exposure, dark_prob, seed):
         dark_prob=dark_prob,
         seed=seed,
     )
-    obj = record_to_json(record)
-    assert _record_text(obj) == json.dumps(obj, indent=2) + "\n"
+    assert _record_text(record) == json.dumps(record_to_json(record), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -414,6 +414,32 @@ def test_report_writer_matches_json_dumps(noise, numbers, flag):
     assert _report_text(noise, numbers, flag) == json.dumps(report, indent=2)
 
 
+_ROW = st.tuples(*[_REPORT_NUMBERS] * 5).map(lambda x: SweepPoint(x[0], x[1], "ratio", *x[2:]))
+
+
+@hypothesis_settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(NOISE_TYPES),
+    _REPORT_NUMBERS,
+    st.lists(
+        st.tuples(_REPORT_NUMBERS, _REPORT_NUMBERS, st.lists(_ROW, min_size=1, max_size=5)), min_size=1, max_size=4
+    ),
+)
+@example("bitflip", -0.0, [(5e-324, -0.0, [SweepPoint(1e308, -5e-324, "ratio", 0.0, -0.0, 1.0)])])
+def test_inset_writer_matches_json_dumps(noise, p, runs):
+    # the payload inset --format json wrote through json.dumps
+    gamma_a_values, best, series = ([run[i] for run in runs] for i in range(3))
+    payload = {
+        "noise": noise,
+        "p": p,
+        "series": [
+            {"gamma_a": gamma_a, "argmax_ratio": ratio, "points": sweep_to_json(rows)}
+            for gamma_a, rows, ratio in zip(gamma_a_values, series, best)
+        ],
+    }
+    assert _inset_text(noise, p, gamma_a_values, series, best) == json.dumps(payload, indent=2) + "\n"
+
+
 def test_reconstruct_reads_each_record_settings(tmp_path):
     # one process, so geometry built for one record must not serve the next:
     # the standard 36, a permutation of them, the same with one setting
@@ -443,20 +469,17 @@ def test_reconstruct_reads_each_record_settings(tmp_path):
 
 # Shapes of the Hermitian decompositions each command takes, sorted:
 # - optimize: the plan's input, and the filtered state with its two reduced
-#   states;
+#   states, decomposed as one (2, 2, 2) stack;
 # - tomo simulate: the state it samples;
 # - tomo reconstruct: the physicality projection of the raw estimate, then the
-#   one decomposition its three metrics share, with two reduced states.
+#   one decomposition its three metrics share, with its two reduced states as
+#   one stack.
 # curves and inset take none (test_curve_commands_call_neither_eigh_nor_svd).
 COMMAND_EIGH_SHAPES = {
     # the filtered pair is decomposed as the one-state stack _filter_pairs returns
-    ("optimize", "--noise", "bitflip", "--gamma-a", "0.857"): (
-        [(1, 4, 4), (2, 2), (2, 2), (4, 4)]
-    ),
+    ("optimize", "--noise", "bitflip", "--gamma-a", "0.857"): [(1, 4, 4), (2, 2, 2), (4, 4)],
     ("tomo", "simulate", "--state", "bitflip", "--output", "{out}"): [(4, 4)],
-    ("tomo", "reconstruct", "--input", "{record}", "--output", "{out}"): (
-        [(2, 2), (2, 2), (4, 4), (4, 4)]
-    ),
+    ("tomo", "reconstruct", "--input", "{record}", "--output", "{out}"): [(2, 2, 2), (4, 4), (4, 4)],
 }
 
 

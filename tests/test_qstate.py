@@ -22,8 +22,10 @@ from entfilter.qstate import (
     validate_density_matrix,
     von_neumann_entropy,
 )
-from entfilter.qmat import hermitian_eig, partial_trace
-from entfilter.qstate import _concurrence, _entropy_bits, _mutual_information
+from entfilter.channel import _filter_pairs
+from entfilter.qmat import hermitian_eig, matrix_sqrt_psd, partial_trace
+from entfilter.qstate import BELL_LABELS, _BELL_COMPONENTS, _bell_diagonal_weights, _concurrence, _entropy_bits
+from entfilter.qstate import _information_bits, _mutual_information, _spectrum
 from entfilter.recover import plan_recovery
 from entfilter.tomo import simulate_counts, standard_settings
 
@@ -470,3 +472,74 @@ class TestJsonFormat:
     def test_rejects_stacks(self, count):
         with pytest.raises(ValueError, match="^expected one 4x4 two-qubit density matrix"):
             density_matrix_to_json(np.array(BELL_PROJECTORS[:count]))
+
+
+# The formulations the measures replaced, kept as references: the rewrites must give
+# the same bits, signed zeros included.
+def matmul_bell_weights(rho):
+    return {label: float(np.real(w.conj() @ rho @ w) / 2) for label, w in _BELL_COMPONENTS.items()}
+
+
+def clipped_entropy(values):
+    w = np.where(values > 0.0, values, 1.0)
+    return (-(w * np.log2(w)).sum(axis=-1)).clip(0.0, np.log2(values.shape[-1]))
+
+
+def two_call_mutual_information(rho, values):
+    # each marginal taken by slicing and decomposed alone
+    s_a = clipped_entropy(hermitian_eig(rho[..., 0::2, 0::2] + rho[..., 1::2, 1::2])[0])
+    s_b = clipped_entropy(hermitian_eig(rho[..., :2, :2] + rho[..., 2:, 2:])[0])
+    return _information_bits(s_a, s_b, clipped_entropy(values))
+
+
+def matmul_concurrence(values, vectors):
+    root = matrix_sqrt_psd(values, vectors)
+    lam = np.linalg.svd(root @ np.kron(SIGMA_Y, SIGMA_Y) @ root.conj(), compute_uv=False)
+    return np.clip(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0, 1.0)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def reference_states():
+    # random states of rank 1-4, Bell and product states, noisy pairs, filtered noisy pairs
+    rng = np.random.default_rng(83)
+    for index in range(400):
+        g = rng.normal(size=(4, 1 + index % 4)) + 1j * rng.normal(size=(4, 1 + index % 4))
+        yield g @ g.conj().T / np.trace(g @ g.conj().T).real
+    yield from BELL_PROJECTORS
+    yield from (np.kron(np.diag(a), np.diag(b)) for a in ([1.0, 0.0], [0.5, 0.5]) for b in ([0.0, 1.0], [0.3, 0.7]))
+    gammas = np.array([0.0, 0.3, 0.857, 3.0, 20.0, 200.0])
+    for noise in (PauliNoiseSpec.bit_flip, PauliNoiseSpec.phase_flip):
+        for p in np.linspace(0.0, 1.0, 11):
+            rho = pauli_channel_state(noise(p))
+            yield rho
+            yield from _filter_pairs(rho, gammas, Z, gammas / 2, (0.0, 0.0, -1.0))[0]
+
+
+class TestMatchesReplacedFormulation:
+    """Bell weights, entropy, mutual information and concurrence equal their old formulations bit for bit."""
+
+    def test_single_states(self):
+        for rho in reference_states():
+            rho, values, vectors = _spectrum(rho)
+            weights = _bell_diagonal_weights(rho)
+            assert list(weights) == list(BELL_LABELS)
+            assert bits(list(weights.values())) == bits(list(matmul_bell_weights(rho).values()))
+            assert bits(_entropy_bits(values)) == bits(clipped_entropy(values))
+            assert bits(_mutual_information(rho, values)) == bits(two_call_mutual_information(rho, values))
+            assert bits(_concurrence(values, vectors)) == bits(matmul_concurrence(values, vectors))
+
+    def test_stacks(self):
+        states = np.array(list(reference_states()))
+        states, values, vectors = stack_spectrum(states)
+        assert bits(_entropy_bits(values)) == bits(clipped_entropy(values))
+        assert bits(_mutual_information(states, values)) == bits(two_call_mutual_information(states, values))
+        assert bits(_concurrence(values, vectors)) == bits(matmul_concurrence(values, vectors))
+
+    def test_signed_zero_entropies(self):
+        # a pure state's entropy sums to -0.0, which the clip kept
+        values = np.array([[1.0, 0.0], [0.5, 0.5], [1.0 + 2**-52, -1e-17], [0.0, 0.0]])
+        assert bits(_entropy_bits(values)) == bits(clipped_entropy(values))
+        assert bits(_entropy_bits(values[0])) == bits(-0.0)

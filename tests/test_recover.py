@@ -13,9 +13,11 @@ from entfilter.channel import _filter_pairs
 from entfilter.qmat import hermitian_eig
 from entfilter.qstate import SIGMA_X, SIGMA_Y, SIGMA_Z, bell_state, concurrence, correlation_matrix
 from entfilter.qstate import fidelity_pure, mutual_information, unit_stokes_vector, validate_density_matrix
+from entfilter.qstate import _PAULI_BASIS, _concurrence, _spectrum
 from entfilter.recover import (
     CSV_HEADER,
     STRATEGIES,
+    RecoveryPlan,
     SweepPoint,
     argmax_ratio,
     average_entanglement,
@@ -306,6 +308,62 @@ class TestPlanRecovery:
             f_b = FilterElement(plan.gamma_b_opt, plan.orientation_b)
             rho_f, _ = apply_filters(rho, FilterElement(0.857, Z), f_b)
             assert plan.predicted_concurrence == pytest.approx(concurrence(rho_f), abs=1e-12)
+
+
+def wrapper_plan(rho, f_a):
+    # plan_recovery as it was before it read the optimum and the prediction from the T it
+    # had checked: through the public closed forms, which check T again, and a filter B
+    rho, values, vectors = _spectrum(rho)
+    stokes = (rho @ _PAULI_BASIS).trace(axis1=-2, axis2=-1).real
+    if np.max(np.abs(stokes - np.diag(np.diag(stokes)))) > 1e-9:
+        raise ValueError(
+            "plan_recovery requires a Bell-diagonal state: its Stokes matrix must be diagonal within 1e-9"
+        )
+    t = stokes[1:, 1:]
+    c0 = float(_concurrence(values, vectors))
+    orientation = _compensator_orientation(t, f_a.orientation)
+    if c0 <= 0.0:
+        return RecoveryPlan(0.0, orientation, 0.0, nothing_to_recover=True)
+    magnitude = optimal_magnitude(t, f_a.orientation, f_a.magnitude)
+    f_b = FilterElement(magnitude, orientation)
+    return RecoveryPlan(magnitude, f_b.orientation, concurrence_after_filtering(c0, t, f_a, f_b))
+
+
+def plan_outcome(plan, rho, f_a):
+    # the plan's repr, which prints each float's bits, or the error's type and message
+    try:
+        return repr(plan(rho, f_a))
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestPlanMatchesWrapperPlan:
+    """plan_recovery equals its formulation through the public closed forms, errors included."""
+
+    GAMMA_A = (0.0, 5e-324, 0.01, 0.3, 0.857, 2.0, 10.0, 19.0, 50.0, 150.0, 300.0, 380.0, 400.0, 1e308, math.inf)
+
+    @pytest.mark.parametrize(
+        "noise", [PauliNoiseSpec.bit_flip, PauliNoiseSpec.phase_flip], ids=["bitflip", "phaseflip"]
+    )
+    def test_noisy_pairs(self, noise):
+        for p in [*np.linspace(0.0, 1.0, 41), 1e-300, 1.0 - 2**-53]:
+            rho = pauli_channel_state(noise(p))
+            for gamma_a in self.GAMMA_A:
+                for axis in (Z, MINUS_Z, (1.0, 0.0, 0.0)):
+                    f_a = FilterElement(gamma_a, axis)
+                    assert plan_outcome(plan_recovery, rho, f_a) == plan_outcome(wrapper_plan, rho, f_a)
+
+    def test_bell_diagonal_and_rejected_states(self):
+        rng = np.random.default_rng(97)
+        states = [random_bell_diagonal(rng) for _ in range(30)]
+        states += [random_rank2_bell_diagonal(rng) for _ in range(30)]
+        # two states the plan rejects: off-diagonal correlations, and a local Stokes vector
+        states += [(np.eye(4) + 0.3 * np.kron(SIGMA_X, SIGMA_Y)) / 4]
+        states += [0.7 * bell_state("psi-") + 0.3 * np.diag([1.0, 0.0, 0.0, 0.0])]
+        for rho in states:
+            for gamma_a in (0.0, 0.857, 300.0):
+                f_a = FilterElement(gamma_a, tuple(random_unit_vector(rng)))
+                assert plan_outcome(plan_recovery, rho, f_a) == plan_outcome(wrapper_plan, rho, f_a)
 
 
 class TestSweep:
