@@ -114,10 +114,10 @@ def _filter_projectors(axis) -> tuple[np.ndarray, np.ndarray]:
     return (IDENTITY_2 + n) / 2, (IDENTITY_2 - n) / 2
 
 
-def _normalized_filters(gammas: np.ndarray, axis) -> np.ndarray:
-    # (N, 2, 2) stack of e^(-g/2) P = P+ + e^-g P-: no cancellation
-    plus, minus = _filter_projectors(axis)
-    return plus + np.exp(-gammas)[:, None, None] * minus
+def _normalized_filter(f: FilterElement) -> np.ndarray:
+    # e^(-g/2) P = P+ + e^-g P-: no cancellation
+    plus, minus = _filter_projectors(f.orientation)
+    return plus + np.exp(-f.magnitude) * minus
 
 
 def filter_operator(f: FilterElement) -> np.ndarray:
@@ -129,7 +129,7 @@ def filter_operator(f: FilterElement) -> np.ndarray:
     """
     if f.magnitude == np.inf:
         raise ValueError("filter operator of an infinite magnitude is not finite")
-    return np.exp(f.magnitude / 2) * _normalized_filters(np.array([f.magnitude]), f.orientation)[0]
+    return np.exp(f.magnitude / 2) * _normalized_filter(f)
 
 
 def pauli_channel_state(spec: PauliNoiseSpec) -> np.ndarray:
@@ -174,35 +174,33 @@ def apply_filters(
     physical: an input accepted with an eigenvalue just below 0 (within
     ``PSD_TOL``) has it divided by the transmission.
     """
-    rho_in = _spectrum(rho_in)[0]
-    gamma_a, gamma_b = np.array([f_a.magnitude]), np.array([f_b.magnitude])
-    states, values, _, transmission = _filter_pairs(rho_in, gamma_a, f_a.orientation, gamma_b, f_b.orientation)
-    lowest = values[0, -1]
+    state, values, transmission = _filter_pair(_spectrum(rho_in)[0], f_a, f_b)
+    lowest = values[-1]
     if lowest < -PSD_TOL:
         raise ValueError(
             f"filtering amplified a negative eigenvalue of the input to {lowest:.3e} "
-            f"(transmission {transmission[0]:.3e})"
+            f"(transmission {transmission:.3e})"
         )
-    return states[0], float(transmission[0])
+    return state, transmission
 
 
-def _filter_pairs(rho, gamma_a, axis_a, gamma_b, axis_b):
-    # apply_filters of a valid 4x4 state over arrays of magnitudes: N states, their one
-    # eigendecomposition (values, vectors), N transmissions. The matrix path, for states
-    # from outside and for optimize; a sweep's curves take recover's closed-form kernel
-    pairs = kron(_normalized_filters(gamma_a, axis_a), _normalized_filters(gamma_b, axis_b))
-    out = pairs @ rho @ _dagger(pairs)
-    trace = out.trace(axis1=1, axis2=2).real
-    transmission = _transmission(trace, gamma_a, gamma_b)
-    states = out / trace[:, None, None]
-    states = (states + _dagger(states)) / 2
-    return (states, *hermitian_eig(states), transmission)
+def _filter_pair(rho, f_a: FilterElement, f_b: FilterElement):
+    # apply_filters of a valid 4x4 state: the filtered state, its hermitian_eig
+    # eigenvalues and the transmission. The matrix path, for states from outside and for
+    # optimize; a sweep's curves take recover's closed-form kernel
+    pair = kron(_normalized_filter(f_a), _normalized_filter(f_b))
+    out = pair @ rho @ _dagger(pair)
+    trace = out.trace().real
+    transmission = float(_transmission(trace, f_a.magnitude, f_b.magnitude))
+    state = out / trace
+    state = (state + _dagger(state)) / 2
+    return state, hermitian_eig(state)[0], transmission
 
 
 def _transmission(trace, gamma_a, gamma_b) -> np.ndarray:
-    # the transmissions of N pairs that the normalized filters of magnitudes gamma_a, gamma_b
-    # leave with these traces, capped at 1 against roundoff; every filtered pair, on the
-    # matrix path and in recover's kernel, passes these blocked and subnormal rules
+    # the transmission of one pair, or of N pairs, that the normalized filters of magnitudes
+    # gamma_a, gamma_b leave with these traces, capped at 1 against roundoff; every filtered
+    # pair, on the matrix path and in recover's kernel, passes these blocked and subnormal rules
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # the trace P_A x P_B leaves, in logs so that large magnitudes cannot overflow
         # it; a sum that reaches +inf still means "not blocked"

@@ -17,8 +17,8 @@ naming the flag; that holds for ``tomo simulate --p`` with a Bell ``--state`` to
 A state is judged where it enters through a public function: ``optimize``
 judges the noisy pair in ``plan_recovery``. What the library builds from its
 own pairs (``optimize``'s filtered pair) and the estimate ``reconstruct``
-projects are decomposed once and not judged again: the filtering returns each
-filtered state's spectrum, and only ``tomo reconstruct`` decomposes a state
+projects are decomposed once and not judged again: the filtering returns the
+filtered state's eigenvalues, and only ``tomo reconstruct`` decomposes a state
 here. ``curves`` and ``inset`` form no 4x4 state: ``inset`` scans all its
 gamma_a values as one stack of closed-form curve points, in one
 ``ratio_scan`` call.
@@ -38,7 +38,7 @@ from itertools import chain
 import numpy as np
 
 from .channel import FilterElement, PauliNoiseSpec, pauli_channel_state
-from .channel import _filter_pairs
+from .channel import _filter_pair
 from .qmat import hermitian_eig
 from .qstate import BELL_LABELS, bell_state, density_matrix_to_json
 from .qstate import _bell_diagonal_weights, _concurrence, _mutual_information
@@ -276,19 +276,16 @@ def cmd_optimize(args) -> int:
     f_a = FilterElement(args.gamma_a, GAMMA_A_AXIS)
     plan = plan_recovery(rho, f_a)
     # plan_recovery has checked the pair the library built; the filtered pair comes
-    # with its spectrum, as a sweep's filtered stack does, and is not judged again
-    states, values, _, transmission = _filter_pairs(
-        rho, np.array([f_a.magnitude]), f_a.orientation,
-        np.array([plan.gamma_b_opt]), plan.orientation_b,
-    )
+    # with its spectrum and is not judged again
+    state, values, transmission = _filter_pair(rho, f_a, FilterElement(plan.gamma_b_opt, plan.orientation_b))
     numbers = (
         args.p,
         args.gamma_a,
         plan.gamma_b_opt,
         *plan.orientation_b,
         plan.predicted_concurrence,
-        float(_mutual_information(states[0], values[0])),
-        float(transmission[0]),
+        float(_mutual_information(state, values)),
+        transmission,
     )
     print(_report_text(args.noise, numbers, plan.nothing_to_recover))
     return EXIT_OK

@@ -51,22 +51,22 @@ def _rebuild(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 
 # Entry (i, j) of a reduced matrix is the sum of two entries of the 4x4 matrix, terms t = 0
-# and 1: m[2i + t, 2j + t] keeping qubit A (Tr_B, the trace of each 2x2 block) and
-# m[2t + i, 2t + j] keeping qubit B (Tr_A, the sum of the two diagonal blocks). Per value
-# of keep, [..., i, j, t] is the index of that term in the flattened 4x4 matrix
-_KEEP_A = np.array([[[4 * (2 * i + t) + 2 * j + t for t in (0, 1)] for j in (0, 1)] for i in (0, 1)])
-_KEEP_B = np.array([[[4 * (2 * t + i) + 2 * t + j for t in (0, 1)] for j in (0, 1)] for i in (0, 1)])
-_TRACE_TERMS = {0: _KEEP_A, 1: _KEEP_B, (0, 1): np.array([_KEEP_A, _KEEP_B])}
+# and 1: m[2i + t, 2j + t] for qubit A (Tr_B, the trace of each 2x2 block) and
+# m[2t + i, 2t + j] for qubit B (Tr_A, the sum of the two diagonal blocks).
+# _TRACE_TERMS[q, i, j, t] is the index of that term in the flattened 4x4 matrix
+_TRACE_TERMS = np.array([
+    [[[4 * (2 * i + t) + 2 * j + t for t in (0, 1)] for j in (0, 1)] for i in (0, 1)],
+    [[[4 * (2 * t + i) + 2 * t + j for t in (0, 1)] for j in (0, 1)] for i in (0, 1)],
+])
 
 
-def partial_trace(m: np.ndarray, keep: int | tuple[int, int]) -> np.ndarray:
-    """Reduced 2x2 matrix of a 4x4 two-qubit operator, or of each in a stack.
+def partial_trace(m: np.ndarray) -> np.ndarray:
+    """Both reduced 2x2 matrices of a 4x4 two-qubit operator, or of each in a stack.
 
-    ``keep=0`` keeps qubit A (first tensor factor), ``keep=1`` keeps qubit B, and
-    ``keep=(0, 1)`` gives both, stacked on a new axis before the last two. The
-    trace of the input is preserved.
+    Returns the ``(..., 2, 2, 2)`` stack of qubit A's (first tensor factor)
+    and qubit B's, each with the trace of the input.
     """
-    terms = m.reshape(m.shape[:-2] + (16,)).take(_TRACE_TERMS[keep], axis=-1)
+    terms = m.reshape(m.shape[:-2] + (16,)).take(_TRACE_TERMS, axis=-1)
     return terms[..., 0] + terms[..., 1]
 
 

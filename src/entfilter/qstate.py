@@ -13,8 +13,8 @@ Conventions, used consistently across the package:
   decomposes it once: its entropy, mutual information and concurrence are
   taken from that spectrum. What the library builds from its own pairs, and
   the estimates ``reconstruct`` projects, are exactly Hermitian, decomposed
-  once by ``qmat.hermitian_eig`` and not judged again: a filtered stack by
-  ``channel._filter_pairs``, which makes it and returns its spectrum;
+  once by ``qmat.hermitian_eig`` and not judged again: a filtered pair by
+  ``channel._filter_pair``, which makes it and returns its spectrum;
 * one entropy rule (``_entropy_bits``: every positive eigenvalue counts) and
   one mutual-information rule (``_information_bits``: clamped at 0) serve
   these measures and the closed-form curves of ``recover.sweep`` and
@@ -160,9 +160,8 @@ def _entropy_bits(values) -> np.ndarray:
     # entropy rule, which recover's curve kernel shares
     w = np.where(values > 0.0, values, 1.0)  # 1 log 1 = 0 drops it from the sum
     entropy = -(w * np.log2(w)).sum(axis=-1)
-    # clipped to [0, log2 d]; 0.0 comes first, since np.maximum returns its second argument
-    # on a tie: a pure state's entropy stays -0.0, the bits ndarray.clip gives
-    return np.minimum(np.maximum(0.0, entropy), math.log2(values.shape[-1]))
+    # clipped to [0, log2 d]
+    return np.minimum(np.maximum(entropy, 0.0), math.log2(values.shape[-1]))
 
 
 def mutual_information(rho) -> float:
@@ -179,7 +178,7 @@ def mutual_information(rho) -> float:
 def _mutual_information(rho, values) -> np.ndarray:
     # mutual_information of validated states with their hermitian_eig eigenvalues: the two
     # marginals are decomposed as one stack, and eigh treats each matrix of a stack alone
-    s_a, s_b = _entropy_bits(hermitian_eig(partial_trace(rho, (0, 1)))[0]).T
+    s_a, s_b = _entropy_bits(hermitian_eig(partial_trace(rho))[0]).T
     return _information_bits(s_a, s_b, _entropy_bits(values))
 
 

@@ -127,17 +127,9 @@ def optimal_magnitude(t, gamma_a_hat, gamma_a) -> float | np.ndarray:
     gamma_a = np.asarray(gamma_a, dtype=float)
     if not (gamma_a >= 0).all():
         raise ValueError("gamma_a must be >= 0")
-    gamma_b = _optimal_magnitude(_correlation_argument(t) @ unit_stokes_vector(gamma_a_hat), gamma_a)
+    a = unit_stokes_vector(gamma_a_hat)
+    gamma_b = _optimum(_compensator(_correlation_argument(t) @ a, a)[0], gamma_a)
     return float(gamma_b) if gamma_b.ndim == 0 else gamma_b
-
-
-def _optimal_magnitude(t_a, gamma_a):
-    # the closed form of optimal_magnitude, from the vector T a of a real correlation matrix
-    # and a unit a
-    gain = float(np.linalg.norm(t_a))
-    if gain > 1.0 + 1e-9:
-        raise ValueError(f"invalid correlation matrix: ||T a|| = {gain} exceeds 1")
-    return _optimum(gain, gamma_a)
 
 
 def plan_recovery(rho, f_a: FilterElement) -> RecoveryPlan:
@@ -147,13 +139,13 @@ def plan_recovery(rho, f_a: FilterElement) -> RecoveryPlan:
     Tr[rho sigma_mu x sigma_nu], local Stokes vectors in row and column 0 and
     T in the rest, must be diagonal within 1e-9. Any other state raises
     ValueError rather than getting a wrong prediction. A separable input
-    (zero concurrence) yields a do-nothing plan flagged
-    ``nothing_to_recover``: filtering cannot create entanglement.
-    Its filter B has magnitude 0 and the orientation a sweep would give it.
-    The input is decomposed once; its concurrence and correlations share that
-    decomposition, and the optimum and the predicted concurrence come from the
-    closed forms of ``optimal_magnitude`` and ``concurrence_after_filtering``,
-    with no second check of the correlations checked here.
+    (zero concurrence) yields a plan flagged ``nothing_to_recover``, with a
+    predicted concurrence of 0: filtering cannot create entanglement. Its
+    filter B is still the one a sweep gives. The input is decomposed once;
+    its concurrence and correlations share that decomposition, and the
+    optimum and the predicted concurrence come from the closed forms of
+    ``optimal_magnitude`` and ``concurrence_after_filtering``, with no second
+    check of the correlations checked here.
     """
     rho, values, vectors = _spectrum(rho)
     stokes = (rho @ _PAULI_BASIS).trace(axis1=-2, axis2=-1).real
@@ -161,30 +153,26 @@ def plan_recovery(rho, f_a: FilterElement) -> RecoveryPlan:
         raise ValueError(
             "plan_recovery requires a Bell-diagonal state: its Stokes matrix must be diagonal within 1e-9"
         )
-    t = stokes[1:, 1:]
+    t_a = stokes[1:, 1:] @ f_a.axis
+    gain, orientation = _compensator(t_a, f_a.orientation)
+    magnitude = float(_optimum(gain, f_a.magnitude))
     c0 = float(_concurrence(values, vectors))
-    orientation = _compensator_orientation(t, f_a.orientation)
     if c0 <= 0.0:
-        return RecoveryPlan(0.0, orientation, 0.0, nothing_to_recover=True)
-    t_a = t @ f_a.axis
-    magnitude = float(_optimal_magnitude(t_a, f_a.magnitude))
+        return RecoveryPlan(magnitude, orientation, 0.0, nothing_to_recover=True)
     predicted = _filtered_concurrence(c0, float(t_a @ orientation), f_a.magnitude, magnitude)
     return RecoveryPlan(magnitude, orientation, predicted)
 
 
-def _compensator_orientation(t, gamma_a_hat) -> tuple[float, float, float]:
-    # The compensator's orientation from a correlation matrix, as _compensator gives it:
-    # plan_recovery passes a FilterElement's orientation, already judged a unit vector
-    a = np.asarray(gamma_a_hat, dtype=float)
-    return _compensator(np.asarray(t, dtype=float) @ a, a)[1]
-
-
 def _compensator(t_a, a) -> tuple[float, tuple[float, float, float]]:
-    # (||T a||, the compensator's orientation) from the vector T a, for sweeps and plans
-    # alike: the orientation is -T a normalized, the unit vector b minimizing T a . b.
-    # Where T a vanishes (norm below 1e-12: a fully depolarized direction, e.g. p = 1) it
-    # falls back to the antipode of the filter-A axis a; the compensator is inert there
+    # (||T a||, the compensator's orientation) from the vector T a of a real correlation
+    # matrix and a unit a: the one rule of sweeps, plans and optimal_magnitude. A gain
+    # above 1 + 1e-9 is no physical correlation matrix's. The orientation is -T a
+    # normalized, the unit vector b minimizing T a . b. Where T a vanishes (norm below
+    # 1e-12: a fully depolarized direction, e.g. p = 1) it falls back to the antipode of
+    # the filter-A axis a; the compensator is inert there
     gain = math.hypot(*t_a)
+    if gain > 1.0 + 1e-9:
+        raise ValueError(f"invalid correlation matrix: ||T a|| = {gain} exceeds 1")
     orientation = [-x for x in a] if gain < 1e-12 else [-x / gain for x in t_a]
     return gain, tuple(float(x) + 0.0 for x in orientation)
 

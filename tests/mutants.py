@@ -28,11 +28,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # (what the mutant does, module, expression as written, its replacement)
 MUTANTS = [
     ("entropy clip to [0, log2 d] removed", "qstate.py",
-     "return np.minimum(np.maximum(0.0, entropy), math.log2(values.shape[-1]))", "return entropy"),
+     "return np.minimum(np.maximum(entropy, 0.0), math.log2(values.shape[-1]))", "return entropy"),
     ("entropy clip's upper bound removed", "qstate.py",
-     "np.minimum(np.maximum(0.0, entropy), math.log2(values.shape[-1]))", "np.maximum(0.0, entropy)"),
-    ("entropy lower bound turns a pure state's -0.0 into +0.0, unlike the clip it replaced", "qstate.py",
-     "np.maximum(0.0, entropy)", "np.maximum(entropy, 0.0)"),
+     "np.minimum(np.maximum(entropy, 0.0), math.log2(values.shape[-1]))", "np.maximum(entropy, 0.0)"),
+    ("entropy lower bound keeps a pure state's -0.0 instead of +0.0", "qstate.py",
+     "np.maximum(entropy, 0.0)", "np.maximum(0.0, entropy)"),
     ("entropy drops positive eigenvalues below 1e-12 again", "qstate.py",
      "np.where(values > 0.0, values, 1.0)", "np.where(values > 1e-12, values, 1.0)"),
     ("transmission cap at 1 removed", "channel.py",
@@ -89,8 +89,11 @@ MUTANTS = [
      "c0 <= 1.0 + 1e-9", "c0 <= 1.0 + 1e-6"),
     ("concurrence_after_filtering c0 ceiling 1 + 1e-9 -> 1", "recover.py",
      "c0 <= 1.0 + 1e-9", "c0 <= 1.0"),
-    ("optimal_magnitude ||T a|| ceiling 1 + 1e-9 -> 1 + 1e-6", "recover.py",
+    ("_compensator ||T a|| ceiling 1 + 1e-9 -> 1 + 1e-6", "recover.py",
      "gain > 1.0 + 1e-9", "gain > 1.0 + 1e-6"),
+    ("plan_recovery gives filter B magnitude 0 again where C0 = 0", "recover.py",
+     "return RecoveryPlan(magnitude, orientation, 0.0, nothing_to_recover=True)",
+     "return RecoveryPlan(0.0, orientation, 0.0, nothing_to_recover=True)"),
     ("ratio_scan finite-gamma_b check removed", "recover.py",
      "if not finite.all():", "if False:"),
     ("_transmission log-trace overflow let through as a warning", "channel.py",

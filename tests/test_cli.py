@@ -476,8 +476,7 @@ def test_reconstruct_reads_each_record_settings(tmp_path):
 #   one stack.
 # curves and inset take none (test_curve_commands_call_neither_eigh_nor_svd).
 COMMAND_EIGH_SHAPES = {
-    # the filtered pair is decomposed as the one-state stack _filter_pairs returns
-    ("optimize", "--noise", "bitflip", "--gamma-a", "0.857"): [(1, 4, 4), (2, 2, 2), (4, 4)],
+    ("optimize", "--noise", "bitflip", "--gamma-a", "0.857"): [(2, 2, 2), (4, 4), (4, 4)],
     ("tomo", "simulate", "--state", "bitflip", "--output", "{out}"): [(4, 4)],
     ("tomo", "reconstruct", "--input", "{record}", "--output", "{out}"): [(2, 2, 2), (4, 4), (4, 4)],
 }
@@ -736,6 +735,15 @@ class TestOptimize:
         with contextlib.redirect_stdout(out):
             assert main(["optimize", "--noise", noise, "--p", repr(p), "--gamma-a", repr(gamma_a)]) == 0
         assert out.getvalue() == json.dumps(expected, indent=2) + "\n"
+
+    @pytest.mark.parametrize("gamma_a", ["0.5", "2", "300", "354", "355", "400"])
+    def test_phaseflip_exit_code_is_continuous_at_full_weight(self, capsys, gamma_a):
+        # at p = 1 the phase-flipped pair is separable, and its plan still matches filter A,
+        # as at p = 1 - 1e-9: from gamma_a = 355 both filtered pairs' traces are too small
+        argv = ["optimize", "--noise", "phaseflip", "--gamma-a", gamma_a, "--p"]
+        codes = [main([*argv, p]) for p in ("1", "0.999999999")]
+        capsys.readouterr()
+        assert codes[0] == codes[1] == (2 if float(gamma_a) >= 355 else 0)
 
     @pytest.mark.parametrize("argv", [["bitflip", "--p", "0"], ["phaseflip"]], ids=["bitflip", "phaseflip"])
     def test_subnormal_trace_is_one_error(self, capsys, argv):

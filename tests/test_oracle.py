@@ -1,6 +1,9 @@
 """The paper's curves against a 40-digit oracle that no BLAS kernel or library code touches."""
 
+import contextlib
+import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings as hypothesis_settings, strategies as st
@@ -97,3 +100,26 @@ def test_sweep_matches_oracle(noise, strategy, p, gamma_a, normalization):
     assert 0.0 <= point.transmission <= 1.0
     (row,) = sweep_to_json([point])
     assert_near_oracle(noise, p, row, normalization, MI_TOLERANCE)
+
+
+@pytest.mark.parametrize("gamma_a", [0.1, 0.857, 2.0, 30.0, 300.0])
+def test_optimize_recovers_classical_correlations(gamma_a):
+    # a phase flip at p = 1 leaves a separable pair, (phi+ + phi-)/2, that is classically
+    # correlated along z: the compensator matches filter A and recovers the full bit of
+    # mutual information, at transmission e^(-2 gamma_a)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["optimize", "--noise", "phaseflip", "--p", "1", "--gamma-a", repr(gamma_a)]) == 0
+    report = json.loads(out.getvalue())
+    assert report["nothing_to_recover"]
+    assert report["gamma_b_opt"] == optimal_gamma_b("phaseflip", 1.0, gamma_a) == gamma_a
+    mutual_info, _, transmission = filtered_pair("phaseflip", 1.0, gamma_a, gamma_a)
+    assert mutual_info == 1.0 and transmission == pytest.approx(math.exp(-2 * gamma_a), rel=1e-15)
+    row = {
+        "gamma_a": gamma_a,
+        "gamma_b": report["gamma_b_opt"],
+        "mutual_info_bits": report["predicted_mutual_info_bits"],
+        "concurrence": report["predicted_concurrence"],
+        "transmission": report["transmission"],
+    }
+    assert_near_oracle("phaseflip", 1.0, row, 1.0)

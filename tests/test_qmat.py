@@ -80,15 +80,16 @@ class TestHermitianEig:
 
 class TestPartialTrace:
     def test_bell_marginal_is_maximally_mixed(self):
-        reduced = partial_trace(bell_state("phi+"), keep=0)
+        reduced = partial_trace(bell_state("phi+"))[0]
         assert np.allclose(reduced, np.eye(2) / 2, atol=1e-14)
 
     def test_product_state_factorizes(self):
         rng = np.random.default_rng(5)
         rho_a = random_density_matrix(rng, dim=2)
         rho_b = random_density_matrix(rng, dim=2)
-        assert np.allclose(partial_trace(np.kron(rho_a, rho_b), keep=0), rho_a, atol=1e-13)
-        assert np.allclose(partial_trace(np.kron(rho_a, rho_b), keep=1), rho_b, atol=1e-13)
+        reduced_a, reduced_b = partial_trace(np.kron(rho_a, rho_b))
+        assert np.allclose(reduced_a, rho_a, atol=1e-13)
+        assert np.allclose(reduced_b, rho_b, atol=1e-13)
 
     def test_bitflip_state_marginal_b(self):
         a, b = 0.835, 0.165
@@ -101,14 +102,14 @@ class TestPartialTrace:
         for ia in range(2):
             expected += full[ia, :, ia, :]
         assert np.allclose(expected, np.eye(2) / 2, atol=1e-14)
-        assert np.allclose(partial_trace(rho, keep=1), expected, atol=1e-14)
+        assert np.allclose(partial_trace(rho)[1], expected, atol=1e-14)
 
     def test_trace_preserved_on_random_matrices(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            for keep in (0, 1):
-                assert abs(np.trace(partial_trace(m, keep)) - np.trace(m)) < 1e-12
+            for reduced in partial_trace(m):
+                assert abs(np.trace(reduced) - np.trace(m)) < 1e-12
 
 
 # Finite float parts, signed zeros included; the bound keeps each two-term sum finite.
@@ -130,12 +131,14 @@ def _operators(shape):
 )
 def test_partial_trace_equals_einsum_contraction_bitwise(m):
     r = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
-    for keep, spec in ((0, "...abcb->...ac"), (1, "...abad->...bd")):
+    reduced = partial_trace(m)
+    assert reduced.shape == m.shape[:-2] + (2, 2, 2)
+    for qubit, spec in enumerate(("...abcb->...ac", "...abad->...bd")):
         expected = np.einsum(spec, r)
         # einsum sums into an accumulator that starts at +0.0, so where both terms
         # are -0.0 it gives +0.0 and the block sum -0.0; adding 0.0 maps only that
         # zero, which no eigenvalue or entropy distinguishes, onto einsum's
-        assert (partial_trace(m, keep) + 0.0).tobytes() == expected.tobytes()
+        assert (reduced[..., qubit, :, :] + 0.0).tobytes() == expected.tobytes()
 
 
 def sqrt_psd(m):

@@ -22,7 +22,7 @@ from entfilter.qstate import (
     validate_density_matrix,
     von_neumann_entropy,
 )
-from entfilter.channel import _filter_pairs
+from entfilter.channel import _filter_pair
 from entfilter.qmat import hermitian_eig, matrix_sqrt_psd, partial_trace
 from entfilter.qstate import BELL_LABELS, _BELL_COMPONENTS, _bell_diagonal_weights, _concurrence, _entropy_bits
 from entfilter.qstate import _information_bits, _mutual_information, _spectrum
@@ -46,7 +46,7 @@ ENTROPY_BF_033 = -(0.835 * math.log2(0.835) + 0.165 * math.log2(0.165))
 
 def stack_spectrum(states):
     # (states, values, vectors) as a sweep's stack reaches the measure kernels: made exactly
-    # Hermitian, as channel._filter_pairs leaves it, then decomposed once by hermitian_eig
+    # Hermitian, as channel._filter_pair leaves a filtered pair, then decomposed once by hermitian_eig
     states = (states + states.conj().swapaxes(-1, -2)) / 2
     return (states, *hermitian_eig(states))
 
@@ -54,8 +54,8 @@ def stack_spectrum(states):
 def unclamped_mutual_information(states):
     # S(A) + S(B) - S(AB) of one state or a stack from the library's own kernels, without the clamp to 0
     states, values, _ = stack_spectrum(states)
-    marginals = (hermitian_eig(partial_trace(states, keep))[0] for keep in (0, 1))
-    return sum(map(_entropy_bits, marginals)) - _entropy_bits(values)
+    s_a, s_b = _entropy_bits(hermitian_eig(partial_trace(states))[0]).T
+    return s_a + s_b - _entropy_bits(values)
 
 
 def bitflip(p=0.33):
@@ -481,8 +481,9 @@ def matmul_bell_weights(rho):
 
 
 def clipped_entropy(values):
+    # + 0.0 maps the -0.0 sum of a pure state, which the clip keeps, to +0.0
     w = np.where(values > 0.0, values, 1.0)
-    return (-(w * np.log2(w)).sum(axis=-1)).clip(0.0, np.log2(values.shape[-1]))
+    return (-(w * np.log2(w)).sum(axis=-1)).clip(0.0, np.log2(values.shape[-1])) + 0.0
 
 
 def two_call_mutual_information(rho, values):
@@ -515,7 +516,8 @@ def reference_states():
         for p in np.linspace(0.0, 1.0, 11):
             rho = pauli_channel_state(noise(p))
             yield rho
-            yield from _filter_pairs(rho, gammas, Z, gammas / 2, (0.0, 0.0, -1.0))[0]
+            for gamma in gammas:
+                yield _filter_pair(rho, FilterElement(gamma, Z), FilterElement(gamma / 2, (0.0, 0.0, -1.0)))[0]
 
 
 class TestMatchesReplacedFormulation:
@@ -539,7 +541,8 @@ class TestMatchesReplacedFormulation:
         assert bits(_concurrence(values, vectors)) == bits(matmul_concurrence(values, vectors))
 
     def test_signed_zero_entropies(self):
-        # a pure state's entropy sums to -0.0, which the clip kept
+        # a pure state's entropy sums to -0.0, which the lower bound maps to +0.0
         values = np.array([[1.0, 0.0], [0.5, 0.5], [1.0 + 2**-52, -1e-17], [0.0, 0.0]])
         assert bits(_entropy_bits(values)) == bits(clipped_entropy(values))
-        assert bits(_entropy_bits(values[0])) == bits(-0.0)
+        assert bits(_entropy_bits(values[0])) == bits(0.0)
+        assert bits(von_neumann_entropy(bell_state("phi+"))) == bits(0.0)

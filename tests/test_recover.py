@@ -9,7 +9,7 @@ from hypothesis import given, settings as hypothesis_settings, strategies as st
 from entfilter import channel, recover
 from entfilter.channel import FilterBlockedError, FilterElement, PauliNoiseSpec, apply_filters, filter_operator
 from entfilter.channel import pauli_channel_state
-from entfilter.channel import _filter_pairs
+from entfilter.channel import _filter_pair
 from entfilter.qmat import hermitian_eig
 from entfilter.qstate import SIGMA_X, SIGMA_Y, SIGMA_Z, bell_state, concurrence, correlation_matrix
 from entfilter.qstate import fidelity_pure, mutual_information, unit_stokes_vector, validate_density_matrix
@@ -29,7 +29,6 @@ from entfilter.recover import (
     sweep_to_csv,
     sweep_to_json,
     _compensator,
-    _compensator_orientation,
     _filter_a_correlations,
     _json_text,
 )
@@ -63,6 +62,12 @@ NOISE_AXES = st.tuples(
 MI_UNFILTERED = 2.0 + 0.835 * math.log2(0.835) + 0.165 * math.log2(0.165)
 
 
+def compensator_orientation(t, a):
+    # the compensator's orientation behind a filter A along a, by the rule sweeps and plans share
+    a = np.asarray(a, dtype=float)
+    return _compensator(np.asarray(t, dtype=float) @ a, a)[1]
+
+
 class TestConcurrenceAfterFiltering:
     def test_no_filtering_returns_input(self):
         t = np.diag([1.0, -0.67, 0.67])
@@ -87,7 +92,7 @@ class TestConcurrenceAfterFiltering:
         t = correlation_matrix(rho)
         gamma_a = 0.857
         gamma_b = optimal_magnitude(t, Z, gamma_a)
-        orientation = _compensator_orientation(t, Z)
+        orientation = compensator_orientation(t, Z)
         f_a = FilterElement(gamma_a, Z)
         f_b = FilterElement(gamma_b, orientation)
         closed = concurrence_after_filtering(0.67, t, f_a, f_b)
@@ -148,7 +153,8 @@ class TestOptimalOrientation:
 
     def test_phaseflip_geometry(self):
         t = np.diag([0.67, -0.67, 1.0])
-        orientation = _compensator_orientation(t, Z)
+        gain, orientation = _compensator(t @ np.asarray(Z), Z)
+        assert gain == 1.0
         assert np.allclose(orientation, MINUS_Z, atol=1e-15)
         assert (t @ np.asarray(Z)) @ orientation == pytest.approx(-1.0, abs=1e-15)
 
@@ -157,22 +163,21 @@ class TestOptimalOrientation:
         # achievable dot product is -C
         p = 0.33
         t = np.diag([1.0, -(1 - p), 1 - p])
-        orientation = _compensator_orientation(t, Z)
+        orientation = _compensator(t @ np.asarray(Z), Z)[1]
         assert (t @ np.asarray(Z)) @ orientation == pytest.approx(-(1 - p), abs=1e-12)
 
     def test_isotropic_correlations(self):
         rng = np.random.default_rng(3)
         a = random_unit_vector(rng)
-        orientation = _compensator_orientation(np.eye(3), a)
+        orientation = _compensator(np.eye(3) @ a, a)[1]
         assert np.allclose(orientation, -a, atol=1e-12)
 
     def test_undefined_when_vector_vanishes(self):
         # below |T a| = 1e-12, -T a has no reliable direction and the antipode of
         # a stands in; just above, -T a normalized is taken even against a
         for scale, sign in ((0.0, -1.0), (-9e-13, -1.0), (-2e-12, 1.0)):
-            t = np.diag([scale, 0.5, scale])
-            assert _compensator_orientation(t, Z) == (0.0, 0.0, sign)
-            assert _compensator_orientation(t, (1.0, 0.0, 0.0)) == (sign, 0.0, 0.0)
+            assert _compensator((0.0, 0.0, scale), Z) == (abs(scale), (0.0, 0.0, sign))
+            assert _compensator((scale, 0.0, 0.0), (1.0, 0.0, 0.0)) == (abs(scale), (sign, 0.0, 0.0))
 
     def test_plan_with_vanishing_vector_takes_the_antipode(self):
         # equal phi+ and psi+ weights: T = diag(1, 0, 0), so T z = 0, and nothing to recover
@@ -311,8 +316,8 @@ class TestPlanRecovery:
 
 
 def wrapper_plan(rho, f_a):
-    # plan_recovery as it was before it read the optimum and the prediction from the T it
-    # had checked: through the public closed forms, which check T again, and a filter B
+    # plan_recovery through the public closed forms, which check T again, and a filter B:
+    # the optimal magnitude at every state, and a predicted concurrence only where C0 > 0
     rho, values, vectors = _spectrum(rho)
     stokes = (rho @ _PAULI_BASIS).trace(axis1=-2, axis2=-1).real
     if np.max(np.abs(stokes - np.diag(np.diag(stokes)))) > 1e-9:
@@ -321,10 +326,10 @@ def wrapper_plan(rho, f_a):
         )
     t = stokes[1:, 1:]
     c0 = float(_concurrence(values, vectors))
-    orientation = _compensator_orientation(t, f_a.orientation)
-    if c0 <= 0.0:
-        return RecoveryPlan(0.0, orientation, 0.0, nothing_to_recover=True)
+    orientation = compensator_orientation(t, f_a.orientation)
     magnitude = optimal_magnitude(t, f_a.orientation, f_a.magnitude)
+    if c0 <= 0.0:
+        return RecoveryPlan(magnitude, orientation, 0.0, nothing_to_recover=True)
     f_b = FilterElement(magnitude, orientation)
     return RecoveryPlan(magnitude, f_b.orientation, concurrence_after_filtering(c0, t, f_a, f_b))
 
@@ -364,6 +369,57 @@ class TestPlanMatchesWrapperPlan:
             for gamma_a in (0.0, 0.857, 300.0):
                 f_a = FilterElement(gamma_a, tuple(random_unit_vector(rng)))
                 assert plan_outcome(plan_recovery, rho, f_a) == plan_outcome(wrapper_plan, rho, f_a)
+
+
+class TestOneOptimumRule:
+    """plan_recovery, optimal_magnitude and the optimal sweep share one compensator rule."""
+
+    P = (0.0, 0.01, 0.1, 0.33, 0.5, 0.9, 0.99, 1.0)
+    GAMMA_A = (0.0, 0.1, 0.5, 0.857, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0, 300.0)
+
+    @pytest.mark.parametrize(
+        "noise", [PauliNoiseSpec.bit_flip, PauliNoiseSpec.phase_flip], ids=["bitflip", "phaseflip"]
+    )
+    def test_plan_equals_the_one_point_optimal_sweep(self, noise):
+        # the separable phase-flip pair at p = 1 included: its C0 is 0, and its ||T a|| = 1
+        # still gives gamma_b = gamma_a. The plan reads T a from the pair's Stokes matrix,
+        # the sweep takes it in closed form; where the two agree, so does the filter B, bit
+        # for bit. Where they differ in the last bit (0.8999999999999999 against 0.9 for a
+        # bit flip at p = 0.1), the optimum moves by up to that times its slope
+        for p in self.P:
+            spec = noise(p)
+            rho = pauli_channel_state(spec)
+            same_t_a = tuple(correlation_matrix(rho) @ np.asarray(Z)) == _filter_a_correlations(spec)
+            for gamma_a in self.GAMMA_A:
+                plan = plan_recovery(rho, FilterElement(gamma_a, Z))
+                with mock.patch.object(recover, "_evaluate", wraps=recover._evaluate) as evaluate:
+                    (point,) = sweep(spec, [gamma_a], "optimal", 1.0)
+                orientation = evaluate.call_args.args[1]
+                if same_t_a:
+                    assert repr((plan.gamma_b_opt, plan.orientation_b)) == repr((point.gamma_b, orientation))
+                else:
+                    gain = math.hypot(*_filter_a_correlations(spec))
+                    slope = math.tanh(gamma_a) / (1 - (gain * math.tanh(gamma_a)) ** 2)
+                    assert plan.orientation_b == orientation
+                    assert abs(plan.gamma_b_opt - point.gamma_b) <= 1e-15 * (1 + slope)
+
+    def test_plan_magnitude_is_optimal_magnitude(self):
+        # random Bell-diagonal states behind random filters A; every third is separable, no
+        # Bell weight above 0.4, where the plan has nothing to recover
+        rng = np.random.default_rng(131)
+        separable = 0
+        for index in range(90):
+            if index % 3:
+                rho = random_bell_diagonal(rng)
+            else:
+                weights = 0.25 + 0.2 * (rng.dirichlet(np.ones(4)) - 0.25)
+                rho = sum(w * b for w, b in zip(weights, BELL_PROJECTORS))
+            a = random_unit_vector(rng)
+            gamma_a = float(rng.choice([0.0, rng.uniform(0.0, 3.0), rng.uniform(3.0, 300.0)]))
+            plan = plan_recovery(rho, FilterElement(gamma_a, tuple(a)))
+            separable += plan.nothing_to_recover
+            assert repr(plan.gamma_b_opt) == repr(optimal_magnitude(correlation_matrix(rho), a, gamma_a))
+        assert separable >= 30
 
 
 class TestSweep:
@@ -469,7 +525,7 @@ class TestCurveKernel:
         # points on random noise axes the largest difference measured was 2.0e-14
         spec = PauliNoiseSpec(axis, p)
         rho = pauli_channel_state(spec)
-        orientation = _compensator_orientation(correlation_matrix(rho), Z)
+        orientation = compensator_orientation(correlation_matrix(rho), Z)
         points = [(point, normalization) for point in sweep(spec, np.linspace(0.0, gamma_a, 7), strategy, normalization)]
         points += [(point, 1.0) for point in ratio_scan(spec, max(gamma_a, 1e-3), np.linspace(0.0, ratio_max, 7))]
         for point, scale in points:
@@ -511,7 +567,7 @@ class TestCurveKernel:
         # the kernel's trace passes the blocked and subnormal rules that every filtered pair
         # does; both points have gamma_b = gamma_a (phase flip has ||T a|| = 1)
         rho = pauli_channel_state(noise)
-        f_b = FilterElement(gamma_a, _compensator_orientation(correlation_matrix(rho), Z))
+        f_b = FilterElement(gamma_a, compensator_orientation(correlation_matrix(rho), Z))
         with pytest.raises(error, match=message):
             apply_filters(rho, FilterElement(gamma_a, Z), f_b)
         with pytest.raises(error, match=message):
@@ -525,25 +581,23 @@ class TestCurveKernel:
         ratio=st.floats(0.0, 3.0),
     )
     def test_filtered_states_are_valid_states(self, axis, p, gamma_a, ratio):
-        # the stacks _filter_pairs filters are decomposed, not judged: each must still
-        # pass the check that a state from outside gets, and the decomposition
-        # _filter_pairs returns must be hermitian_eig's, bit for bit
-        stacks = []
+        # the pairs _filter_pair filters are decomposed, not judged: each must still
+        # pass the check that a state from outside gets, and the eigenvalues
+        # _filter_pair returns must be hermitian_eig's, bit for bit
+        states = []
 
         def recorded(*args):
-            states, values, vectors, transmission = _filter_pairs(*args)
-            expected_values, expected_vectors = hermitian_eig(states)
-            assert np.array_equal(values, expected_values)
-            assert np.array_equal(vectors, expected_vectors)
-            stacks.append(states)
-            return states, values, vectors, transmission
+            state, values, transmission = _filter_pair(*args)
+            assert np.array_equal(values, hermitian_eig(state)[0])
+            states.append(state)
+            return state, values, transmission
 
         rho = pauli_channel_state(PauliNoiseSpec(axis, p))
-        f_b = FilterElement(min(ratio * gamma_a, 350.0), _compensator_orientation(correlation_matrix(rho), Z))
-        with mock.patch.object(channel, "_filter_pairs", recorded):
+        f_b = FilterElement(min(ratio * gamma_a, 350.0), compensator_orientation(correlation_matrix(rho), Z))
+        with mock.patch.object(channel, "_filter_pair", recorded):
             apply_filters(rho, FilterElement(gamma_a, Z), f_b)
-        (states,) = stacks
-        validate_density_matrix(states[0])
+        (state,) = states
+        validate_density_matrix(state)
 
 
 class TestClosedFormSetUp:
@@ -562,7 +616,7 @@ class TestClosedFormSetUp:
         # ||T a||, and the optimum atanh(||T a|| tanh gA) by up to that times its slope
         gain = math.hypot(*t_a)
         orientation = evaluate.call_args.args[1]
-        expected = _compensator_orientation(t, Z)
+        expected = compensator_orientation(t, Z)
         assert np.abs(np.subtract(orientation, expected)).max() <= (1e-15 / min(gain, 1.0) if gain else 0.0)
         slope = math.tanh(gamma_a) / (1 - (min(gain, 1.0) * math.tanh(gamma_a)) ** 2)
         assert abs(point.gamma_b - optimal_magnitude(t, Z, gamma_a)) <= 1e-15 * (1 + slope)
@@ -709,7 +763,7 @@ class TestMaximizerProperty:
             gamma_a = rng.uniform(0.2, 1.5)
             f_a = FilterElement(gamma_a, tuple(a))
             f_opt = FilterElement(
-                optimal_magnitude(t, a, gamma_a), _compensator_orientation(t, a)
+                optimal_magnitude(t, a, gamma_a), compensator_orientation(t, a)
             )
             best_c = concurrence(apply_filters(rho, f_a, f_opt)[0])
             for _ in range(200):
@@ -730,7 +784,7 @@ class TestMaximizerProperty:
             gamma_a = rng.uniform(0.2, 1.2)
             f_a = FilterElement(gamma_a, tuple(a))
             f_opt = FilterElement(
-                optimal_magnitude(t, a, gamma_a), _compensator_orientation(t, a)
+                optimal_magnitude(t, a, gamma_a), compensator_orientation(t, a)
             )
             best_mi = mutual_information(apply_filters(rho, f_a, f_opt)[0])
             for _ in range(200):
