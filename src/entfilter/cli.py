@@ -2,26 +2,8 @@
 simulated tomography, writing CSV/JSON artifacts.
 
 Exit codes: 0 success, 1 usage error, 2 runtime/domain error. Each range-checked
-flag has one domain, checked as argparse parses it:
-
-    --p                                                      [0, 1]
-    --gamma-a-max, --ratio-max, inset --gamma-a, --exposure  finite, > 0
-    optimize --gamma-a, --dark-prob                          finite, >= 0
-    --normalization                                          (0, 1]
-    --steps                                                  integer >= 2
-    --seed                                                   integer >= 0
-
-A value outside its domain exits 1 with the usage line and one ``error:`` line
-naming the flag; that holds for ``tomo simulate --p`` with a Bell ``--state`` too.
-
-A state is judged where it enters through a public function: ``optimize``
-judges the noisy pair in ``plan_recovery``. What the library builds from its
-own pairs (``optimize``'s filtered pair) and the estimate ``reconstruct``
-projects are decomposed once and not judged again: the filtering returns the
-filtered state's eigenvalues, and only ``tomo reconstruct`` decomposes a state
-here. ``curves`` and ``inset`` form no 4x4 state: ``inset`` scans all its
-gamma_a values as one stack of closed-form curve points, in one
-``ratio_scan`` call.
+flag has one domain, checked by the ``_flag_type`` that parses it: a value outside
+it exits 1 with the usage line and one ``error:`` line naming the flag.
 """
 
 from __future__ import annotations
@@ -33,15 +15,14 @@ import math
 import os
 import stat
 import sys
-from itertools import chain
 
 import numpy as np
 
 from .channel import FilterElement, PauliNoiseSpec, pauli_channel_state
 from .channel import _filter_pair
 from .qmat import hermitian_eig
-from .qstate import BELL_LABELS, bell_state, density_matrix_to_json
-from .qstate import _bell_diagonal_weights, _concurrence, _mutual_information
+from .qstate import BELL_LABELS, bell_state
+from .qstate import _BASIS_LABELS, _bell_diagonal_weights, _concurrence, _mutual_information
 from .recover import (
     GAMMA_A_AXIS,
     STRATEGIES,
@@ -146,7 +127,8 @@ _RECORD = (
     '{\n  "settings": %s,\n  "counts": %s,\n  "exposure": %s,\n'
     '  "dark_prob": %s,\n  "seed": %s\n}\n'
 )
-_MATRIX_ENTRY = "        [\n          %s,\n          %s\n        ]"
+# one row of a state's matrix: four [re, im] pairs
+_MATRIX_ROW = "      [\n%s\n      ]" % ",\n".join(["        [\n          %s,\n          %s\n        ]"] * 4)
 _PAYLOAD = (
     '{\n  "state": {\n    "basis": %s,\n    "matrix": %s\n  },\n'
     '  "metrics": {\n    "concurrence": %s,\n    "mutual_info_bits": %s,\n'
@@ -195,23 +177,19 @@ def _record_text(record) -> str:
     )
 
 
-def _payload_text(payload: dict) -> str:
-    """The ``tomo reconstruct`` payload as ``json.dumps(payload, indent=2) + "\n"`` gives it.
+def _payload_text(rho, concurrence, mutual_info, weights: dict) -> str:
+    """The ``tomo reconstruct`` file as ``json.dumps(payload, indent=2) + "\n"`` gives it.
 
-    ``payload["state"]`` is ``density_matrix_to_json`` output, whose labels are
-    plain ASCII, and every metric is a float. The numbers are finite, since the
-    estimate is a validated state.
+    The payload is ``{"state": density_matrix_to_json(rho), "metrics":
+    {"concurrence": concurrence, "mutual_info_bits": mutual_info, "bell_weights":
+    weights}}``: ``rho`` is one contiguous complex 4x4 array, and every metric is a
+    float. The numbers are finite, since the estimate is a physical state.
     """
-    state, metrics = payload["state"], payload["metrics"]
-    basis, matrix = state["basis"], state["matrix"]
-    row = "      [\n%s\n      ]" % ",\n".join([_MATRIX_ENTRY] * len(matrix))
-    entries = map(float.__repr__, chain.from_iterable(chain.from_iterable(matrix)))
-    weights = metrics["bell_weights"]
     return _PAYLOAD % (
-        _array('      "%s"', len(basis), basis, "    "),
-        _array(row, len(matrix), entries, "    "),
-        float.__repr__(metrics["concurrence"]),
-        float.__repr__(metrics["mutual_info_bits"]),
+        _array('      "%s"', len(_BASIS_LABELS), _BASIS_LABELS, "    "),
+        _array(_MATRIX_ROW, 4, map(float.__repr__, rho.view(float).ravel().tolist()), "    "),
+        float.__repr__(concurrence),
+        float.__repr__(mutual_info),
         ",\n".join(['      "%s": %s' % (k, float.__repr__(w)) for k, w in weights.items()]),
     )
 
@@ -275,8 +253,6 @@ def cmd_optimize(args) -> int:
     rho = pauli_channel_state(noise)
     f_a = FilterElement(args.gamma_a, GAMMA_A_AXIS)
     plan = plan_recovery(rho, f_a)
-    # plan_recovery has checked the pair the library built; the filtered pair comes
-    # with its spectrum and is not judged again
     state, values, transmission = _filter_pair(rho, f_a, FilterElement(plan.gamma_b_opt, plan.orientation_b))
     numbers = (
         args.p,
@@ -308,19 +284,10 @@ def cmd_tomo_simulate(args) -> int:
 def cmd_tomo_reconstruct(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
         record = record_from_json(json.load(fh))
-    # reconstruct returns a projected, physical estimate: one decomposition of it
-    # feeds all three metrics
     rho = reconstruct(record)
     values, vectors = hermitian_eig(rho)
-    payload = {
-        "state": density_matrix_to_json(rho),
-        "metrics": {
-            "concurrence": float(_concurrence(values, vectors)),
-            "mutual_info_bits": float(_mutual_information(rho, values)),
-            "bell_weights": _bell_diagonal_weights(rho),
-        },
-    }
-    _write_text(args.output, _payload_text(payload))
+    concurrence, mutual_info = float(_concurrence(values, vectors)), float(_mutual_information(rho, values))
+    _write_text(args.output, _payload_text(rho, concurrence, mutual_info, _bell_diagonal_weights(rho)))
     return EXIT_OK
 
 

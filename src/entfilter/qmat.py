@@ -1,13 +1,8 @@
 """Internal dense linear-algebra kernels for the 2x2 and 4x4 matrices used everywhere else.
 
-``as_matrix`` is the one coercion, applied where outside input enters the
-library, and holds the one shape rule: a public function takes one 4x4
-two-qubit state, and stacks stay internal, as do 2x2 matrices. The other
-kernels take arrays their callers have already validated: they do no
-coercion and no shape, Hermiticity or positivity check, since
-``qstate.validate_density_matrix`` alone decides what a valid state is. Each
-takes one matrix or an ``(N, d, d)`` stack. ``hermitian_eig`` is the package's
-one eigendecomposition: ``matrix_sqrt_psd`` takes the decomposition it returns.
+``as_matrix`` is the one coercion of outside input. The other kernels take one
+matrix or an ``(N, d, d)`` stack that their callers have validated, and check
+nothing. ``hermitian_eig`` is the package's one eigendecomposition.
 """
 
 from __future__ import annotations
@@ -16,7 +11,10 @@ import numpy as np
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to one finite complex 4x4 two-qubit matrix; nothing else is a state."""
+    """Coerce to one finite complex 4x4 two-qubit matrix: the one shape rule of a public function.
+
+    Nothing else is a state: stacks and 2x2 matrices stay internal.
+    """
     a = np.asarray(m, dtype=complex)
     if a.shape != (4, 4):
         raise ValueError(f"expected one 4x4 two-qubit density matrix, got shape {a.shape}")

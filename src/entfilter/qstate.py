@@ -6,24 +6,7 @@ Conventions, used consistently across the package:
 * Pauli order sigma_1 = X, sigma_2 = Y, sigma_3 = Z, so |H> sits at +z in
   Stokes space;
 * entropies are base-2 (bits);
-* a public function takes one 4x4 two-qubit state, the one shape rule of
-  ``qmat.as_matrix``; stacks are internal;
-* a state is judged where it enters through a public function. That check
-  alone averages it with its conjugate transpose, and its positivity check
-  decomposes it once: its entropy, mutual information and concurrence are
-  taken from that spectrum. What the library builds from its own pairs, and
-  the estimates ``reconstruct`` projects, are exactly Hermitian, decomposed
-  once by ``qmat.hermitian_eig`` and not judged again: a filtered pair by
-  ``channel._filter_pair``, which makes it and returns its spectrum;
-* one entropy rule (``_entropy_bits``: every positive eigenvalue counts) and
-  one mutual-information rule (``_information_bits``: clamped at 0) serve
-  these measures and the closed-form curves of ``recover.sweep`` and
-  ``ratio_scan``, which take their spectra from 2x2 Gram matrices and form no
-  4x4 state;
-* the mutual information decomposes a state's two marginals as one
-  ``(..., 2, 2, 2)`` stack, in one ``hermitian_eig`` call, and the Bell
-  weights read the few real entries they sum from the state, in the order of
-  the matrix products they replace.
+* a public function takes one 4x4 two-qubit state (``qmat.as_matrix``).
 """
 
 from __future__ import annotations
@@ -48,6 +31,8 @@ _PAULI_BASIS = np.array([[kron(s, t) for t in (IDENTITY_2, *PAULIS)] for s in (I
 _SPIN_FLIP_SIGNS = np.array([-1, 1, 1, -1], dtype=complex)
 
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
+# the computational basis, in the order of a state's rows and columns
+_BASIS_LABELS = ("HH", "HV", "VH", "VV")
 
 # Unnormalized (+-1 amplitude) Bell components; dividing the outer product by
 # 2 instead of normalizing the vector keeps the projector entries exactly +-0.5.
@@ -114,10 +99,16 @@ def bell_state(label: str) -> np.ndarray:
 
 
 def validate_density_matrix(rho) -> np.ndarray:
-    """Check the shape, Hermiticity, unit trace and positivity of one state; return the coerced array.
+    """Check the shape, finiteness, Hermiticity, unit trace and positivity of one state.
 
-    The one place a state is judged: the ``qmat`` kernels and the measures
-    below take what this accepts without checking it again.
+    Returns the coerced array. A state is judged once, where it enters
+    through a public function, and decomposed once: this check averages it
+    with its conjugate transpose, and the eigendecomposition its positivity
+    check takes gives that function's entropy, mutual information and
+    concurrence. Nothing after it, the ``qmat`` kernels included, checks the
+    state again. What the library builds from its own pairs, such as a
+    filtered pair, and the estimates ``reconstruct`` projects are exactly
+    Hermitian, decomposed once by ``qmat.hermitian_eig`` and never judged.
     """
     rho = qmat.as_matrix(rho)
     _spectrum(rho)
@@ -125,10 +116,8 @@ def validate_density_matrix(rho) -> np.ndarray:
 
 
 def _spectrum(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # validate_density_matrix, returning (rho, values, vectors): the state averaged with
-    # its conjugate transpose, which makes it exactly Hermitian for every kernel after
-    # this check, and the hermitian_eig its positivity check takes, so that the measures
-    # below need no decomposition of their own
+    # validate_density_matrix, returning (rho, values, vectors): the averaged state and the
+    # hermitian_eig decomposition its positivity check takes
     rho = qmat.as_matrix(rho)
     dagger = _dagger(rho)
     # Frobenius distance of the matrix from its conjugate transpose
@@ -200,9 +189,7 @@ def concurrence(rho) -> float:
     is within about 4e-14 of a 40-digit reference up to gamma_a = 3, but up
     to 1.6e-8 off where filtering leaves the pair nearly pure, since
     ``matrix_sqrt_psd`` takes square roots of roundoff-level eigenvalues.
-    That concerns this measure and ``apply_filters`` users only: the curves of
-    ``recover.sweep`` and ``ratio_scan`` take their concurrence from a closed
-    form. The result is clipped to [0, 1], since roundoff lifts maximally
+    The result is clipped to [0, 1], since roundoff lifts maximally
     entangled states a few ulps above 1.
     """
     _, values, vectors = _spectrum(rho)
@@ -218,12 +205,13 @@ def _concurrence(values, vectors) -> np.ndarray:
 
 def correlation_matrix(rho) -> np.ndarray:
     """Stokes correlation matrix t_jk = Tr[rho (sigma_j x sigma_k)], 3x3 real."""
-    return _correlation_matrix(_spectrum(rho)[0])
+    return _expectations(_spectrum(rho)[0], _PAULI_BASIS[1:, 1:])
 
 
-def _correlation_matrix(rho) -> np.ndarray:
-    # correlation_matrix of validated states
-    return (rho[..., None, None, :, :] @ _PAULI_BASIS[1:, 1:]).trace(axis1=-2, axis2=-1).real
+def _expectations(rho, operators) -> np.ndarray:
+    # Tr[rho O] of a validated state for each operator O of a (..., 4, 4) stack: the one
+    # reader of expectation values
+    return (rho @ operators).trace(axis1=-2, axis2=-1).real
 
 
 def bell_diagonal_weights(rho) -> dict[str, float]:
@@ -253,16 +241,16 @@ def fidelity_pure(rho, target) -> float:
     """Overlap Tr[rho target] of one state with one pure-state projector, in [0, 1]."""
     rho = _spectrum(rho)[0]
     target = _spectrum(target)[0]  # on a valid state, purity 1 means pure
-    purity = float(np.trace(target @ target).real)
+    purity = float(_expectations(target, target))
     if abs(purity - 1.0) > 1e-9:
         raise ValueError("target must be a pure-state projector (Tr[target^2] = 1)")
-    overlap = float(np.trace(rho @ target).real)
+    overlap = float(_expectations(rho, target))
     return min(max(overlap, 0.0), 1.0)
 
 
 def density_matrix_to_json(rho) -> dict:
     """JSON-ready dict of one state: nested [re, im] pairs plus the basis ordering."""
     return {
-        "basis": ["HH", "HV", "VH", "VV"],
+        "basis": list(_BASIS_LABELS),
         "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in qmat.as_matrix(rho)],
     }

@@ -9,17 +9,8 @@ state with concurrence
 so the best channel-B filter points along -T a and has magnitude
 atanh(||T a|| tanh(gA)). The sweep and ratio-scan drivers evaluate mutual
 information, concurrence and transmission along the curves an experiment
-would trace out, the whole curve at once.
-
-The drivers check what the caller passes (noise spec, grid, strategy,
-normalization, and that every gamma_b a ratio scan forms is finite). They
-take T a of the noisy pair in closed form, which sets the compensator's
-orientation and optimum, then every column from a closed form over the
-pair's two pure components in the eigenframe of the two filters
-(``_evaluate``), all series of a ratio scan in one stack: neither the set-up
-nor a curve forms, decomposes or judges a 4x4 state. A row is a
-:class:`SweepPoint` tuple of the artifact columns. The closed forms check the
-correlation matrix a caller passes: a finite real 3x3 array.
+would trace out, the whole curve at once, from the closed form of
+``_evaluate``. A row is a :class:`SweepPoint` tuple of the artifact columns.
 """
 
 from __future__ import annotations
@@ -34,7 +25,7 @@ import numpy as np
 from .channel import FilterElement, PauliNoiseSpec, Z_AXIS, apply_filters
 from .channel import _transmission
 from .qstate import concurrence, unit_stokes_vector
-from .qstate import _PAULI_BASIS, _concurrence, _entropy_bits, _information_bits, _spectrum
+from .qstate import _PAULI_BASIS, _concurrence, _entropy_bits, _expectations, _information_bits, _spectrum
 
 #: Stokes direction of the channel-A inherent filter. |H> of photon A defines
 #: +z, so the filter favoring |H> points along +z.
@@ -91,8 +82,7 @@ def concurrence_after_filtering(
     if not -1e-12 <= c0 <= 1.0 + 1e-9:
         raise ValueError("c0 must lie in [0, 1]")
     t = _correlation_argument(t)
-    if np.max(np.abs(t - np.diag(np.diag(t)))) > 1e-9:
-        raise ValueError("correlation matrix must be diagonal (Bell-diagonal input)")
+    _require_diagonal(t, "correlation matrix must be diagonal (Bell-diagonal input)")
     return _filtered_concurrence(c0, float((t @ f_a.axis) @ f_b.axis), f_a.magnitude, f_b.magnitude)
 
 
@@ -104,6 +94,13 @@ def _filtered_concurrence(c0, dot, gamma_a, gamma_b) -> float:
     if denom <= 0:
         raise ValueError("unphysical filter configuration (denominator <= 0)")
     return float(4 * max(0.0, c0) * np.exp(-gamma_a - gamma_b) / denom)
+
+
+def _require_diagonal(matrix, message: str) -> None:
+    # the one Bell-diagonal rule of the closed forms: every off-diagonal entry of the
+    # Stokes or correlation matrix within 1e-9 of 0, else ValueError(message)
+    if np.max(np.abs(matrix - np.diag(np.diag(matrix)))) > 1e-9:
+        raise ValueError(message)
 
 
 def _correlation_argument(t) -> np.ndarray:
@@ -141,18 +138,15 @@ def plan_recovery(rho, f_a: FilterElement) -> RecoveryPlan:
     ValueError rather than getting a wrong prediction. A separable input
     (zero concurrence) yields a plan flagged ``nothing_to_recover``, with a
     predicted concurrence of 0: filtering cannot create entanglement. Its
-    filter B is still the one a sweep gives. The input is decomposed once;
-    its concurrence and correlations share that decomposition, and the
-    optimum and the predicted concurrence come from the closed forms of
-    ``optimal_magnitude`` and ``concurrence_after_filtering``, with no second
-    check of the correlations checked here.
+    filter B is still the one a sweep gives. The optimum and the predicted
+    concurrence are those of ``optimal_magnitude`` and
+    ``concurrence_after_filtering``.
     """
     rho, values, vectors = _spectrum(rho)
-    stokes = (rho @ _PAULI_BASIS).trace(axis1=-2, axis2=-1).real
-    if np.max(np.abs(stokes - np.diag(np.diag(stokes)))) > 1e-9:
-        raise ValueError(
-            "plan_recovery requires a Bell-diagonal state: its Stokes matrix must be diagonal within 1e-9"
-        )
+    stokes = _expectations(rho, _PAULI_BASIS)
+    _require_diagonal(
+        stokes, "plan_recovery requires a Bell-diagonal state: its Stokes matrix must be diagonal within 1e-9"
+    )
     t_a = stokes[1:, 1:] @ f_a.axis
     gain, orientation = _compensator(t_a, f_a.orientation)
     magnitude = float(_optimum(gain, f_a.magnitude))
@@ -247,14 +241,12 @@ def _coefficients(noise, orientation):
     # The kernel's per-call constants from M_k = U_k conj(R), the pair's components in the
     # eigenframe of filter B: (trace, Bloch, determinant) coefficients over the monomials,
     # shapes (9,), (9, 9) and (9, 3). R, whose columns are the eigenvectors of b.sigma for
-    # +1 and -1, is taken in the branch of the sign of b_z, where 1 +- b_z does not cancel
+    # +1 and -1, is normalized by 1 - b_z, which never cancels: b is the compensator's,
+    # -T a / ||T a|| with (T a)_z = 1 - p + p n_z^2 >= 0 for filter A along z, or -z where
+    # T a vanishes, so b_z <= 0 and 1 - b_z lies in [1, 2]
     bx, by, bz = orientation
-    if bz >= 0:
-        norm = math.sqrt(2 * (1 + bz))
-        u0, u1 = (1 + bz) / norm, complex(bx, by) / norm
-    else:
-        norm = math.sqrt(2 * (1 - bz))
-        u0, u1 = complex(bx, -by) / norm, (1 - bz) / norm
+    norm = math.sqrt(2 * (1 - bz))
+    u0, u1 = complex(bx, -by) / norm, (1 - bz) / norm
     # U_k = sqrt(w_k) V_k with V_1 = I and V_2 = n.sigma. Within a component, H takes the
     # weight w_k itself, not the square of its root, so that T is exact where V_k conj(R) is
     p, (nx, ny, nz) = noise.p, noise.axis

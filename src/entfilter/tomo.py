@@ -1,15 +1,10 @@
 """Simulated two-photon polarization tomography.
 
-Coincidence counts are drawn per analyzer setting from Poisson statistics
-(with an optional uniform dark-count rate), and the state is re-estimated by
-linear inversion of the Stokes parameters with a physicality projection, both
-on stacks over all settings, whose geometry each :class:`MeasurementSettings`
-builds once. Setting i of a record seeded with s draws its count from the
-PCG64 stream of SeedSequence([s, i]); the generator states of all settings
-are derived in one vectorized pass, and only the Poisson draw runs per setting.
-The simulated state is exactly one 4x4 two-qubit density matrix, and one rule
-checks every seed, of a record and of a simulation alike: a non-negative
-integer, not a bool, else ValueError.
+Coincidence counts are drawn per analyzer setting from Poisson statistics,
+with an optional uniform dark-count rate, and the state is re-estimated by
+linear inversion of the Stokes parameters with a physicality projection. Both
+run on stacks over all settings, whose geometry each
+:class:`MeasurementSettings` builds once.
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ import numpy as np
 
 from . import qmat
 from .qstate import IDENTITY_2, pauli_dot
-from .qstate import _PAULI_BASIS, _check_unit_norms, _spectrum
+from .qstate import _PAULI_BASIS, _check_unit_norms, _expectations, _spectrum
 
 
 class InsufficientStatisticsError(ValueError):
@@ -148,7 +143,8 @@ class TomographyRecord:
 
 
 def _check_seed(seed) -> int:
-    # a bool is an Integral, but no seed; numpy integers are stored as a Python int
+    # the one seed rule, of a record and of a simulation alike: a bool is an Integral, but
+    # no seed; numpy integers are stored as a Python int
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
     return int(seed)
@@ -177,7 +173,7 @@ def standard_settings() -> MeasurementSettings:
 
 def coincidence_probability(rho, settings) -> np.ndarray:
     """Tr[rho (Pi_A x Pi_B)] for each setting's rank-1 analyzer projectors, as an (S,) array."""
-    return (rho @ _as_settings(settings).projector_pairs).trace(axis1=-2, axis2=-1).real
+    return _expectations(rho, _as_settings(settings).projector_pairs)
 
 
 def simulate_counts(

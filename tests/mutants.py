@@ -45,17 +45,13 @@ MUTANTS = [
      "4 * max(0.0, c0)", "4 * c0"),
     ("concurrence_after_filtering c0 window -1e-12 -> -1e-9", "recover.py",
      "-1e-12 <= c0", "-1e-9 <= c0"),
-    ("plan_recovery checks only row and column 0 of the Stokes matrix", "recover.py",
-     "np.max(np.abs(stokes - np.diag(np.diag(stokes))))",
-     "max(np.max(np.abs(stokes[0, 1:])), np.max(np.abs(stokes[1:, 0])))"),
-    ("plan_recovery tolerance 1e-9 -> 1e-8", "recover.py",
-     "np.diag(np.diag(stokes)))) > 1e-9", "np.diag(np.diag(stokes)))) > 1e-8"),
-    ("plan_recovery tolerance 1e-9 -> 1e-10", "recover.py",
-     "np.diag(np.diag(stokes)))) > 1e-9", "np.diag(np.diag(stokes)))) > 1e-10"),
-    ("concurrence_after_filtering diagonal-T tolerance 1e-9 -> 1e-8", "recover.py",
-     "np.diag(np.diag(t)))) > 1e-9", "np.diag(np.diag(t)))) > 1e-8"),
-    ("concurrence_after_filtering diagonal-T tolerance 1e-9 -> 1e-10", "recover.py",
-     "np.diag(np.diag(t)))) > 1e-9", "np.diag(np.diag(t)))) > 1e-10"),
+    ("Bell-diagonal rule checks only row and column 0", "recover.py",
+     "np.max(np.abs(matrix - np.diag(np.diag(matrix))))",
+     "max(np.max(np.abs(matrix[0, 1:])), np.max(np.abs(matrix[1:, 0])))"),
+    ("Bell-diagonal tolerance 1e-9 -> 1e-8", "recover.py",
+     "np.diag(np.diag(matrix)))) > 1e-9", "np.diag(np.diag(matrix)))) > 1e-8"),
+    ("Bell-diagonal tolerance 1e-9 -> 1e-10", "recover.py",
+     "np.diag(np.diag(matrix)))) > 1e-9", "np.diag(np.diag(matrix)))) > 1e-10"),
     ("simulate_counts floor of expected counts at 0 removed", "tomo.py",
      "np.maximum(mu, 0.0).tolist()", "mu.tolist()"),
     ("HERMITICITY_TOL 1e-10 -> 1e-8", "qstate.py",

@@ -373,18 +373,14 @@ def test_payload_writer_matches_json_dumps(rank):
         g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
-        state = density_matrix_to_json(rho)
-        for i, row in enumerate(state["matrix"]):
-            row[i][1] = -0.0  # a Hermitian diagonal is real; json prints this zero's sign
+        rho.imag[np.diag_indices(4)] = -0.0  # a Hermitian diagonal is real; json prints this zero's sign
+        c = np.float64(concurrence(rho))  # a float subclass prints as a float
+        mi, weights = mutual_information(rho), bell_diagonal_weights(rho)
         payload = {
-            "state": state,
-            "metrics": {
-                "concurrence": np.float64(concurrence(rho)),  # a float subclass prints as a float
-                "mutual_info_bits": mutual_information(rho),
-                "bell_weights": bell_diagonal_weights(rho),
-            },
+            "state": density_matrix_to_json(rho),
+            "metrics": {"concurrence": c, "mutual_info_bits": mi, "bell_weights": weights},
         }
-        assert _payload_text(payload) == json.dumps(payload, indent=2) + "\n"
+        assert _payload_text(rho, c, mi, weights) == json.dumps(payload, indent=2) + "\n"
 
 
 _REPORT_NUMBERS = st.floats(allow_nan=False, allow_infinity=False)

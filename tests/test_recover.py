@@ -533,6 +533,20 @@ class TestCurveKernel:
             got = (point.mutual_info, point.concurrence, point.transmission)
             assert np.abs(np.subtract(got, expected)).max() <= 1e-12
 
+    def test_compensator_on_the_equator(self):
+        # a noise axis a hair off x at p = 1 leaves T a = (1e-10, 0, 0.0), so the compensator
+        # is (-1, 0, +0.0): b_z = 0 is the edge of the kernel's frame, where 1 - b_z = 1
+        spec = PauliNoiseSpec((math.sqrt(1 - 1e-20), 0.0, 1e-10), 1.0)
+        rho = pauli_channel_state(spec)
+        with mock.patch.object(recover, "_evaluate", wraps=recover._evaluate) as evaluate:
+            points = sweep(spec, np.linspace(0.0, 3.0, 7), "optimal", 1.0)
+            points += ratio_scan(spec, 0.857, np.linspace(0.0, 2.0, 7))
+        assert {repr(call.args[1]) for call in evaluate.call_args_list} == {"(-1.0, 0.0, 0.0)"}
+        for point in points:
+            expected = self.public_chain(rho, point, (-1.0, 0.0, 0.0), 1.0)
+            got = (point.mutual_info, point.concurrence, point.transmission)
+            assert np.abs(np.subtract(got, expected)).max() <= 1e-13
+
     def test_sweep_calls_neither_eigh_nor_svd(self, monkeypatch):
         shapes = record_eigh_shapes(monkeypatch)
         svds = count_calls(monkeypatch, np.linalg, "svd")
