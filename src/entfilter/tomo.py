@@ -192,7 +192,8 @@ def simulate_counts(
     ``np.random.default_rng([seed, setting_index])``, so records are
     reproducible for a fixed seed and settings may be simulated
     independently. With ``exact=True`` the expected values are stored
-    without sampling.
+    without sampling. Sampling refuses an expected count above about 9.2e18,
+    the most NumPy's Poisson sampler draws, with the first such setting named.
     """
     rho = _spectrum(rho)[0]
     _check_acquisition(exposure, dark_prob)
@@ -201,6 +202,12 @@ def simulate_counts(
     mu = exposure * (coincidence_probability(rho, settings) + dark_prob)
     counts = np.maximum(mu, 0.0).tolist()  # roundoff can push a dark-free zero slightly negative
     if not exact:
+        if max(counts, default=0.0) > _POISSON_MAX:
+            index = next(i for i, m in enumerate(counts) if m > _POISSON_MAX)
+            raise ValueError(
+                f"setting {index} expects {counts[index]:.6g} counts, above the Poisson sampler's "
+                f"limit of {_POISSON_MAX:.6g}; lower exposure or dark_prob, or simulate exact counts"
+            )
         bit_generator = np.random.PCG64(0)  # each draw below sets its own state
         poisson = np.random.Generator(bit_generator).poisson
         # one state dict for every draw: the setter copies what it reads
@@ -220,6 +227,10 @@ def simulate_counts(
         seed=seed,
     )
 
+
+# Generator.poisson refuses an expected count above numpy's POISSON_LAM_MAX, the int64
+# maximum less ten of its square roots, formed as numpy forms it
+_POISSON_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 # NumPy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding; NEP 19
 # freezes both, so the derived states stay those of default_rng([seed, i]).
@@ -370,13 +381,14 @@ def record_from_json(obj: dict) -> TomographyRecord:
 
     A malformed record, or one missing a field, raises ValueError naming the
     field at fault; strings and booleans are rejected wherever a number
-    belongs.
+    belongs. A record of the standard layout, each component's bits equal,
+    shares the :func:`standard_settings` instance and its geometry.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"tomography record must be a JSON object, not {type(obj).__name__}")
     return TomographyRecord(
         settings=_json_field(obj, "settings", _json_analyzers),
-        counts=_json_field(obj, "counts", lambda v: tuple(map(_json_number, v))),
+        counts=_json_field(obj, "counts", lambda v: tuple(map(float, _json_numbers(v)))),
         exposure=_json_field(obj, "exposure", _json_number),
         dark_prob=_json_field(obj, "dark_prob", _json_number),
         seed=_json_field(obj, "seed", lambda v: v),  # TomographyRecord checks the seed
@@ -386,7 +398,8 @@ def record_from_json(obj: dict) -> TomographyRecord:
 def _json_field(obj: dict, name: str, convert):
     if name not in obj:
         raise ValueError(f"record field {name!r}: missing")
-    # a JSON value of the wrong type or size fails in _json_number, iteration or unpacking
+    # a JSON value of the wrong type or size fails in _json_number, iteration, unpacking
+    # or np.array (an int too large for a float)
     try:
         return convert(obj[name])
     except (TypeError, ValueError, OverflowError) as exc:
@@ -400,8 +413,24 @@ def _json_number(value) -> float:
     return float(value)
 
 
+# The types json.load gives a number; a bool is an int, but no number of a record
+_JSON_NUMBER_TYPES = frozenset((int, float))
+
+
+def _json_numbers(values):
+    # a list of JSON numbers as it is, its types tested in one pass with no Python call per
+    # number; any other list item by item, so its first bad value is named as it always was
+    if _JSON_NUMBER_TYPES.issuperset(map(type, values)):
+        return values
+    return list(map(_json_number, values))
+
+
 def _json_analyzers(value) -> MeasurementSettings:
-    pairs = [(list(map(_json_number, a)), list(map(_json_number, b))) for a, b in value]
+    pairs = [(_json_numbers(a), _json_numbers(b)) for a, b in value]
     for direction in (d for pair in pairs for d in pair if len(d) != 3):
         raise ValueError(f"expected a Stokes 3-vector, got shape ({len(direction)},)")
-    return MeasurementSettings(pairs)
+    directions = np.array(pairs, dtype=float)
+    # bits, not values: a layout with a -0.0 keeps its own instance, which writes the sign
+    if directions.tobytes() == _STANDARD_SETTINGS.directions.tobytes():
+        return _STANDARD_SETTINGS
+    return MeasurementSettings(directions)

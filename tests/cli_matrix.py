@@ -1,7 +1,8 @@
 """Byte-identity matrix: one digest per CLI and library output, to compare two trees.
 
 An output is one in-process ``entfilter.cli.main`` run (a ``tomo simulate`` and
-the ``tomo reconstruct`` of its record count as one), digested from its exit
+the ``tomo reconstruct`` of its record count as one, and so do a hand-written
+record and its ``tomo reconstruct``), digested from its exit
 code, stdout, stderr, any warnings and the bytes of the files it writes; or one
 public reader of ``entfilter`` over 800 seeded random states, digested from the
 bits of its results. Two trees, or one tree on two numpy builds, agree to the
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import subprocess
 import sys
 import tarfile
@@ -45,8 +47,8 @@ SEEDS = ("0", "7", "123456789012")
 RANDOM_STATES = 800
 
 
-def cli_outputs():
-    """(name, runs) of each CLI output: the argv of each run, "{0}" and "{1}" standing for files."""
+def _argv_outputs():
+    # the runs of each output that is commands alone
     for noise in NOISES:
         for p in P_VALUES:
             for gamma_a in GAMMA_A:
@@ -62,6 +64,41 @@ def cli_outputs():
             for extra in ([], ["--exact"], ["--p", "0.9"]):
                 yield [["tomo", "simulate", "--state", state, "--seed", seed, *extra, "--output", "{0}"],
                        ["tomo", "reconstruct", "--input", "{0}", "--output", "{1}"]]
+
+
+def hand_written_records():
+    """(label, text) of each record file that ``tomo simulate`` never writes: other layouts of
+    the standard analyzers (permuted, one pair repeated, a -0.0, int components) and one
+    off-axis analyzer, which ``tomo reconstruct`` must refuse with exit status 2."""
+    axes = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, -1.0, 0.0)]
+    standard = [[list(a), list(b)] for a in axes for b in axes]
+    rng = np.random.default_rng(27)
+    permuted = [standard[i] for i in rng.permutation(36)]
+    minus_zero = [[list(d) for d in pair] for pair in standard]
+    minus_zero[3][1][1] = -0.0  # (+z, -x): the y component of -x
+    off_axis = [[list(d) for d in pair] for pair in standard]
+    off_axis[7][0] = [0.6, 0.0, 0.8]
+    layouts = {
+        "permuted": permuted,
+        "37-setting, one pair repeated": permuted + permuted[5:6],
+        "-0.0 component": minus_zero,
+        "int component": [[list(map(int, d)) for d in pair] for pair in standard],
+        "off-axis": off_axis,
+    }
+    for label, settings in layouts.items():
+        counts = rng.integers(1, 5000, len(settings)).tolist()
+        record = {"settings": settings, "counts": counts, "exposure": 1e4, "dark_prob": 4e-5, "seed": 0}
+        yield label, json.dumps(record)
+
+
+def cli_outputs():
+    """(name, runs) of each CLI output: the argv of each run, "{0}" and "{1}" standing for
+    files, or the text of a record file written to "{0}" before the runs after it."""
+    for runs in _argv_outputs():
+        yield " ".join(runs[0]) + (" + reconstruct" if len(runs) > 1 else ""), runs
+    for label, text in hand_written_records():
+        yield f"tomo reconstruct --input <{label} record>", [
+            text, ["tomo", "reconstruct", "--input", "{0}", "--output", "{1}"]]
 
 
 def random_states():
@@ -121,11 +158,14 @@ def digests() -> list[tuple[str, str]]:
     out = []
     with tempfile.TemporaryDirectory() as temp:
         files = [str(Path(temp) / "out0"), str(Path(temp) / "out1")]
-        for runs in cli_outputs():
+        for name, runs in cli_outputs():
             digest = hashlib.sha256()
             for path in files:
                 Path(path).unlink(missing_ok=True)
             for argv in runs:
+                if isinstance(argv, str):
+                    Path(files[0]).write_text(argv)
+                    continue
                 argv = [arg.format(*files) for arg in argv]
                 stdout, stderr = io.StringIO(), io.StringIO()
                 with warnings.catch_warnings(record=True) as caught, redirect_stdout(stdout), \
@@ -137,7 +177,7 @@ def digests() -> list[tuple[str, str]]:
                 digest.update(repr((code, stdout.getvalue(), stderr.getvalue(), shown)).encode())
             for path in files:
                 digest.update(Path(path).read_bytes() if Path(path).exists() else b"no file")
-            out.append((" ".join(runs[0]) + (" + reconstruct" if len(runs) > 1 else ""), digest.hexdigest()))
+            out.append((name, digest.hexdigest()))
     states = random_states()
     for name, reader in library_readers():
         digest = hashlib.sha256()

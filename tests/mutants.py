@@ -115,6 +115,11 @@ MUTANTS = [
      "if denom <= 0:", "if denom < 0:"),
     ("as_matrix accepts (N, 4, 4) stacks again", "qmat.py",
      "a.shape != (4, 4)", "a.shape[-2:] != (4, 4)"),
+    ("record reader's type test admits bool", "tomo.py",
+     "_JSON_NUMBER_TYPES = frozenset((int, float))", "_JSON_NUMBER_TYPES = frozenset((int, float, bool))"),
+    ("standard layout matched by value, not bytes", "tomo.py",
+     "directions.tobytes() == _STANDARD_SETTINGS.directions.tobytes()",
+     "np.array_equal(directions, _STANDARD_SETTINGS.directions)"),
 ]
 
 

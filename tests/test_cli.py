@@ -1009,6 +1009,22 @@ class TestTomo:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "exposure, expected", [("1e300", "5.0004e+299"), ("3.6e19", "1.80014e+19")]
+    )
+    def test_sampling_above_the_poisson_limit_is_runtime_error(self, tmp_path, capsys, exposure, expected):
+        # the library's own message, not numpy's "lam value too large"; exact counts are stored
+        out = tmp_path / "record.json"
+        argv = ["tomo", "simulate", "--state", "phi+", "--exposure", exposure, "--output", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: setting 0 expects {expected} counts, above the Poisson sampler's limit of "
+            "9.22337e+18; lower exposure or dark_prob, or simulate exact counts"
+        ]
+        assert not out.exists()
+        assert main(argv[:-2] + ["--exact", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["exposure"] == float(exposure)
+
     def test_simulated_record_is_deterministic(self, tmp_path):
         args = [
             "tomo",

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings as hypothesis_settings, strategi
 
 from entfilter import tomo
 from entfilter.channel import PauliNoiseSpec, pauli_channel_state
+from entfilter.cli import _record_text
 from entfilter.qmat import hermitian_eig, matrix_sqrt_psd
 from entfilter.qstate import (
     IDENTITY_2,
@@ -28,6 +29,8 @@ from entfilter.tomo import (
     record_from_json,
     record_to_json,
     _SIGNED_AXES,
+    _json_field,
+    _json_number,
     _pcg64_states,
     _signed_axes,
     simulate_counts,
@@ -300,6 +303,28 @@ class TestSimulateCounts:
         args = {"exposure": 1e3, "dark_prob": 0.0, "seed": 0, **kwargs}
         with pytest.raises(error, match=message):
             simulate_counts(bell_state("phi+"), STANDARD, **args)
+
+    def test_poisson_limit_is_numpys(self):
+        # the largest expected count Generator.poisson draws, and the next double it refuses
+        draw = np.random.default_rng(0).poisson
+        assert draw(tomo._POISSON_MAX) > 0
+        with pytest.raises(ValueError, match="lam value too large"):
+            draw(np.nextafter(tomo._POISSON_MAX, np.inf))
+
+    @pytest.mark.parametrize("exposure, dark_prob", [(1e300, 0.0), (3.6e19, 4e-5), (1e5, 1e300)])
+    def test_sampling_above_the_poisson_limit_names_the_setting(self, exposure, dark_prob):
+        # (+z, -z) of phi+ expects only its dark counts, so (+z, +z), setting 1, is the first
+        # above the limit unless the dark counts are too; exact counts are stored either way
+        settings = [(PLUS_Z, MINUS_Z), (PLUS_Z, PLUS_Z), (MINUS_Z, MINUS_Z)]
+        exact = simulate_counts(bell_state("phi+"), settings, exposure, dark_prob, exact=True)
+        index = 0 if exact.counts[0] > tomo._POISSON_MAX else 1
+        message = (
+            f"setting {index} expects {exact.counts[index]:.6g} counts, above the Poisson sampler's "
+            "limit of 9.22337e+18; lower exposure or dark_prob, or simulate exact counts"
+        )
+        with pytest.raises(ValueError) as caught:
+            simulate_counts(bell_state("phi+"), settings, exposure, dark_prob)
+        assert str(caught.value) == message
 
     def test_numpy_integer_seed(self):
         rho = bell_state("phi+")
@@ -697,8 +722,9 @@ class TestRecordJson:
 
 # A well-formed two-setting record as json.load gives it, and malformed copies of
 # it: each value below put in one place, and settings that are no list of pairs of
-# 3-vectors. The reader tests every number's type at once and walks a record item
-# by item only after that test fails, so each message must read as the walk words it.
+# 3-vectors. The reader tests the types of each direction's and of the counts' numbers
+# in one pass and takes a list of ints and floats as it is; any other list goes item by
+# item through _json_number, so each message must read as the walk words it.
 def _json_record():
     return {
         "settings": [[[0, 0, 1], [0, 0, 1]], [[1.0, 0, 0], [0, 1, 0]]],
@@ -766,6 +792,9 @@ def test_malformed_record_message(field, put, value, message):
     with pytest.raises(ValueError) as caught:
         record_from_json(obj)
     assert str(caught.value) == f"record field {field!r}: {message}"
+    with pytest.raises(ValueError) as walked:
+        walk_record_from_json(obj)
+    assert str(walked.value) == str(caught.value)
 
 
 def test_json_record_reads_as_floats():
@@ -780,3 +809,109 @@ def test_json_record_reads_as_floats():
     ]
     assert np.signbit(record.settings.directions[1, 1, 0])
     assert (record.exposure, record.dark_prob, record.seed) == (100.0, 0.0, 0)
+
+
+def walk_record_from_json(obj):
+    """record_from_json as it read before the one-pass type test: every number through _json_number."""
+
+    def analyzers(value):
+        pairs = [(list(map(_json_number, a)), list(map(_json_number, b))) for a, b in value]
+        for direction in (d for pair in pairs for d in pair if len(d) != 3):
+            raise ValueError(f"expected a Stokes 3-vector, got shape ({len(direction)},)")
+        return MeasurementSettings(pairs)
+
+    if not isinstance(obj, dict):
+        raise ValueError(f"tomography record must be a JSON object, not {type(obj).__name__}")
+    return TomographyRecord(
+        settings=_json_field(obj, "settings", analyzers),
+        counts=_json_field(obj, "counts", lambda v: tuple(map(_json_number, v))),
+        exposure=_json_field(obj, "exposure", _json_number),
+        dark_prob=_json_field(obj, "dark_prob", _json_number),
+        seed=_json_field(obj, "seed", lambda v: v),
+    )
+
+
+def _layout(draw):
+    # (S, 2, 3) directions: the standard 36, permuted, a subset, with repeated pairs, or tilted
+    kind = draw(st.sampled_from(["standard", "permuted", "subset", "repeated", "tilted"]))
+    rows = np.arange(36)
+    if kind == "permuted":
+        rows = np.array(draw(st.permutations(range(36))))
+    elif kind == "subset":
+        rows = np.array(draw(st.lists(st.integers(0, 35), min_size=1, max_size=35, unique=True)))
+    elif kind == "repeated":
+        extra = draw(st.lists(st.integers(0, 35), min_size=1, max_size=4))
+        rows = np.array(draw(st.permutations([*range(36), *extra])))
+    if kind != "tilted":
+        return STANDARD.directions[rows]
+    pairs = draw(st.lists(st.tuples(UNIT_DIRECTIONS, UNIT_DIRECTIONS), min_size=1, max_size=6))
+    return np.array(pairs, dtype=float)
+
+
+@st.composite
+def json_records(draw):
+    """A record as json.load reads it back: sampled or exact counts over a drawn layout, some
+    components written as ints and some zeros as -0.0."""
+    directions = _layout(draw)
+    rho = random_density_matrix(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    exact = draw(st.booleans())
+    record = simulate_counts(rho, directions, draw(st.sampled_from([1e2, 1e4 + 0.5])), 4e-5,
+                             seed=draw(st.integers(0, 2**40)), exact=exact)
+    obj = json.loads(json.dumps(record_to_json(record)))
+    flat = [d for pair in obj["settings"] for d in pair]
+    for station in draw(st.lists(st.integers(0, len(flat) - 1), max_size=6)):
+        component = draw(st.integers(0, 2))
+        value = flat[station][component]
+        if value == 0.0 and draw(st.booleans()):
+            flat[station][component] = -0.0
+        elif float(value).is_integer():
+            flat[station][component] = int(value)
+    return obj
+
+
+class TestOnePassReader:
+    """record_from_json reads what the item-by-item walk reads, and shares the standard layout."""
+
+    @hypothesis_settings(max_examples=300, deadline=None)
+    @given(json_records())
+    def test_reads_as_the_walk(self, obj):
+        record, walked = record_from_json(obj), walk_record_from_json(obj)
+        assert record.settings.directions.tobytes() == walked.settings.directions.tobytes()
+        assert record.counts == walked.counts and {type(c) for c in record.counts} == {float}
+        assert record == walked and _record_text(record) == _record_text(walked)
+        standard = walked.settings.directions.tobytes() == STANDARD.directions.tobytes()
+        assert (record.settings is STANDARD) == standard
+        try:
+            expected = reconstruct(walked)
+        except ValueError as exc:  # tilted directions or a subset missing a group
+            with pytest.raises(type(exc)) as caught:
+                reconstruct(record)
+            assert str(caught.value) == str(exc)
+        else:
+            assert reconstruct(record).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("ints", [False, True], ids=["floats", "ints"])
+    def test_standard_record_shares_standard_settings(self, monkeypatch, ints):
+        # a tomo simulate record, its components as floats or ints: the shared instance, whose
+        # cached layout reconstruct takes, with no direction checked or analyzer axis found anew
+        record = simulate_counts(bell_state("phi+"), STANDARD, 1e3, seed=4)
+        obj = record_to_json(record)
+        if ints:
+            obj["settings"] = [[list(map(int, d)) for d in pair] for pair in obj["settings"]]
+        reconstruct(record)
+        calls = {name: count_calls(monkeypatch, tomo, name) for name in ("_signed_axes", "_check_unit_norms")}
+        back = record_from_json(obj)
+        assert back.settings is standard_settings()
+        assert reconstruct(back).tobytes() == reconstruct(record).tobytes()
+        assert calls == {"_signed_axes": [], "_check_unit_norms": []}
+
+    def test_record_with_one_minus_zero_keeps_its_own_settings(self):
+        record = simulate_counts(bell_state("phi+"), STANDARD, 1e3, seed=4)
+        obj = record_to_json(record)
+        obj["settings"][3][1][1] = -0.0  # (+z, -x): the y component of -x
+        back = record_from_json(obj)
+        assert back.settings is not standard_settings() and back.settings == STANDARD
+        assert np.signbit(back.settings.directions[3, 1, 1])
+        assert record_to_json(back)["settings"] == obj["settings"]
+        assert '[\n        -1.0,\n        -0.0,\n        0.0\n      ]' in _record_text(back)
+        assert reconstruct(back).tobytes() == reconstruct(record).tobytes()
