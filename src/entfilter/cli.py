@@ -15,6 +15,7 @@ import math
 import os
 import stat
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -26,13 +27,14 @@ from .qstate import _BASIS_LABELS, _bell_diagonal_weights, _concurrence, _mutual
 from .recover import (
     GAMMA_A_AXIS,
     STRATEGIES,
+    SweepPoint,
     argmax_ratio,
     plan_recovery,
     ratio_scan,
     sweep,
     sweep_to_csv,
+    sweep_to_json,
 )
-from .recover import _JSON_ROW, _json_text
 from .tomo import (
     reconstruct,
     record_from_json,
@@ -114,49 +116,54 @@ def _write_text(path: str, text: str) -> None:
             os.close(fd)
 
 
-# Fixed layouts of the two tomography artifacts, the inset JSON and the optimize
-# report: each writer gives the bytes of json.dumps(obj, indent=2), plus "\n" for
-# the files, from a few %-formats and joins. Numbers print as json prints them:
-# floats through float.__repr__ (so float subclasses such as np.float64 print as
-# plain floats), ints through int.__repr__.
-_DIRECTION_PAIR = (
-    "    [\n      [\n        %s,\n        %s,\n        %s\n      ],\n"
-    "      [\n        %s,\n        %s,\n        %s\n      ]\n    ]"
-)
-_RECORD = (
-    '{\n  "settings": %s,\n  "counts": %s,\n  "exposure": %s,\n'
-    '  "dark_prob": %s,\n  "seed": %s\n}\n'
-)
-# one row of a state's matrix: four [re, im] pairs
-_MATRIX_ROW = "      [\n%s\n      ]" % ",\n".join(["        [\n          %s,\n          %s\n        ]"] * 4)
-_PAYLOAD = (
-    '{\n  "state": {\n    "basis": %s,\n    "matrix": %s\n  },\n'
-    '  "metrics": {\n    "concurrence": %s,\n    "mutual_info_bits": %s,\n'
-    '    "bell_weights": {\n%s\n    }\n  }\n}\n'
-)
-# an inset series wraps its rows, recover's _JSON_ROW six spaces deeper, in fixed lines
-_INSET = '{\n  "noise": "%s",\n  "p": %s,\n  "series": [\n%s\n  ]\n}\n'
-_SERIES = (
-    '    {\n      "gamma_a": %s,\n      "argmax_ratio": %s,\n      "points": [\n%s\n      ]\n    }'
-)
-_SERIES_ROW = "      " + _JSON_ROW.replace("\n", "\n      ")
-_REPORT = (
-    '{\n  "noise": "%s",\n  "p": %s,\n  "gamma_a": %s,\n  "gamma_b_opt": %s,\n'
-    '  "orientation_b": [\n    %s,\n    %s,\n    %s\n  ],\n'
-    '  "predicted_concurrence": %s,\n  "predicted_mutual_info_bits": %s,\n'
-    '  "transmission": %s,\n  "nothing_to_recover": %s\n}'
-)
+# Each JSON artifact holds the bytes of json.dumps(obj, indent=2), plus "\n" for a file,
+# written by one % fill of its layout: json.dumps of the artifact's schema, in which each
+# number or bool is _SLOT, laid out as %s, and each string value is "%s". A slot takes
+# the value's JSON text: float.__repr__ of a float (a subclass such as np.float64 prints
+# as a plain float), int.__repr__ of an int; a plain float fills it as it is, since its
+# str is its repr. json.dumps with an indent runs the pure-Python encoder, dear per call,
+# so the fixed shapes are laid out at import and the others once per shape.
+_SLOT = "\0"  # json.dumps writes it as "\u0000", quotes included
+
+
+def _layout(schema) -> str:
+    return json.dumps(schema, indent=2).replace('"\\u0000"', "%s")
+
+
+_PAYLOAD = _layout({
+    "state": {"basis": list(_BASIS_LABELS), "matrix": [[[_SLOT] * 2] * 4] * 4},
+    "metrics": {"concurrence": _SLOT, "mutual_info_bits": _SLOT, "bell_weights": dict.fromkeys(BELL_LABELS, _SLOT)},
+}) + "\n"
+_REPORT = _layout({
+    "noise": "%s", "p": _SLOT, "gamma_a": _SLOT, "gamma_b_opt": _SLOT, "orientation_b": [_SLOT] * 3,
+    "predicted_concurrence": _SLOT, "predicted_mutual_info_bits": _SLOT, "transmission": _SLOT,
+    "nothing_to_recover": _SLOT,
+})
+_ROW = SweepPoint(_SLOT, _SLOT, "%s", _SLOT, _SLOT, _SLOT)  # a curve row's schema
+
+
+# a CLI process writes one shape; the bound keeps a long-lived caller's cache small
+@functools.lru_cache(maxsize=16)
+def _record_layout(size: int) -> str:
+    return _layout({
+        "settings": [[[_SLOT] * 3] * 2] * size, "counts": [_SLOT] * size,
+        "exposure": _SLOT, "dark_prob": _SLOT, "seed": _SLOT,
+    }) + "\n"
+
+
+@functools.lru_cache(maxsize=16)
+def _curves_layout(size: int) -> str:
+    return _layout(sweep_to_json([_ROW] * size)) + "\n"
+
+
+@functools.lru_cache(maxsize=16)
+def _inset_layout(sizes: tuple[int, ...]) -> str:
+    series = [{"gamma_a": _SLOT, "argmax_ratio": _SLOT, "points": sweep_to_json([_ROW] * size)} for size in sizes]
+    return _layout({"noise": "%s", "p": _SLOT, "series": series}) + "\n"
 
 
 def _number(value) -> str:
     return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
-
-
-def _array(item: str, count: int, values, indent: str) -> str:
-    # a JSON array of count items, one per line: item filled from values in turn
-    if not count:
-        return "[]"
-    return "[\n%s\n%s]" % (",\n".join([item] * count) % tuple(values), indent)
 
 
 def _record_text(record) -> str:
@@ -168,9 +175,9 @@ def _record_text(record) -> str:
     validates them.
     """
     settings, counts = record.settings, _json_counts(record.counts)
-    return _RECORD % (
-        _array(_DIRECTION_PAIR, len(settings), settings._direction_text, "  "),
-        _array("    %s", len(counts), map(_number, counts), "  "),
+    return _record_layout(len(settings)) % (
+        *settings._direction_text,
+        *map(_number, counts),
         _number(record.exposure),
         _number(record.dark_prob),
         int.__repr__(record.seed),
@@ -182,31 +189,35 @@ def _payload_text(rho, concurrence, mutual_info, weights: dict) -> str:
 
     The payload is ``{"state": density_matrix_to_json(rho), "metrics":
     {"concurrence": concurrence, "mutual_info_bits": mutual_info, "bell_weights":
-    weights}}``: ``rho`` is one contiguous complex 4x4 array, and every metric is a
-    float. The numbers are finite, since the estimate is a physical state.
+    weights}}``: ``rho`` is one contiguous complex 4x4 array, every metric is a
+    float, and ``weights`` is keyed by ``BELL_LABELS`` in order. The numbers are
+    finite, since the estimate is a physical state.
     """
-    return _PAYLOAD % (
-        _array('      "%s"', len(_BASIS_LABELS), _BASIS_LABELS, "    "),
-        _array(_MATRIX_ROW, 4, map(float.__repr__, rho.view(float).ravel().tolist()), "    "),
-        float.__repr__(concurrence),
-        float.__repr__(mutual_info),
-        ",\n".join(['      "%s": %s' % (k, float.__repr__(w)) for k, w in weights.items()]),
-    )
+    numbers = [*rho.view(float).ravel().tolist(), concurrence, mutual_info, *weights.values()]
+    return _PAYLOAD % tuple(map(float.__repr__, numbers))
+
+
+def _curves_text(points) -> str:
+    """The ``curves --format json`` file as ``json.dumps(sweep_to_json(points), indent=2) + "\n"`` gives it.
+
+    Every number of the ``SweepPoint`` rows is a finite Python float, as a sweep
+    gives them, and the strategy is plain ASCII.
+    """
+    return _curves_layout(len(points)) % tuple(chain.from_iterable(points))
 
 
 def _inset_text(noise: str, p: float, gamma_a_values, series, best) -> str:
     """The ``inset --format json`` payload as ``json.dumps(payload, indent=2) + "\n"`` gives it.
 
-    ``series`` holds one non-empty run of ``SweepPoint`` rows per value of
+    ``series`` holds one run of ``SweepPoint`` rows per value of
     ``gamma_a_values``, and ``best`` the run's argmax ratio. Every number is a
     finite Python float, as a ratio scan and argparse give them, and ``noise``
     and the rows' strategy are plain ASCII.
     """
-    blocks = [
-        _SERIES % (float.__repr__(gamma_a), float.__repr__(ratio), ",\n".join([_SERIES_ROW % row for row in rows]))
-        for gamma_a, rows, ratio in zip(gamma_a_values, series, best)
-    ]
-    return _INSET % (noise, float.__repr__(p), ",\n".join(blocks))
+    values = [noise, p]
+    for gamma_a, rows, ratio in zip(gamma_a_values, series, best):
+        values += (gamma_a, ratio, *chain.from_iterable(rows))
+    return _inset_layout(tuple(map(len, series))) % tuple(values)
 
 
 def _report_text(noise: str, numbers, nothing_to_recover: bool) -> str:
@@ -227,7 +238,7 @@ def cmd_curves(args) -> int:
     if args.format == "csv":
         _write_text(args.output, sweep_to_csv(points))
     else:
-        _write_text(args.output, _json_text(points))
+        _write_text(args.output, _curves_text(points))
     return EXIT_OK
 
 

@@ -41,10 +41,6 @@ _METRICS = ("mutual_info", "concurrence", "transmission")
 _COLUMNS = ("gamma_a", "gamma_b", "strategy", "mutual_info_bits", "concurrence", "transmission")
 CSV_HEADER = ",".join(_COLUMNS)
 _CSV_ROW = "%.12g,%.12g,%s,%.12g,%.12g,%.12g"
-# one row of the JSON array as json.dumps(indent=2) lays it out: floats through repr
-_JSON_ROW = "  {\n%s\n  }" % ",\n".join(
-    '    "%s": %s' % (name, '"%s"' if name == "strategy" else "%r") for name in _COLUMNS
-)
 
 
 @dataclass(frozen=True)
@@ -428,12 +424,3 @@ def sweep_to_json(points: list[SweepPoint]) -> list[dict]:
     """JSON array with the same columns and order as the CSV."""
     return [dict(zip(_COLUMNS, p)) for p in points]
 
-
-def _json_text(points: list[SweepPoint]) -> str:
-    """``json.dumps(sweep_to_json(points), indent=2) + "\n"``, from one fixed row layout.
-
-    The columns are floats, as a sweep gives them, and the strategy plain ASCII.
-    """
-    if not points:
-        return "[]\n"
-    return "[\n%s\n]\n" % ",\n".join([_JSON_ROW % p for p in points])

@@ -192,17 +192,26 @@ def simulate_counts(
     ``np.random.default_rng([seed, setting_index])``, so records are
     reproducible for a fixed seed and settings may be simulated
     independently. With ``exact=True`` the expected values are stored
-    without sampling. Sampling refuses an expected count above about 9.2e18,
-    the most NumPy's Poisson sampler draws, with the first such setting named.
+    without sampling. An expected count beyond the largest float is refused in
+    both modes, and sampling refuses one above about 9.2e18, the most NumPy's
+    Poisson sampler draws; each names the first such setting.
     """
     rho = _spectrum(rho)[0]
     _check_acquisition(exposure, dark_prob)
     seed = _check_seed(seed)
     settings = _as_settings(settings)
-    mu = exposure * (coincidence_probability(rho, settings) + dark_prob)
+    with np.errstate(over="ignore"):  # an overflow is named below, not warned of
+        mu = exposure * (coincidence_probability(rho, settings) + dark_prob)
     counts = np.maximum(mu, 0.0).tolist()  # roundoff can push a dark-free zero slightly negative
+    largest = max(counts, default=0.0)
+    if largest == math.inf:
+        index = counts.index(math.inf)
+        raise ValueError(
+            f"setting {index} expects more counts than a float holds: exposure * (probability + "
+            "dark_prob) overflows; lower exposure or dark_prob"
+        )
     if not exact:
-        if max(counts, default=0.0) > _POISSON_MAX:
+        if largest > _POISSON_MAX:
             index = next(i for i, m in enumerate(counts) if m > _POISSON_MAX)
             raise ValueError(
                 f"setting {index} expects {counts[index]:.6g} counts, above the Poisson sampler's "

@@ -120,6 +120,8 @@ MUTANTS = [
     ("standard layout matched by value, not bytes", "tomo.py",
      "directions.tobytes() == _STANDARD_SETTINGS.directions.tobytes()",
      "np.array_equal(directions, _STANDARD_SETTINGS.directions)"),
+    ("simulate_counts overflow check removed", "tomo.py",
+     "if largest == math.inf:", "if False:"),
 ]
 
 

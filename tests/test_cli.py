@@ -16,6 +16,7 @@ from entfilter.channel import FilterElement, PauliNoiseSpec, apply_filters, paul
 from entfilter.cli import (
     INSET_GAMMA_A,
     NOISE_TYPES,
+    _curves_text,
     _inset_text,
     _payload_text,
     _record_text,
@@ -31,7 +32,7 @@ from entfilter.qstate import (
     fidelity_pure,
     mutual_information,
 )
-from entfilter.recover import GAMMA_A_AXIS, SweepPoint, plan_recovery, sweep, sweep_to_json
+from entfilter.recover import GAMMA_A_AXIS, STRATEGIES, SweepPoint, plan_recovery, sweep, sweep_to_json
 from entfilter.tomo import (
     TomographyRecord,
     reconstruct,
@@ -410,7 +411,36 @@ def test_report_writer_matches_json_dumps(noise, numbers, flag):
     assert _report_text(noise, numbers, flag) == json.dumps(report, indent=2)
 
 
+@hypothesis_settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            SweepPoint,
+            *[_REPORT_NUMBERS] * 2,
+            st.sampled_from((*STRATEGIES, "ratio")),
+            *[_REPORT_NUMBERS] * 3,
+        ),
+        max_size=20,
+    )
+)
+def test_curves_writer_matches_json_dumps(points):
+    assert _curves_text(points) == json.dumps(sweep_to_json(points), indent=2) + "\n"
+
+
 _ROW = st.tuples(*[_REPORT_NUMBERS] * 5).map(lambda x: SweepPoint(x[0], x[1], "ratio", *x[2:]))
+
+
+def _inset_json(noise, p, gamma_a_values, series, best) -> str:
+    # the payload inset --format json wrote through json.dumps
+    payload = {
+        "noise": noise,
+        "p": p,
+        "series": [
+            {"gamma_a": gamma_a, "argmax_ratio": ratio, "points": sweep_to_json(rows)}
+            for gamma_a, rows, ratio in zip(gamma_a_values, series, best)
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
 
 
 @hypothesis_settings(max_examples=100, deadline=None)
@@ -423,17 +453,21 @@ _ROW = st.tuples(*[_REPORT_NUMBERS] * 5).map(lambda x: SweepPoint(x[0], x[1], "r
 )
 @example("bitflip", -0.0, [(5e-324, -0.0, [SweepPoint(1e308, -5e-324, "ratio", 0.0, -0.0, 1.0)])])
 def test_inset_writer_matches_json_dumps(noise, p, runs):
-    # the payload inset --format json wrote through json.dumps
     gamma_a_values, best, series = ([run[i] for run in runs] for i in range(3))
-    payload = {
-        "noise": noise,
-        "p": p,
-        "series": [
-            {"gamma_a": gamma_a, "argmax_ratio": ratio, "points": sweep_to_json(rows)}
-            for gamma_a, rows, ratio in zip(gamma_a_values, series, best)
-        ],
-    }
-    assert _inset_text(noise, p, gamma_a_values, series, best) == json.dumps(payload, indent=2) + "\n"
+    assert _inset_text(noise, p, gamma_a_values, series, best) == _inset_json(noise, p, gamma_a_values, series, best)
+
+
+def test_each_json_shape_gets_its_own_layout():
+    # layouts are built once per shape and kept: in one process, a shape written after
+    # another, or again after others, must get its own layout and never a neighbour's
+    rows = sweep(PauliNoiseSpec.bit_flip(0.33), np.linspace(0.0, 1.2, 60), "optimal")
+    for size in (0, 1, 60, 1):
+        assert _curves_text(rows[:size]) == json.dumps(sweep_to_json(rows[:size]), indent=2) + "\n"
+    ragged = [rows[:3], rows[3:4], rows[4:], rows[:1]]
+    gamma_a_values, best = [0.5, 0.8, 1.0, 0.25], [0.25, 1.0, 0.75, 1.125]
+    for order in ([0, 1, 2, 3], [0], [3, 2, 1, 0], [0, 1, 2, 3]):
+        args = ("bitflip", 0.33, *([values[i] for i in order] for values in (gamma_a_values, ragged, best)))
+        assert _inset_text(*args) == _inset_json(*args)
 
 
 def test_reconstruct_reads_each_record_settings(tmp_path):
@@ -1024,6 +1058,21 @@ class TestTomo:
         assert not out.exists()
         assert main(argv[:-2] + ["--exact", "--output", str(out)]) == 0
         assert json.loads(out.read_text())["exposure"] == float(exposure)
+
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    def test_overflowing_expected_count_is_runtime_error(self, tmp_path, capsys, exact):
+        # both flags lie in their domains, but their product overflows: one error line, with
+        # no numpy warning before it, and nothing raised with warnings as errors
+        out = tmp_path / "record.json"
+        argv = ["tomo", "simulate", "--state", "phi+", "--exposure", "1e300", "--dark-prob", "1e300", *exact]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: setting 0 expects more counts than a float holds: exposure * (probability + "
+            "dark_prob) overflows; lower exposure or dark_prob"
+        ]
+        assert not out.exists()
 
     def test_simulated_record_is_deterministic(self, tmp_path):
         args = [

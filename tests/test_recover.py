@@ -1,4 +1,3 @@
-import json
 import math
 from unittest import mock
 
@@ -30,7 +29,6 @@ from entfilter.recover import (
     sweep_to_json,
     _compensator,
     _filter_a_correlations,
-    _json_text,
 )
 
 from helpers import (
@@ -879,21 +877,6 @@ class TestSerialization:
             for p in points
         ]
         assert [list(row.items()) for row in sweep_to_json(points)] == expected
-
-    @hypothesis_settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(
-            st.builds(
-                SweepPoint,
-                *[st.floats(allow_nan=False, allow_infinity=False)] * 2,
-                st.sampled_from((*STRATEGIES, "ratio")),
-                *[st.floats(allow_nan=False, allow_infinity=False)] * 3,
-            ),
-            max_size=20,
-        )
-    )
-    def test_json_writer_matches_json_dumps(self, points):
-        assert _json_text(points) == json.dumps(sweep_to_json(points), indent=2) + "\n"
 
     def test_sweep_point_is_a_tuple_of_its_columns(self):
         point = SweepPoint(0.5, 0.25, "ratio", 1.5, 0.5, 0.75)

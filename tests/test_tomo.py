@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -325,6 +326,21 @@ class TestSimulateCounts:
         with pytest.raises(ValueError) as caught:
             simulate_counts(bell_state("phi+"), settings, exposure, dark_prob)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_overflowing_expected_count_names_the_setting(self, exact):
+        # (+z, -z) of phi+ expects 1.7e308 * 0.6 counts and (+z, +z) 1.7e308 * 1.1, past the
+        # largest float: one ValueError names setting 1 in both modes, ahead of the Poisson
+        # limit, and the overflow warns of nothing
+        settings = [(PLUS_Z, MINUS_Z), (PLUS_Z, PLUS_Z), (MINUS_Z, MINUS_Z)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as caught:
+                simulate_counts(bell_state("phi+"), settings, 1.7e308, 0.6, exact=exact)
+        assert str(caught.value) == (
+            "setting 1 expects more counts than a float holds: exposure * (probability + dark_prob) "
+            "overflows; lower exposure or dark_prob"
+        )
 
     def test_numpy_integer_seed(self):
         rho = bell_state("phi+")
