@@ -15,6 +15,7 @@ would trace out, the whole curve at once, from the closed form of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations, repeat
@@ -234,7 +235,7 @@ _MINOR_AB, _MINOR_CD, _MINOR_TARGETS = _minor_layout()
 
 
 def _coefficients(noise, orientation):
-    # The kernel's per-call constants from M_k = U_k conj(R), the pair's components in the
+    # The kernel's per-noise constants from M_k = U_k conj(R), the pair's components in the
     # eigenframe of filter B: (trace, Bloch, determinant) coefficients over the monomials,
     # shapes (9,), (9, 9) and (9, 3). R, whose columns are the eigenvectors of b.sigma for
     # +1 and -1, is normalized by 1 - b_z, which never cancels: b is the compensator's,
@@ -269,6 +270,21 @@ def _live(coefficients):
     return live, coefficients[live]
 
 
+# The curve kernel's constants for one noise: the compensator's gain and orientation behind
+# filter A, the trace weights and the live Bloch and minor tables. Keyed by value
+# (PauliNoiseSpec is frozen and compares (axis, p)) and bounded so that a long-lived caller
+# keeps few; a raise from _compensator's ceiling is never stored. Every caller shares the
+# arrays, so they are read-only
+@functools.lru_cache(maxsize=16)
+def _kernel(noise):
+    gain, orientation = _compensator(_filter_a_correlations(noise), GAMMA_A_AXIS)
+    trace_weights, bloch, minors = _coefficients(noise, orientation)
+    tables = (trace_weights, *_live(bloch), *_live(minors))
+    for table in tables:
+        table.setflags(write=False)
+    return gain, orientation, *tables
+
+
 def _evaluate(noise, orientation, gamma_a, gamma_b, strategy, normalization) -> list[SweepPoint]:
     """The curve columns (MI, C, T) of the filtered noisy pair over arrays of magnitudes.
 
@@ -281,7 +297,7 @@ def _evaluate(noise, orientation, gamma_a, gamma_b, strategy, normalization) -> 
     F_A = diag(1, x) already, x = e^-gA, since filter A lies along z, and F_B^T =
     conj(R) diag(1, y) R^T, y = e^-gB, with R the eigenvectors of b.sigma. The local
     unitary R^T on photon B changes none of the columns, so W_k may be taken as
-    diag(1, x) M_k diag(1, y) with M_k = U_k conj(R) fixed for the call: entry (a, b) is
+    diag(1, x) M_k diag(1, y) with M_k = U_k conj(R) fixed per noise: entry (a, b) is
     M_k[a, b] x^a y^b. Every column then follows from the nine monomials x^i y^j:
 
     * T = sum |W|^2 = sum |M_k[a, b]|^2 x^2a y^2b, the trace, which
@@ -301,12 +317,11 @@ def _evaluate(noise, orientation, gamma_a, gamma_b, strategy, normalization) -> 
     monomial axis is einsum's elementwise sum of products, not a BLAS matrix product, so
     that a point's columns do not depend on how many points share the call.
 
-    ``orientation`` is the compensator's, -T a normalized.
+    ``orientation`` is the compensator's, -T a normalized, which ``_kernel(noise)``
+    built the tables for.
     """
     p = noise.p
-    trace_weights, bloch, minors = _coefficients(noise, orientation)
-    first, bloch = _live(bloch)
-    second, minors = _live(minors)
+    trace_weights, first, bloch, second, minors = _kernel(noise)[2:]
     powers = np.ones((2, 3, gamma_a.size))  # 1, x, x^2 and 1, y, y^2
     np.exp(-gamma_a, out=powers[0, 1])
     np.exp(-gamma_b, out=powers[1, 1])
@@ -355,7 +370,7 @@ def sweep(
     gamma_a = np.asarray(gamma_a_grid, dtype=float).ravel()  # a scalar is a one-point grid
     if not (gamma_a >= 0).all():
         raise ValueError("gamma_a grid values must be >= 0")
-    gain, orientation = _compensator(_filter_a_correlations(noise), GAMMA_A_AXIS)
+    gain, orientation = _kernel(noise)[:2]
     if strategy == "none":
         gamma_b = np.zeros_like(gamma_a)
     elif strategy == "match":
@@ -386,7 +401,7 @@ def ratio_scan(noise: PauliNoiseSpec, gamma_a, ratio_grid) -> list[SweepPoint]:
     finite = np.isfinite(gamma_b)
     if not finite.all():
         raise ValueError(f"gamma_b = gamma_a * ratio must be finite, got {float(gamma_b[~finite][0])}")
-    orientation = _compensator(_filter_a_correlations(noise), GAMMA_A_AXIS)[1]
+    orientation = _kernel(noise)[1]
     return _evaluate(noise, orientation, np.repeat(gamma_a, ratios.size), gamma_b, "ratio", 1.0)
 
 

@@ -6,8 +6,11 @@ record and its ``tomo reconstruct``), digested from its exit
 code, stdout, stderr, any warnings and the bytes of the files it writes; or one
 public reader of ``entfilter`` over 800 seeded random states, digested from the
 bits of its results. Two trees, or one tree on two numpy builds, agree to the
-bit exactly where every digest matches. Only the standard library and numpy are
-used; pytest does not collect this file.
+bit exactly where every digest matches. The ``curves`` and ``inset`` outputs run
+a second time, in reverse order, in the same process: the first pass digests the
+curves of a noise whose kernel constants are built and then served from recover's
+per-process cache, the second only served ones. Only the standard library and
+numpy are used; pytest does not collect this file.
 
 usage:
     python tests/cli_matrix.py [TREE]          print "digest  name" per output, for TREE/src
@@ -53,17 +56,22 @@ def _argv_outputs():
         for p in P_VALUES:
             for gamma_a in GAMMA_A:
                 yield [["optimize", "--noise", noise, "--p", p, "--gamma-a", gamma_a]]
-            for strategy in ("none", "match", "optimal"):
-                for fmt in ("csv", "json"):
-                    yield [["curves", "--noise", noise, "--p", p, "--strategy", strategy,
-                            "--format", fmt, "--output", "{0}"]]
-            for fmt in ("csv", "json"):
-                yield [["inset", "--noise", noise, "--p", p, "--format", fmt, "--output", "{0}"]]
+            yield from _curve_outputs(noise, p)
     for state in STATES:
         for seed in SEEDS:
             for extra in ([], ["--exact"], ["--p", "0.9"]):
                 yield [["tomo", "simulate", "--state", state, "--seed", seed, *extra, "--output", "{0}"],
                        ["tomo", "reconstruct", "--input", "{0}", "--output", "{1}"]]
+
+
+def _curve_outputs(noise, p):
+    # the curves and inset outputs of one noise
+    for strategy in ("none", "match", "optimal"):
+        for fmt in ("csv", "json"):
+            yield [["curves", "--noise", noise, "--p", p, "--strategy", strategy,
+                    "--format", fmt, "--output", "{0}"]]
+    for fmt in ("csv", "json"):
+        yield [["inset", "--noise", noise, "--p", p, "--format", fmt, "--output", "{0}"]]
 
 
 def hand_written_records():
@@ -99,6 +107,12 @@ def cli_outputs():
     for label, text in hand_written_records():
         yield f"tomo reconstruct --input <{label} record>", [
             text, ["tomo", "reconstruct", "--input", "{0}", "--output", "{1}"]]
+    # the curves and inset outputs once more, in reverse order: recover keeps each noise's
+    # kernel constants for the process, so these read what the first pass built
+    for noise in NOISES:
+        for p in P_VALUES:
+            for runs in reversed(list(_curve_outputs(noise, p))):
+                yield " ".join(runs[0]) + " (again, reverse order)", runs
 
 
 def random_states():

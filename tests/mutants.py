@@ -122,6 +122,11 @@ MUTANTS = [
      "np.array_equal(directions, _STANDARD_SETTINGS.directions)"),
     ("simulate_counts overflow check removed", "tomo.py",
      "if largest == math.inf:", "if False:"),
+    ("curve kernel tables left writeable", "recover.py",
+     "table.setflags(write=False)", "table.setflags(write=True)"),
+    ("curve kernel cache keyed without p: a hit serves another p's tables", "channel.py",
+     "tuple[float, float, float]\n    p: float\n",
+     "tuple[float, float, float]\n    p: float = __import__('dataclasses').field(compare=False)\n"),
 ]
 
 

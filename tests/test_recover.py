@@ -1,3 +1,4 @@
+import functools
 import math
 from unittest import mock
 
@@ -659,6 +660,87 @@ class TestClosedFormSetUp:
     def test_builds_no_two_qubit_state(self):
         # the noisy pair and its correlation matrix are out of recover's reach
         assert not {"pauli_channel_state", "_correlation_matrix", "correlation_matrix"} & set(vars(recover))
+
+
+@pytest.fixture
+def fresh_kernel():
+    # recover._kernel keeps the constants of the last 16 noises for the process: a test that
+    # patches a function the cache calls starts and ends with it empty, so that no patched
+    # table outlives the test
+    recover._kernel.cache_clear()
+    yield recover._kernel
+    recover._kernel.cache_clear()
+
+
+def curve_rows(spec, cold=False):
+    # the repr of every curve a noise gives: the three sweep strategies and one stacked ratio
+    # scan, each with the cache emptied first if cold
+    calls = [functools.partial(sweep, spec, [0.0, 0.1, 0.857, 3.0, 30.0, 200.0], strategy, 0.7)
+             for strategy in STRATEGIES]
+    calls.append(functools.partial(ratio_scan, spec, [0.5, 2.0], np.linspace(0.0, 2.0, 9)))
+    rows = []
+    for call in calls:
+        if cold:
+            recover._kernel.cache_clear()
+        rows.append(call())
+    return repr(rows)
+
+
+class TestKernelCache:
+    """sweep and ratio_scan build each noise's kernel constants once, keyed by its value."""
+
+    def test_cold_and_warm_give_the_same_bits(self, fresh_kernel):
+        # the last two axes have -0.0 components, which PauliNoiseSpec turns into +0.0: the
+        # third shares the bit flip's keys, as p = -0.0 shares p = 0.0's, so a warm pass
+        # serves it what an earlier spec built
+        axes = ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, -0.0, -0.0), (0.6, -0.0, 0.8))
+        specs = [PauliNoiseSpec(axis, p) for axis in axes for p in (0.0, -0.0, 1e-300, 0.33, 1.0)]
+        cold = [curve_rows(spec, cold=True) for spec in specs]
+        fresh_kernel.cache_clear()
+        for _ in range(2):  # the first pass builds each key's constants once, the second only hits
+            assert [curve_rows(spec) for spec in specs] == cold
+        assert fresh_kernel.cache_info().currsize == 12
+
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)], ids=["+0.0 first", "-0.0 first"])
+    def test_signed_zero_p_shares_a_key(self, fresh_kernel, first, second):
+        # p = 0.0 and p = -0.0 compare and hash equal, so whichever comes first builds the
+        # constants the other is served; each must still get its own cold rows
+        for noise in (PauliNoiseSpec.bit_flip, PauliNoiseSpec.phase_flip):
+            fresh_kernel.cache_clear()
+            cold = curve_rows(noise(second))
+            fresh_kernel.cache_clear()
+            curve_rows(noise(first))
+            assert curve_rows(noise(second)) == cold
+            assert fresh_kernel.cache_info().currsize == 1
+
+    def test_each_noise_builds_its_constants_once(self, fresh_kernel):
+        # equal noises built apart share one entry; the tables every caller shares are read-only
+        with mock.patch.object(recover, "_coefficients", wraps=recover._coefficients) as coefficients:
+            for _ in range(2):
+                for strategy in STRATEGIES:
+                    sweep(PauliNoiseSpec.bit_flip(0.33), [0.0, 0.857], strategy)
+                ratio_scan(PauliNoiseSpec.bit_flip(0.33), 0.857, [0.5, 1.0])
+                assert coefficients.call_count == 1
+            for strategy in STRATEGIES:
+                sweep(PauliNoiseSpec.bit_flip(0.5), [0.0, 0.857], strategy)
+            ratio_scan(PauliNoiseSpec.bit_flip(0.5), 0.857, [0.5, 1.0])
+            assert coefficients.call_count == 2
+        for spec in (PauliNoiseSpec.bit_flip(0.33), PauliNoiseSpec.bit_flip(0.5)):
+            tables = fresh_kernel(spec)[2:]
+            assert len(tables) == 5 and not any(table.flags.writeable for table in tables)
+        assert fresh_kernel.cache_info().currsize == 2
+
+    def test_a_raise_is_not_cached(self, fresh_kernel):
+        # a T a beyond the ceiling raises from _compensator; once it is mended, the same noise
+        # builds its constants afresh and gives its cold rows
+        spec = PauliNoiseSpec.bit_flip(0.33)
+        cold = curve_rows(spec)
+        fresh_kernel.cache_clear()
+        with mock.patch.object(recover, "_filter_a_correlations", return_value=(0.0, 0.0, 2.0)):
+            with pytest.raises(ValueError, match="exceeds 1"):
+                sweep(spec, [0.5], "optimal")
+        assert fresh_kernel.cache_info().currsize == 0
+        assert curve_rows(spec) == cold
 
 
 class TestRatioScan:
