@@ -56,10 +56,6 @@ class FilterElement:
         object.__setattr__(self, "magnitude", float(self.magnitude))
         object.__setattr__(self, "orientation", _as_unit_tuple(self.orientation))
 
-    @property
-    def axis(self) -> np.ndarray:
-        return np.asarray(self.orientation)
-
 
 @dataclass(frozen=True)
 class PauliNoiseSpec:

@@ -116,8 +116,9 @@ def _write_text(path: str, text: str) -> None:
             os.close(fd)
 
 
-# Each JSON artifact holds the bytes of json.dumps(obj, indent=2), plus "\n" for a file,
-# written by one % fill of its layout: json.dumps of the artifact's schema, in which each
+# Each JSON artifact holds the bytes of json.dumps(obj, indent=2), plus "\n" for a file.
+# The inset file is json.dumps of its payload; every other artifact is written by one
+# % fill of its layout: json.dumps of the artifact's schema, in which each
 # number or bool is _SLOT, laid out as %s, and each string value is "%s". A slot takes
 # the value's JSON text: float.__repr__ of a float (a subclass such as np.float64 prints
 # as a plain float), int.__repr__ of an int; a plain float fills it as it is, since its
@@ -154,12 +155,6 @@ def _record_layout(size: int) -> str:
 @functools.lru_cache(maxsize=16)
 def _curves_layout(size: int) -> str:
     return _layout(sweep_to_json([_ROW] * size)) + "\n"
-
-
-@functools.lru_cache(maxsize=16)
-def _inset_layout(sizes: tuple[int, ...]) -> str:
-    series = [{"gamma_a": _SLOT, "argmax_ratio": _SLOT, "points": sweep_to_json([_ROW] * size)} for size in sizes]
-    return _layout({"noise": "%s", "p": _SLOT, "series": series}) + "\n"
 
 
 def _number(value) -> str:
@@ -206,20 +201,6 @@ def _curves_text(points) -> str:
     return _curves_layout(len(points)) % tuple(chain.from_iterable(points))
 
 
-def _inset_text(noise: str, p: float, gamma_a_values, series, best) -> str:
-    """The ``inset --format json`` payload as ``json.dumps(payload, indent=2) + "\n"`` gives it.
-
-    ``series`` holds one run of ``SweepPoint`` rows per value of
-    ``gamma_a_values``, and ``best`` the run's argmax ratio. Every number is a
-    finite Python float, as a ratio scan and argparse give them, and ``noise``
-    and the rows' strategy are plain ASCII.
-    """
-    values = [noise, p]
-    for gamma_a, rows, ratio in zip(gamma_a_values, series, best):
-        values += (gamma_a, ratio, *chain.from_iterable(rows))
-    return _inset_layout(tuple(map(len, series))) % tuple(values)
-
-
 def _report_text(noise: str, numbers, nothing_to_recover: bool) -> str:
     """The ``optimize`` report as ``json.dumps(report, indent=2)`` gives it.
 
@@ -255,7 +236,11 @@ def cmd_inset(args) -> int:
         )
         _write_text(args.output, sweep_to_csv(points) + summary)
     else:
-        _write_text(args.output, _inset_text(args.noise, args.p, gamma_a_values, series, best))
+        payload = {"noise": args.noise, "p": args.p, "series": [
+            {"gamma_a": gamma_a, "argmax_ratio": ratio, "points": sweep_to_json(run)}
+            for gamma_a, run, ratio in zip(gamma_a_values, series, best)
+        ]}
+        _write_text(args.output, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -379,7 +364,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

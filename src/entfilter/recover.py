@@ -80,7 +80,7 @@ def concurrence_after_filtering(
         raise ValueError("c0 must lie in [0, 1]")
     t = _correlation_argument(t)
     _require_diagonal(t, "correlation matrix must be diagonal (Bell-diagonal input)")
-    return _filtered_concurrence(c0, float((t @ f_a.axis) @ f_b.axis), f_a.magnitude, f_b.magnitude)
+    return _filtered_concurrence(c0, float((t @ f_a.orientation) @ f_b.orientation), f_a.magnitude, f_b.magnitude)
 
 
 def _filtered_concurrence(c0, dot, gamma_a, gamma_b) -> float:
@@ -144,7 +144,7 @@ def plan_recovery(rho, f_a: FilterElement) -> RecoveryPlan:
     _require_diagonal(
         stokes, "plan_recovery requires a Bell-diagonal state: its Stokes matrix must be diagonal within 1e-9"
     )
-    t_a = stokes[1:, 1:] @ f_a.axis
+    t_a = stokes[1:, 1:] @ f_a.orientation
     gain, orientation = _compensator(t_a, f_a.orientation)
     magnitude = float(_optimum(gain, f_a.magnitude))
     c0 = float(_concurrence(values, vectors))
@@ -270,8 +270,8 @@ def _live(coefficients):
     return live, coefficients[live]
 
 
-# The curve kernel's constants for one noise: the compensator's gain and orientation behind
-# filter A, the trace weights and the live Bloch and minor tables. Keyed by value
+# The curve kernel's constants for one noise: its p, the compensator's gain and orientation
+# behind filter A, the trace weights and the live Bloch and minor tables. Keyed by value
 # (PauliNoiseSpec is frozen and compares (axis, p)) and bounded so that a long-lived caller
 # keeps few; a raise from _compensator's ceiling is never stored. Every caller shares the
 # arrays, so they are read-only
@@ -282,10 +282,10 @@ def _kernel(noise):
     tables = (trace_weights, *_live(bloch), *_live(minors))
     for table in tables:
         table.setflags(write=False)
-    return gain, orientation, *tables
+    return noise.p, gain, orientation, *tables
 
 
-def _evaluate(noise, orientation, gamma_a, gamma_b, strategy, normalization) -> list[SweepPoint]:
+def _evaluate(kernel, gamma_a, gamma_b, strategy, normalization) -> list[SweepPoint]:
     """The curve columns (MI, C, T) of the filtered noisy pair over arrays of magnitudes.
 
     A closed form, with no eigendecomposition and no SVD. ``pauli_channel_state(noise)``
@@ -317,11 +317,10 @@ def _evaluate(noise, orientation, gamma_a, gamma_b, strategy, normalization) -> 
     monomial axis is einsum's elementwise sum of products, not a BLAS matrix product, so
     that a point's columns do not depend on how many points share the call.
 
-    ``orientation`` is the compensator's, -T a normalized, which ``_kernel(noise)``
-    built the tables for.
+    ``kernel`` is the ``_kernel(noise)`` entry of the noise, whose tables were built in
+    the frame of the compensator's orientation, -T a normalized.
     """
-    p = noise.p
-    trace_weights, first, bloch, second, minors = _kernel(noise)[2:]
+    p, _, _, trace_weights, first, bloch, second, minors = kernel
     powers = np.ones((2, 3, gamma_a.size))  # 1, x, x^2 and 1, y, y^2
     np.exp(-gamma_a, out=powers[0, 1])
     np.exp(-gamma_b, out=powers[1, 1])
@@ -370,14 +369,14 @@ def sweep(
     gamma_a = np.asarray(gamma_a_grid, dtype=float).ravel()  # a scalar is a one-point grid
     if not (gamma_a >= 0).all():
         raise ValueError("gamma_a grid values must be >= 0")
-    gain, orientation = _kernel(noise)[:2]
+    kernel = _kernel(noise)
     if strategy == "none":
         gamma_b = np.zeros_like(gamma_a)
     elif strategy == "match":
         gamma_b = gamma_a
     else:
-        gamma_b = _optimum(gain, gamma_a)
-    return _evaluate(noise, orientation, gamma_a, gamma_b, strategy, normalization)
+        gamma_b = _optimum(kernel[1], gamma_a)
+    return _evaluate(kernel, gamma_a, gamma_b, strategy, normalization)
 
 
 def ratio_scan(noise: PauliNoiseSpec, gamma_a, ratio_grid) -> list[SweepPoint]:
@@ -401,8 +400,7 @@ def ratio_scan(noise: PauliNoiseSpec, gamma_a, ratio_grid) -> list[SweepPoint]:
     finite = np.isfinite(gamma_b)
     if not finite.all():
         raise ValueError(f"gamma_b = gamma_a * ratio must be finite, got {float(gamma_b[~finite][0])}")
-    orientation = _kernel(noise)[1]
-    return _evaluate(noise, orientation, np.repeat(gamma_a, ratios.size), gamma_b, "ratio", 1.0)
+    return _evaluate(_kernel(noise), np.repeat(gamma_a, ratios.size), gamma_b, "ratio", 1.0)
 
 
 def argmax_ratio(points: list[SweepPoint], metric: str = "mutual_info") -> float:

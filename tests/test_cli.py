@@ -17,7 +17,6 @@ from entfilter.cli import (
     INSET_GAMMA_A,
     NOISE_TYPES,
     _curves_text,
-    _inset_text,
     _payload_text,
     _record_text,
     _report_text,
@@ -427,47 +426,12 @@ def test_curves_writer_matches_json_dumps(points):
     assert _curves_text(points) == json.dumps(sweep_to_json(points), indent=2) + "\n"
 
 
-_ROW = st.tuples(*[_REPORT_NUMBERS] * 5).map(lambda x: SweepPoint(x[0], x[1], "ratio", *x[2:]))
-
-
-def _inset_json(noise, p, gamma_a_values, series, best) -> str:
-    # the payload inset --format json wrote through json.dumps
-    payload = {
-        "noise": noise,
-        "p": p,
-        "series": [
-            {"gamma_a": gamma_a, "argmax_ratio": ratio, "points": sweep_to_json(rows)}
-            for gamma_a, rows, ratio in zip(gamma_a_values, series, best)
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-@hypothesis_settings(max_examples=100, deadline=None)
-@given(
-    st.sampled_from(NOISE_TYPES),
-    _REPORT_NUMBERS,
-    st.lists(
-        st.tuples(_REPORT_NUMBERS, _REPORT_NUMBERS, st.lists(_ROW, min_size=1, max_size=5)), min_size=1, max_size=4
-    ),
-)
-@example("bitflip", -0.0, [(5e-324, -0.0, [SweepPoint(1e308, -5e-324, "ratio", 0.0, -0.0, 1.0)])])
-def test_inset_writer_matches_json_dumps(noise, p, runs):
-    gamma_a_values, best, series = ([run[i] for run in runs] for i in range(3))
-    assert _inset_text(noise, p, gamma_a_values, series, best) == _inset_json(noise, p, gamma_a_values, series, best)
-
-
 def test_each_json_shape_gets_its_own_layout():
     # layouts are built once per shape and kept: in one process, a shape written after
     # another, or again after others, must get its own layout and never a neighbour's
     rows = sweep(PauliNoiseSpec.bit_flip(0.33), np.linspace(0.0, 1.2, 60), "optimal")
     for size in (0, 1, 60, 1):
         assert _curves_text(rows[:size]) == json.dumps(sweep_to_json(rows[:size]), indent=2) + "\n"
-    ragged = [rows[:3], rows[3:4], rows[4:], rows[:1]]
-    gamma_a_values, best = [0.5, 0.8, 1.0, 0.25], [0.25, 1.0, 0.75, 1.125]
-    for order in ([0, 1, 2, 3], [0], [3, 2, 1, 0], [0, 1, 2, 3]):
-        args = ("bitflip", 0.33, *([values[i] for i in order] for values in (gamma_a_values, ragged, best)))
-        assert _inset_text(*args) == _inset_json(*args)
 
 
 def test_reconstruct_reads_each_record_settings(tmp_path):
@@ -1025,6 +989,18 @@ class TestTomo:
         code = main(["tomo", "reconstruct", "--input", str(record_path), "--output", str(out)])
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [f"error: record field {missing!r}: missing"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "}")], ids=["array", "object"])
+    def test_record_nested_past_the_recursion_limit_is_runtime_error(self, tmp_path, capsys, opening, closing):
+        # json.load raises RecursionError on nesting deeper than the recursion limit
+        record_path = tmp_path / "deep.json"
+        record_path.write_text(opening * 200000 + "0" + closing * 200000)
+        out = tmp_path / "out.json"
+        code = main(["tomo", "reconstruct", "--input", str(record_path), "--output", str(out)])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not out.exists()
 
     def test_malformed_json_is_runtime_error(self, tmp_path, capsys):

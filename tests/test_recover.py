@@ -393,7 +393,7 @@ class TestOneOptimumRule:
                 plan = plan_recovery(rho, FilterElement(gamma_a, Z))
                 with mock.patch.object(recover, "_evaluate", wraps=recover._evaluate) as evaluate:
                     (point,) = sweep(spec, [gamma_a], "optimal", 1.0)
-                orientation = evaluate.call_args.args[1]
+                orientation = evaluate.call_args.args[0][2]
                 if same_t_a:
                     assert repr((plan.gamma_b_opt, plan.orientation_b)) == repr((point.gamma_b, orientation))
                 else:
@@ -540,7 +540,7 @@ class TestCurveKernel:
         with mock.patch.object(recover, "_evaluate", wraps=recover._evaluate) as evaluate:
             points = sweep(spec, np.linspace(0.0, 3.0, 7), "optimal", 1.0)
             points += ratio_scan(spec, 0.857, np.linspace(0.0, 2.0, 7))
-        assert {repr(call.args[1]) for call in evaluate.call_args_list} == {"(-1.0, 0.0, 0.0)"}
+        assert {repr(call.args[0][2]) for call in evaluate.call_args_list} == {"(-1.0, 0.0, 0.0)"}
         for point in points:
             expected = self.public_chain(rho, point, (-1.0, 0.0, 0.0), 1.0)
             got = (point.mutual_info, point.concurrence, point.transmission)
@@ -628,7 +628,7 @@ class TestClosedFormSetUp:
         # a last-bit difference in T a moves the direction of -T a by up to that over
         # ||T a||, and the optimum atanh(||T a|| tanh gA) by up to that times its slope
         gain = math.hypot(*t_a)
-        orientation = evaluate.call_args.args[1]
+        orientation = evaluate.call_args.args[0][2]
         expected = compensator_orientation(t, Z)
         assert np.abs(np.subtract(orientation, expected)).max() <= (1e-15 / min(gain, 1.0) if gain else 0.0)
         slope = math.tanh(gamma_a) / (1 - (min(gain, 1.0) * math.tanh(gamma_a)) ** 2)
@@ -653,7 +653,7 @@ class TestClosedFormSetUp:
         assert _filter_a_correlations(spec) == (0.0, 0.0, 0.0)
         with mock.patch.object(recover, "_evaluate", wraps=recover._evaluate) as evaluate:
             scan(spec)
-        assert evaluate.call_args.args[1] == MINUS_Z
+        assert evaluate.call_args.args[0][2] == MINUS_Z
         assert _compensator((0.0, 0.0, 9e-13), Z) == (9e-13, MINUS_Z)
         assert _compensator((0.0, 0.0, -2e-12), Z) == (2e-12, Z)
 
@@ -726,9 +726,21 @@ class TestKernelCache:
             ratio_scan(PauliNoiseSpec.bit_flip(0.5), 0.857, [0.5, 1.0])
             assert coefficients.call_count == 2
         for spec in (PauliNoiseSpec.bit_flip(0.33), PauliNoiseSpec.bit_flip(0.5)):
-            tables = fresh_kernel(spec)[2:]
+            tables = fresh_kernel(spec)[3:]
             assert len(tables) == 5 and not any(table.flags.writeable for table in tables)
         assert fresh_kernel.cache_info().currsize == 2
+
+    @pytest.mark.parametrize(
+        "scan",
+        [*(functools.partial(sweep, gamma_a_grid=[0.0, 0.857], strategy=s) for s in STRATEGIES),
+         functools.partial(ratio_scan, gamma_a=[0.5, 0.857], ratio_grid=[0.5, 1.0])],
+        ids=[*STRATEGIES, "ratio_scan"],
+    )
+    def test_each_call_looks_its_noise_up_once(self, fresh_kernel, scan):
+        with mock.patch.object(recover, "_kernel", wraps=recover._kernel) as kernel:
+            for _ in range(2):  # cold, then warm
+                scan(PauliNoiseSpec.bit_flip(0.33))
+        assert kernel.call_count == 2
 
     def test_a_raise_is_not_cached(self, fresh_kernel):
         # a T a beyond the ceiling raises from _compensator; once it is mended, the same noise
