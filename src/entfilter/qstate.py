@@ -189,8 +189,10 @@ def concurrence(rho) -> float:
     is within about 4e-14 of a 40-digit reference up to gamma_a = 3, but up
     to 1.6e-8 off where filtering leaves the pair nearly pure, since
     ``matrix_sqrt_psd`` takes square roots of roundoff-level eigenvalues.
-    The result is clipped to [0, 1], since roundoff lifts maximally
-    entangled states a few ulps above 1.
+    The states the library filters itself avoid that floor: ``recover`` takes
+    their concurrence by the local-filter rule, e^(-gA-gB) C / T with C that
+    of the unfiltered state. The result is clipped to [0, 1], since roundoff
+    lifts maximally entangled states a few ulps above 1.
     """
     _, values, vectors = _spectrum(rho)
     return float(_concurrence(values, vectors))

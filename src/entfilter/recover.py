@@ -1,16 +1,25 @@
 """Compensating-filter optimization and the sweep engine.
 
-For a Bell-diagonal state with concurrence C0 and diagonal Stokes correlation
-matrix T, local filters of magnitudes gA, gB along unit vectors a, b leave a
-state with concurrence
+One rule gives the concurrence of every filtered state. A local filter scales the
+concurrence by the modulus of its determinant (Verstraete, Dehaene & De Moor, PRA 64,
+010101(R), 2001), and the normalized filters e^(-g/2) P have determinant e^(-g). So a
+two-qubit state of concurrence C0 that passes filters of magnitudes gA, gB with
+transmission T is left with
 
-    C = C0 / (cosh(gA) cosh(gB) + (T a . b) sinh(gA) sinh(gB)),
+    C' = |det F_A| |det F_B| C0 / T = e^(-gA-gB) C0 / T,
 
-so the best channel-B filter points along -T a and has magnitude
-atanh(||T a|| tanh(gA)). The sweep and ratio-scan drivers evaluate mutual
-information, concurrence and transmission along the curves an experiment
-would trace out, the whole curve at once, from the closed form of
-``_evaluate``. A row is a :class:`SweepPoint` tuple of the artifact columns.
+and C' T = e^(-gA-gB) C0 depends on neither orientation (``average_entanglement``).
+For a Bell-diagonal state with diagonal correlation matrix t and filters along unit
+vectors a, b, T = [(1+d)(1+xy) + (1-d)(x+y)]/4 with x, y = e^(-2gA), e^(-2gB) and
+d = t a . b (``concurrence_after_filtering``, ``plan_recovery``); the noisy ``phi+``
+has C0 = 1 - p for every noise axis (the C column of ``_evaluate``). At fixed
+magnitudes C' is largest where d is smallest, so the best channel-B filter points
+along -t a; its best magnitude is atanh(||t a|| tanh(gA)).
+
+The sweep and ratio-scan drivers evaluate mutual information, concurrence and
+transmission along the curves an experiment would trace out, the whole curve at
+once, from the closed form of ``_evaluate``. A row is a :class:`SweepPoint` tuple
+of the artifact columns.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import FilterElement, PauliNoiseSpec, Z_AXIS, apply_filters
+from .channel import FilterElement, PauliNoiseSpec, Z_AXIS
 from .channel import _transmission
 from .qstate import concurrence, unit_stokes_vector
 from .qstate import _PAULI_BASIS, _concurrence, _entropy_bits, _expectations, _information_bits, _spectrum
@@ -71,10 +80,12 @@ def concurrence_after_filtering(
     """Closed-form concurrence of a filtered Bell-diagonal state.
 
     ``c0`` is the concurrence and ``t`` the diagonal correlation matrix of the
-    unfiltered state, a finite real 3x3 array. Agrees with the Wootters
-    concurrence of the numerically filtered state to within roundoff. Evaluated divided through by e^(gA+gB),
-    with x, y = e^(-2gA), e^(-2gB) and d = T a . b, as 4 c0 e^(-gA-gB) /
-    [(1+d)(1+xy) + (1-d)(x+y)]: no term overflows or, for |d| <= 1, cancels.
+    unfiltered state, a finite real 3x3 array. The module's rule
+    C' = e^(-gA-gB) c0 / T with the Bell-diagonal T written out, evaluated as
+    4 c0 e^(-gA-gB) / [(1+d)(1+xy) + (1-d)(x+y)]: no term overflows or, for
+    |d| <= 1, cancels. A ``c0`` within roundoff of [0, 1] is clamped to it.
+    Agrees with the Wootters concurrence of the numerically filtered state to
+    within roundoff.
     """
     if not -1e-12 <= c0 <= 1.0 + 1e-9:
         raise ValueError("c0 must lie in [0, 1]")
@@ -84,13 +95,14 @@ def concurrence_after_filtering(
 
 
 def _filtered_concurrence(c0, dot, gamma_a, gamma_b) -> float:
-    # the closed form of concurrence_after_filtering, from c0 and d = T a . b of a checked
-    # Bell-diagonal state
+    # the rule C' = e^(-gA-gB) C0 / T of a checked Bell-diagonal state, from its C0 clamped
+    # to [0, 1] against roundoff and d = t a . b. four_t is 4T; the numerator 4 C0 e^(-gA-gB)
+    # keeps two more bits than C0 e^(-gA-gB) where that is subnormal (gA + gB past ~703)
     x, y = np.exp(-2 * gamma_a), np.exp(-2 * gamma_b)
-    denom = (1 + dot) * (1 + x * y) + (1 - dot) * (x + y)
-    if denom <= 0:
+    four_t = (1 + dot) * (1 + x * y) + (1 - dot) * (x + y)
+    if four_t <= 0:
         raise ValueError("unphysical filter configuration (denominator <= 0)")
-    return float(4 * max(0.0, c0) * np.exp(-gamma_a - gamma_b) / denom)
+    return float(4 * min(max(0.0, c0), 1.0) * np.exp(-gamma_a - gamma_b) / four_t)
 
 
 def _require_diagonal(matrix, message: str) -> None:
@@ -309,8 +321,9 @@ def _evaluate(kernel, gamma_a, gamma_b, strategy, normalization) -> list[SweepPo
       det G / larger, the determinant taken by Cauchy-Binet as a sum of squared 2x2
       minors: a non-negative combination of the squared monomials over T^2, in which
       nothing cancels where the pair is nearly pure;
-    * C = |det F_A| |det F_B| C0 / T = (1 - p) x y / T, with C0 = 1 - p for every noise
-      axis (the Wootters concurrence, PRL 80, 2245, 1998), capped at 1 against roundoff.
+    * C, the module's rule |det F_A| |det F_B| C0 / T with |det F_A| |det F_B| = x y and
+      C0 = 1 - p, the Wootters concurrence (PRL 80, 2245, 1998) of the noisy pair for
+      every noise axis: (1 - p) times the monomial x y over T, capped at 1 against roundoff.
 
     One rule keeps the monomials finite in a product: a monomial whose coefficients are
     all zero is dropped before it is multiplied (``_live``). Every sum over the short
@@ -419,13 +432,15 @@ def argmax_ratio(points: list[SweepPoint], metric: str = "mutual_info") -> float
 
 
 def average_entanglement(rho_in, f_a: FilterElement, f_b: FilterElement) -> float:
-    """Concurrence times transmission of the filtered pair.
+    """Concurrence times transmission of the filtered pair, e^(-gA-gB) C(rho).
 
-    Invariant under rotations of either filter orientation at fixed
-    magnitudes, which is the rate-vs-quality tradeoff of local filtering.
+    The module's rule C' T = e^(-gA-gB) C0, so no filtered pair is formed: the
+    input is validated and decomposed once, by ``concurrence``. Independent of
+    either filter orientation at fixed magnitudes, which is the rate-vs-quality
+    tradeoff of local filtering. Filters that block the state raise no
+    ``FilterBlockedError``: the product is returned, 0.0 once it underflows.
     """
-    rho_f, transmission = apply_filters(rho_in, f_a, f_b)
-    return concurrence(rho_f) * transmission
+    return math.exp(-f_a.magnitude - f_b.magnitude) * concurrence(rho_in)
 
 
 def sweep_to_csv(points: list[SweepPoint]) -> str:

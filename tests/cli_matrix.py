@@ -152,6 +152,10 @@ def library_readers():
         ("coincidence_probability", lambda rho: tomo.coincidence_probability(rho, ef.standard_settings())),
         ("apply_filters", lambda rho: ef.apply_filters(rho, f_a, f_b)),
         ("plan_recovery", lambda rho: repr(ef.plan_recovery(rho, f_a))),
+        ("average_entanglement", lambda rho: ef.average_entanglement(rho, f_a, f_b)),
+        # the C0 and correlation matrix of each state: one not Bell-diagonal records the raise
+        ("concurrence_after_filtering", lambda rho: ef.concurrence_after_filtering(
+            ef.concurrence(rho), ef.correlation_matrix(rho), f_a, f_b)),
     ]
 
 

@@ -42,7 +42,9 @@ MUTANTS = [
     ("_LOG_BLOCKED_TRACE log 1e-14 -> log 1e-16", "channel.py",
      "_LOG_BLOCKED_TRACE = np.log(1e-14)", "_LOG_BLOCKED_TRACE = np.log(1e-16)"),
     ("concurrence_after_filtering c0 floor at 0 removed", "recover.py",
-     "4 * max(0.0, c0)", "4 * c0"),
+     "min(max(0.0, c0), 1.0)", "min(c0, 1.0)"),
+    ("concurrence_after_filtering c0 cap at 1 removed", "recover.py",
+     "min(max(0.0, c0), 1.0)", "max(0.0, c0)"),
     ("concurrence_after_filtering c0 window -1e-12 -> -1e-9", "recover.py",
      "-1e-12 <= c0", "-1e-9 <= c0"),
     ("Bell-diagonal rule checks only row and column 0", "recover.py",
@@ -112,7 +114,9 @@ MUTANTS = [
     ("_transmission subnormal rule removed", "channel.py",
      "if lowest < _TINY:", "if False:"),
     ("plan_recovery's closed form loses its denominator guard", "recover.py",
-     "if denom <= 0:", "if denom < 0:"),
+     "if four_t <= 0:", "if four_t < 0:"),
+    ("average_entanglement drops filter B's magnitude from the rule's exponent", "recover.py",
+     "math.exp(-f_a.magnitude - f_b.magnitude)", "math.exp(-f_a.magnitude)"),
     ("as_matrix accepts (N, 4, 4) stacks again", "qmat.py",
      "a.shape != (4, 4)", "a.shape[-2:] != (4, 4)"),
     ("record reader's type test admits bool", "tomo.py",

@@ -133,6 +133,14 @@ class TestConcurrenceAfterFiltering:
         # c0 down to -1e-12 is accepted as the roundoff of a separable state's concurrence
         assert concurrence_after_filtering(-1e-13, _T, _F_A, _F_B) == 0.0
 
+    def test_roundoff_c0_above_one_gives_the_bits_of_one(self):
+        # c0 up to 1 + 1e-9 is the roundoff of a maximally entangled state, clamped to 1
+        # as roundoff below 0 is clamped to 0
+        t = np.diag([1.0, -1.0, 1.0])
+        for f_a, f_b in ((FilterElement(0.0, Z), FilterElement(0.0, MINUS_Z)), (_F_A, _F_B)):
+            capped = concurrence_after_filtering(1.0 + 5e-10, t, f_a, f_b)
+            assert capped.hex() == concurrence_after_filtering(1.0, t, f_a, f_b).hex()
+
     def test_matches_brute_force_on_random_rank2_states(self):
         rng = np.random.default_rng(101)
         for _ in range(200):
@@ -855,6 +863,48 @@ class TestAverageEntanglement:
             for _ in range(40)
         ]
         assert max(values) - min(values) < 1e-9
+
+    def test_matches_the_matrix_path_on_random_states(self):
+        # e^(-gA-gB) C(rho) against the Wootters concurrence of the numerically filtered pair
+        # times its transmission, so the filter path stays checked against the rule
+        rng = np.random.default_rng(31)
+        for i in range(400):
+            rank = 1 + i % 4
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            rho = g @ g.conj().T
+            rho /= rho.trace().real
+            f_a = FilterElement(rng.uniform(0.0, 6.0), tuple(random_unit_vector(rng)))
+            f_b = FilterElement(rng.uniform(0.0, 6.0), tuple(random_unit_vector(rng)))
+            rho_f, transmission = apply_filters(rho, f_a, f_b)
+            assert abs(average_entanglement(rho, f_a, f_b) - concurrence(rho_f) * transmission) <= 1e-10
+
+    def test_orientations_do_not_move_a_bit(self):
+        rng = np.random.default_rng(44)
+        rho = pauli_channel_state(BITFLIP)
+        values = {
+            average_entanglement(
+                rho,
+                FilterElement(0.857, tuple(random_unit_vector(rng))),
+                FilterElement(0.61, tuple(random_unit_vector(rng))),
+            ).hex()
+            for _ in range(50)
+        }
+        assert len(values) == 1
+
+    def test_decomposes_its_input_once(self, monkeypatch):
+        rho = pauli_channel_state(BITFLIP)
+        shapes = record_eigh_shapes(monkeypatch)
+        average_entanglement(rho, FilterElement(0.857, Z), FilterElement(0.61, MINUS_Z))
+        assert shapes == [(4, 4)]
+
+    def test_blocking_filters_give_zero_not_filter_blocked_error(self):
+        # opposed filters of 400 leave phi+ a trace e^-800, which underflows to 0: the
+        # matrix path raises FilterBlockedError there, the rule gives its product
+        phi = bell_state("phi+")
+        f_a, f_b = FilterElement(400.0, Z), FilterElement(400.0, MINUS_Z)
+        with pytest.raises(FilterBlockedError):
+            apply_filters(phi, f_a, f_b)
+        assert average_entanglement(phi, f_a, f_b) == 0.0
 
 
 class TestMaximizerProperty:
