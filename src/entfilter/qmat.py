@@ -68,6 +68,7 @@ def partial_trace(m: np.ndarray) -> np.ndarray:
     return terms[..., 0] + terms[..., 1]
 
 
+# no library code calls it; it stays while bench/tracing.py's LAYERS, run by CI's bench-gates job, names it
 def matrix_sqrt_psd(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive-semidefinite matrix or stack.
 

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import qmat
-from .qmat import _dagger, hermitian_eig, kron, matrix_sqrt_psd, partial_trace
+from .qmat import _dagger, hermitian_eig, kron, partial_trace
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -26,9 +26,9 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 # _PAULI_BASIS[mu, nu] = sigma_mu x sigma_nu, mu and nu over the identity, x, y, z:
 # the one two-qubit Pauli basis, whose [1:, 1:] block gives the correlation matrix
 _PAULI_BASIS = np.array([[kron(s, t) for t in (IDENTITY_2, *PAULIS)] for s in (IDENTITY_2, *PAULIS)])
-# A @ (sigma_y x sigma_y) reverses the columns of A and negates the first and last:
-# A[..., ::-1] * _SPIN_FLIP_SIGNS
-_SPIN_FLIP_SIGNS = np.array([-1, 1, 1, -1], dtype=complex)
+# (sigma_y x sigma_y) @ A reverses the rows of A and negates the first and last:
+# A[..., ::-1, :] * _SPIN_FLIP_SIGNS
+_SPIN_FLIP_SIGNS = np.array([[-1], [1], [1], [-1]], dtype=float)
 
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 # the computational basis, in the order of a state's rows and columns
@@ -180,28 +180,31 @@ def _information_bits(s_a, s_b, s_ab) -> np.ndarray:
 def concurrence(rho) -> float:
     """Wootters concurrence max(0, l1 - l2 - l3 - l4) of a two-qubit state.
 
-    The l_i are the descending square roots of the eigenvalues of the
-    Hermitian product sqrt(rho) rho_tilde sqrt(rho), where
-    rho_tilde = (sigma_y x sigma_y) rho* (sigma_y x sigma_y). They are
-    evaluated here as the singular values of
-    K = sqrt(rho) (sigma_y x sigma_y) sqrt(rho)*, which satisfies
-    K K^dagger = sqrt(rho) rho_tilde sqrt(rho). On filtered noisy pairs this
-    is within about 4e-14 of a 40-digit reference up to gamma_a = 3, but up
-    to 1.6e-8 off where filtering leaves the pair nearly pure, since
-    ``matrix_sqrt_psd`` takes square roots of roundoff-level eigenvalues.
-    The states the library filters itself avoid that floor: ``recover`` takes
-    their concurrence by the local-filter rule, e^(-gA-gB) C / T with C that
-    of the unfiltered state. The result is clipped to [0, 1], since roundoff
-    lifts maximally entangled states a few ulps above 1.
+    The l_i are the descending square roots of the eigenvalues of
+    rho rho_tilde, where rho_tilde = (sigma_y x sigma_y) rho* (sigma_y x sigma_y)
+    (Wootters, PRL 80, 2245, 1998). They are evaluated here as the singular
+    values of the 4x4 matrix X^T (sigma_y x sigma_y) X, with X = V sqrt(w) the
+    factor rho = X X^dagger that the state's own eigendecomposition gives
+    (Uhlmann, PRA 62, 032307, 2000): no matrix square root is formed. Over
+    4,000 random filtered noisy pairs this is within 3e-15 of a 40-digit
+    reference up to gamma_a = 3, but up to 1.1e-8 off where filtering leaves
+    the pair nearly pure (bit flip, p = 0.0025, matched filters at
+    gamma_a = 9.6, C = 8.0e-6), since the factor takes square roots of
+    roundoff-level eigenvalues. The states the library filters itself avoid
+    that floor: ``recover`` takes their concurrence by the local-filter rule,
+    e^(-gA-gB) C / T with C that of the unfiltered state. The result is
+    clipped to [0, 1], since roundoff can lift maximally entangled states
+    above 1.
     """
     _, values, vectors = _spectrum(rho)
     return float(_concurrence(values, vectors))
 
 
 def _concurrence(values, vectors) -> np.ndarray:
-    # concurrence of validated states from their hermitian_eig decomposition
-    root = matrix_sqrt_psd(values, vectors)
-    lam = np.linalg.svd((root[..., ::-1] * _SPIN_FLIP_SIGNS) @ root.conj(), compute_uv=False)
+    # concurrence of validated states from their hermitian_eig decomposition, through the
+    # factor X = V sqrt(values) of rho = X X^dagger, roundoff-negative eigenvalues taken as 0
+    factor = vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]
+    lam = np.linalg.svd(factor.swapaxes(-1, -2) @ (factor[..., ::-1, :] * _SPIN_FLIP_SIGNS), compute_uv=False)
     return np.clip(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0, 1.0)
 
 

@@ -11,8 +11,10 @@ transmission T is left with
 and C' T = e^(-gA-gB) C0 depends on neither orientation (``average_entanglement``).
 For a Bell-diagonal state with diagonal correlation matrix t and filters along unit
 vectors a, b, T = [(1+d)(1+xy) + (1-d)(x+y)]/4 with x, y = e^(-2gA), e^(-2gB) and
-d = t a . b (``concurrence_after_filtering``, ``plan_recovery``); the noisy ``phi+``
-has C0 = 1 - p for every noise axis (the C column of ``_evaluate``). At fixed
+d = t a . b (``concurrence_after_filtering``, ``plan_recovery``). Its eigenvalues are
+its Bell weights, and its one C0 rule is C0 = max(0, 2 w_max - 1) with w_max the largest
+of them (``plan_recovery``): the noisy ``phi+`` has w_max = 1 - p/2, so C0 = 1 - p for
+every noise axis (the C column of ``_evaluate``). At fixed
 magnitudes C' is largest where d is smallest, so the best channel-B filter points
 along -t a; its best magnitude is atanh(||t a|| tanh(gA)).
 
@@ -35,7 +37,7 @@ import numpy as np
 from .channel import FilterElement, PauliNoiseSpec, Z_AXIS
 from .channel import _transmission
 from .qstate import concurrence, unit_stokes_vector
-from .qstate import _PAULI_BASIS, _concurrence, _entropy_bits, _expectations, _information_bits, _spectrum
+from .qstate import _PAULI_BASIS, _entropy_bits, _expectations, _information_bits, _spectrum
 
 #: Stokes direction of the channel-A inherent filter. |H> of photon A defines
 #: +z, so the filter favoring |H> points along +z.
@@ -147,11 +149,12 @@ def plan_recovery(rho, f_a: FilterElement) -> RecoveryPlan:
     ValueError rather than getting a wrong prediction. A separable input
     (zero concurrence) yields a plan flagged ``nothing_to_recover``, with a
     predicted concurrence of 0: filtering cannot create entanglement. Its
-    filter B is still the one a sweep gives. The optimum and the predicted
-    concurrence are those of ``optimal_magnitude`` and
-    ``concurrence_after_filtering``.
+    filter B is still the one a sweep gives. C0 = 2 w_max - 1 comes from the
+    largest eigenvalue w_max of the state, which is its largest Bell weight,
+    so no Wootters is run. The optimum and the predicted concurrence are
+    those of ``optimal_magnitude`` and ``concurrence_after_filtering``.
     """
-    rho, values, vectors = _spectrum(rho)
+    rho, values, _ = _spectrum(rho)
     stokes = _expectations(rho, _PAULI_BASIS)
     _require_diagonal(
         stokes, "plan_recovery requires a Bell-diagonal state: its Stokes matrix must be diagonal within 1e-9"
@@ -159,7 +162,7 @@ def plan_recovery(rho, f_a: FilterElement) -> RecoveryPlan:
     t_a = stokes[1:, 1:] @ f_a.orientation
     gain, orientation = _compensator(t_a, f_a.orientation)
     magnitude = float(_optimum(gain, f_a.magnitude))
-    c0 = float(_concurrence(values, vectors))
+    c0 = 2 * float(values[0]) - 1
     if c0 <= 0.0:
         return RecoveryPlan(magnitude, orientation, 0.0, nothing_to_recover=True)
     predicted = _filtered_concurrence(c0, float(t_a @ orientation), f_a.magnitude, magnitude)

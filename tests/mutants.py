@@ -35,6 +35,8 @@ MUTANTS = [
      "np.maximum(entropy, 0.0)", "np.maximum(0.0, entropy)"),
     ("entropy drops positive eigenvalues below 1e-12 again", "qstate.py",
      "np.where(values > 0.0, values, 1.0)", "np.where(values > 1e-12, values, 1.0)"),
+    ("concurrence factor keeps roundoff-negative eigenvalues, whose roots are NaN", "qstate.py",
+     "np.sqrt(np.clip(values, 0.0, None))", "np.sqrt(values)"),
     ("transmission cap at 1 removed", "channel.py",
      "np.minimum(1.0, trace)", "trace"),
     ("_LOG_BLOCKED_TRACE log 1e-14 -> log 1e-12", "channel.py",
@@ -89,6 +91,8 @@ MUTANTS = [
      "c0 <= 1.0 + 1e-9", "c0 <= 1.0"),
     ("_compensator ||T a|| ceiling 1 + 1e-9 -> 1 + 1e-6", "recover.py",
      "gain > 1.0 + 1e-9", "gain > 1.0 + 1e-6"),
+    ("plan_recovery's C0 is the largest Bell weight, not 2 w_max - 1", "recover.py",
+     "c0 = 2 * float(values[0]) - 1", "c0 = float(values[0])"),
     ("plan_recovery gives filter B magnitude 0 again where C0 = 0", "recover.py",
      "return RecoveryPlan(magnitude, orientation, 0.0, nothing_to_recover=True)",
      "return RecoveryPlan(0.0, orientation, 0.0, nothing_to_recover=True)"),

@@ -123,8 +123,8 @@ PINNED_JSON_SHA256 = {
 }
 # SHA-256 of the report `optimize` prints.
 PINNED_OPTIMIZE_SHA256 = {
-    "bitflip": "8d12217e79176709a997a6002bf0fabeb2e9ee3ed6bcd42ec5f7838da112acb1",
-    "phaseflip": "c4897f13556567ca4152346de3c0f2e6b20b48103e2cfac0bbc08b27a25f51b7",
+    "bitflip": "35804d5acd82dbd3c803668f8f18c9b16da4eecd9252ea5d24e6f563e9d5ebe9",
+    "phaseflip": "5d7617d3f6fcff1d4d3c31f552081fa05fbdd53b04a154321291d09a698a4bba",
 }
 
 

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 from unittest import mock
 
@@ -7,13 +8,14 @@ import pytest
 from hypothesis import given, settings as hypothesis_settings, strategies as st
 
 from entfilter import channel, recover
+from entfilter.cli import main
 from entfilter.channel import FilterBlockedError, FilterElement, PauliNoiseSpec, apply_filters, filter_operator
 from entfilter.channel import pauli_channel_state
 from entfilter.channel import _filter_pair
 from entfilter.qmat import hermitian_eig
 from entfilter.qstate import SIGMA_X, SIGMA_Y, SIGMA_Z, bell_state, concurrence, correlation_matrix
 from entfilter.qstate import fidelity_pure, mutual_information, unit_stokes_vector, validate_density_matrix
-from entfilter.qstate import _PAULI_BASIS, _concurrence, _spectrum
+from entfilter.qstate import BELL_LABELS, _PAULI_BASIS, _spectrum
 from entfilter.recover import (
     CSV_HEADER,
     STRATEGIES,
@@ -270,6 +272,30 @@ class TestPlanRecovery:
         plan_recovery(rho, FilterElement(0.857, Z))
         assert shapes == [(4, 4)]
 
+    def test_makes_no_svd(self, monkeypatch):
+        # C0 = 2 w_max - 1 from the spectrum the validation took: no Wootters SVD
+        svds = count_calls(monkeypatch, np.linalg, "svd")
+        plan_recovery(pauli_channel_state(BITFLIP), FilterElement(0.857, Z))
+        assert svds == []
+
+    @pytest.mark.parametrize("gamma_a", [0.0, 0.857])
+    @pytest.mark.parametrize("label", BELL_LABELS)
+    def test_bell_states_predict_exactly_one(self, label, gamma_a):
+        # w_max = 1 gives C0 = 1, and the compensator matches filter A, so C' = C0 to the bit
+        plan = plan_recovery(bell_state(label), FilterElement(gamma_a, Z))
+        assert plan.gamma_b_opt == gamma_a
+        assert plan.predicted_concurrence == 1.0
+
+    @pytest.mark.parametrize("noise", ["bitflip", "phaseflip"])
+    def test_optimize_prediction_matches_oracle(self, capsys, noise):
+        # the report's predicted concurrence at its own gamma_b against the 40-digit oracle
+        for p in (0.0, 0.01, 0.1, 0.33, 0.5, 0.9, 0.99):
+            for gamma_a in (0.0, 0.1, 0.5, 0.857, 1.0, 2.0, 5.0, 10.0, 30.0):
+                assert main(["optimize", "--noise", noise, "--p", repr(p), "--gamma-a", repr(gamma_a)]) == 0
+                report = json.loads(capsys.readouterr().out)
+                expected = filtered_pair(noise, p, gamma_a, report["gamma_b_opt"])[1]
+                assert abs(report["predicted_concurrence"] - expected) <= 4e-15 * expected
+
     @pytest.mark.parametrize("weight", [0.7, 0.5])
     def test_rejects_state_with_local_polarization(self, weight):
         # psi- mixed with |HH><HH| has diagonal T but local Stokes vectors along z;
@@ -324,15 +350,16 @@ class TestPlanRecovery:
 
 def wrapper_plan(rho, f_a):
     # plan_recovery through the public closed forms, which check T again, and a filter B:
-    # the optimal magnitude at every state, and a predicted concurrence only where C0 > 0
-    rho, values, vectors = _spectrum(rho)
+    # the optimal magnitude at every state, and a predicted concurrence only where
+    # C0 = 2 w_max - 1, w_max the largest eigenvalue, is > 0
+    rho, values, _ = _spectrum(rho)
     stokes = (rho @ _PAULI_BASIS).trace(axis1=-2, axis2=-1).real
     if np.max(np.abs(stokes - np.diag(np.diag(stokes)))) > 1e-9:
         raise ValueError(
             "plan_recovery requires a Bell-diagonal state: its Stokes matrix must be diagonal within 1e-9"
         )
     t = stokes[1:, 1:]
-    c0 = float(_concurrence(values, vectors))
+    c0 = 2 * float(values[0]) - 1
     orientation = compensator_orientation(t, f_a.orientation)
     magnitude = optimal_magnitude(t, f_a.orientation, f_a.magnitude)
     if c0 <= 0.0:
