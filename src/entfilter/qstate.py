@@ -7,10 +7,17 @@ Conventions, used consistently across the package:
   Stokes space;
 * entropies are base-2 (bits);
 * a public function takes one 4x4 two-qubit state (``qmat.as_matrix``).
+
+Each distinct state, taken by its bits, is judged and decomposed once per
+process, within the 128 most recent: every public function that takes a state
+shares one memo of its checked, averaged matrix and eigendecomposition, whose
+arrays are shared read-only. Invalid input is never remembered; it raises on
+every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -106,9 +113,13 @@ def validate_density_matrix(rho) -> np.ndarray:
     with its conjugate transpose, and the eigendecomposition its positivity
     check takes gives that function's entropy, mutual information and
     concurrence. Nothing after it, the ``qmat`` kernels included, checks the
-    state again. What the library builds from its own pairs, such as a
-    filtered pair, and the estimates ``reconstruct`` projects are exactly
-    Hermitian, decomposed once by ``qmat.hermitian_eig`` and never judged.
+    state again. Each distinct state, taken by its bits, is judged and
+    decomposed once per process, within the 128 most recent, and every public
+    function shares that averaged matrix and decomposition read-only; invalid
+    input is never remembered, so it raises on every call. What the library
+    builds from its own pairs, such as a filtered pair, and the estimates
+    ``reconstruct`` projects are exactly Hermitian, decomposed once by
+    ``qmat.hermitian_eig`` and never judged.
     """
     rho = qmat.as_matrix(rho)
     _spectrum(rho)
@@ -117,8 +128,16 @@ def validate_density_matrix(rho) -> np.ndarray:
 
 def _spectrum(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # validate_density_matrix, returning (rho, values, vectors): the averaged state and the
-    # hermitian_eig decomposition its positivity check takes
-    rho = qmat.as_matrix(rho)
+    # hermitian_eig decomposition its positivity check takes, read-only and remembered by
+    # the bits of the coerced state (C-order complex128, so -0.0 and 0.0 differ)
+    return _judged_spectrum(qmat.as_matrix(rho).tobytes())
+
+
+@functools.lru_cache(maxsize=128)
+def _judged_spectrum(key: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # _spectrum of the state whose bytes are key; lru_cache stores no exception, so an
+    # invalid state is judged, and raises, on every call
+    rho = np.frombuffer(key, dtype=complex).reshape(4, 4)
     dagger = _dagger(rho)
     # Frobenius distance of the matrix from its conjugate transpose
     defect = rho - dagger
@@ -131,6 +150,8 @@ def _spectrum(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     values, vectors = hermitian_eig(rho)
     if values[-1] < -PSD_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {values[-1]:.3e}")
+    for array in (rho, values, vectors):  # every caller shares them
+        array.setflags(write=False)
     return rho, values, vectors
 
 

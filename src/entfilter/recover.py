@@ -151,7 +151,8 @@ def plan_recovery(rho, f_a: FilterElement) -> RecoveryPlan:
     predicted concurrence of 0: filtering cannot create entanglement. Its
     filter B is still the one a sweep gives. C0 = 2 w_max - 1 comes from the
     largest eigenvalue w_max of the state, which is its largest Bell weight,
-    so no Wootters is run. The optimum and the predicted concurrence are
+    so no Wootters is run; a C0 of at most 1e-12, roundoff of a largest
+    weight 1/2, counts as 0. The optimum and the predicted concurrence are
     those of ``optimal_magnitude`` and ``concurrence_after_filtering``.
     """
     rho, values, _ = _spectrum(rho)
@@ -163,7 +164,7 @@ def plan_recovery(rho, f_a: FilterElement) -> RecoveryPlan:
     gain, orientation = _compensator(t_a, f_a.orientation)
     magnitude = float(_optimum(gain, f_a.magnitude))
     c0 = 2 * float(values[0]) - 1
-    if c0 <= 0.0:
+    if c0 <= 1e-12:
         return RecoveryPlan(magnitude, orientation, 0.0, nothing_to_recover=True)
     predicted = _filtered_concurrence(c0, float(t_a @ orientation), f_a.magnitude, magnitude)
     return RecoveryPlan(magnitude, orientation, predicted)

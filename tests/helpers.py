@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from entfilter import qstate
 from entfilter.qstate import bell_state
 
 BELL_PROJECTORS = tuple(bell_state(label) for label in ("phi+", "phi-", "psi+", "psi-"))
@@ -47,7 +48,12 @@ def random_bell_diagonal(rng: np.random.Generator) -> np.ndarray:
 
 
 def record_eigh_shapes(monkeypatch) -> list[tuple[int, ...]]:
-    """Patch numpy's Hermitian eigensolvers to append each argument's shape to the returned list."""
+    """Patch numpy's Hermitian eigensolvers to append each argument's shape to the returned list.
+
+    The memo of judged states is emptied first, so the count is that of a cold process,
+    whichever tests ran before.
+    """
+    qstate._judged_spectrum.cache_clear()
     shapes = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)

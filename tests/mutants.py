@@ -93,6 +93,10 @@ MUTANTS = [
      "gain > 1.0 + 1e-9", "gain > 1.0 + 1e-6"),
     ("plan_recovery's C0 is the largest Bell weight, not 2 w_max - 1", "recover.py",
      "c0 = 2 * float(values[0]) - 1", "c0 = float(values[0])"),
+    ("plan_recovery's C0 roundoff bound removed", "recover.py",
+     "if c0 <= 1e-12:", "if c0 <= 0.0:"),
+    ("plan_recovery's C0 roundoff bound 1e-12 -> 1e-10", "recover.py",
+     "if c0 <= 1e-12:", "if c0 <= 1e-10:"),
     ("plan_recovery gives filter B magnitude 0 again where C0 = 0", "recover.py",
      "return RecoveryPlan(magnitude, orientation, 0.0, nothing_to_recover=True)",
      "return RecoveryPlan(0.0, orientation, 0.0, nothing_to_recover=True)"),
@@ -121,6 +125,10 @@ MUTANTS = [
      "if four_t <= 0:", "if four_t < 0:"),
     ("average_entanglement drops filter B's magnitude from the rule's exponent", "recover.py",
      "math.exp(-f_a.magnitude - f_b.magnitude)", "math.exp(-f_a.magnitude)"),
+    ("state memo keyed by the real parts' bytes alone, which rebuild no 4x4 state", "qstate.py",
+     "qmat.as_matrix(rho).tobytes()", "qmat.as_matrix(rho).real.tobytes()"),
+    ("state memo's arrays left writeable", "qstate.py",
+     "array.setflags(write=False)", "pass"),
     ("as_matrix accepts (N, 4, 4) stacks again", "qmat.py",
      "a.shape != (4, 4)", "a.shape[-2:] != (4, 4)"),
     ("record reader's type test admits bool", "tomo.py",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -27,7 +28,7 @@ from entfilter.channel import _filter_pair
 from entfilter.qmat import hermitian_eig, matrix_sqrt_psd, partial_trace
 from entfilter.qstate import BELL_LABELS, _BELL_COMPONENTS, _bell_diagonal_weights, _concurrence, _entropy_bits
 from entfilter.qstate import _information_bits, _mutual_information, _spectrum
-from entfilter.recover import plan_recovery
+from entfilter.recover import average_entanglement, plan_recovery
 from entfilter.tomo import simulate_counts, standard_settings
 
 from helpers import (
@@ -37,6 +38,7 @@ from helpers import (
     random_bell_diagonal,
     random_density_matrix,
     random_unitary,
+    record_eigh_shapes,
 )
 
 Z = (0.0, 0.0, 1.0)
@@ -213,6 +215,130 @@ class TestValidateDensityMatrix:
         message = f"expected one 4x4 two-qubit density matrix, got shape {np.shape(rho)}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             entry(rho)
+
+
+def spectrum_bytes(rho):
+    # the bits of the (rho, values, vectors) that _spectrum returns for rho
+    return [array.tobytes() for array in _spectrum(rho)]
+
+
+def cold_spectrum_bytes(rho):
+    # spectrum_bytes of rho, judged and decomposed anew
+    qstate._judged_spectrum.cache_clear()
+    return spectrum_bytes(rho)
+
+
+class TestSpectrumMemo:
+    """Each distinct state, by its bits, is judged and decomposed once per process."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        qstate._judged_spectrum.cache_clear()
+
+    def test_repeated_calls_make_no_eigh(self, monkeypatch):
+        rho = bitflip()
+        shapes = record_eigh_shapes(monkeypatch)
+        for entry in (
+            concurrence,
+            concurrence,
+            validate_density_matrix,
+            von_neumann_entropy,
+            correlation_matrix,
+            bell_diagonal_weights,
+            lambda rho: average_entanglement(rho, FilterElement(0.5, Z), FilterElement(0.5, Z)),
+            lambda rho: plan_recovery(rho, FilterElement(0.5, Z)),
+            lambda rho: simulate_counts(rho, standard_settings(), exposure=100.0),
+        ):
+            entry(rho)
+        assert shapes == [(4, 4)]
+        # the target is decomposed once too; the marginals' stack and the filtered pair are
+        # decomposed, the input is not again
+        fidelity_pure(rho, bell_state("phi+"))
+        fidelity_pure(rho, bell_state("phi+"))
+        mutual_information(rho)
+        apply_filters(rho, FilterElement(0.5, Z), FilterElement(0.5, Z))
+        assert shapes == [(4, 4), (4, 4), (2, 2, 2), (4, 4)]
+
+    def test_returned_arrays_are_read_only(self):
+        for array in _spectrum(bitflip()):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_a_state_changed_in_place_is_decomposed_anew(self, monkeypatch):
+        first, second = itertools.islice(reference_states(), 2)
+        expected = cold_spectrum_bytes(second)
+        rho = first.copy()
+        shapes = record_eigh_shapes(monkeypatch)
+        concurrence(rho)
+        rho[...] = second
+        assert spectrum_bytes(rho) == expected
+        assert shapes == [(4, 4), (4, 4)]
+
+    def test_states_differing_only_in_imaginary_parts_get_separate_entries(self):
+        rho = next(reference_states())
+        expected = cold_spectrum_bytes(rho.conj())
+        spectrum_bytes(rho)
+        assert spectrum_bytes(rho.conj()) == expected
+        assert qstate._judged_spectrum.cache_info().currsize == 2
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (_with_entry(0.1), "not Hermitian"),
+            (bell_state("phi+") * (1 + 2e-10), "not 1 within 1e-10"),
+            (np.diag([1.5, -0.5, 0.0, 0.0]), "negative eigenvalue"),
+        ],
+        ids=["non-hermitian", "trace", "indefinite"],
+    )
+    def test_an_invalid_state_raises_on_every_call(self, monkeypatch, rho, message):
+        shapes = record_eigh_shapes(monkeypatch)
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                concurrence(rho)
+        assert qstate._judged_spectrum.cache_info().currsize == 0
+        # the positivity check decomposes the state each time it is judged
+        assert len(shapes) == (3 if message == "negative eigenvalue" else 0)
+
+    def test_signed_zeros_get_separate_entries(self):
+        # the averaged state and its eigenvectors keep the sign of a zero real part in
+        # both triangles, so an entry shared by 0.0 and -0.0 would give one the other's bits
+        rho = bell_state("phi+")
+        negative = rho.copy()
+        negative[0, 1] = -0.0
+        negative[1, 0] = np.conj(negative[0, 1])
+        expected = [cold_spectrum_bytes(rho), cold_spectrum_bytes(negative)]
+        assert expected[0][0] != expected[1][0] and expected[0][2] != expected[1][2]
+        qstate._judged_spectrum.cache_clear()
+        assert [spectrum_bytes(rho), spectrum_bytes(negative)] == expected
+        assert qstate._judged_spectrum.cache_info().currsize == 2
+
+    def test_every_input_form_gives_the_bits_of_a_c_order_complex_state(self):
+        for rho in itertools.islice(reference_states(), 40):  # ranks 1-4
+            padded = np.zeros((8, 8), dtype=complex)
+            padded[::2, ::2] = rho
+            forms = {
+                "list": rho.tolist(),
+                "fortran": np.asfortranarray(rho),
+                "view": padded[::2, ::2],
+                "real": rho.real,  # the real part of a state is a state
+            }
+            for name, form in forms.items():
+                expected = cold_spectrum_bytes(np.ascontiguousarray(form, dtype=complex))
+                assert cold_spectrum_bytes(form) == expected, name
+                before = qstate._judged_spectrum.cache_info().hits
+                assert spectrum_bytes(np.ascontiguousarray(form, dtype=complex)) == expected, name
+                assert qstate._judged_spectrum.cache_info().hits == before + 1
+        hh = np.zeros((4, 4), dtype=int)
+        hh[0, 0] = 1
+        assert cold_spectrum_bytes(hh) == cold_spectrum_bytes(hh.astype(complex))
+
+    def test_holds_at_most_128_states(self):
+        assert qstate._judged_spectrum.cache_info().maxsize == 128
+        for weight in np.linspace(0.0, 1.0, 300):
+            concurrence(weight * bell_state("phi+") + (1 - weight) * bell_state("psi-"))
+            assert qstate._judged_spectrum.cache_info().currsize <= 128
+        assert qstate._judged_spectrum.cache_info().currsize == 128
 
 
 class TestUnitStokesVector:

@@ -272,6 +272,25 @@ class TestPlanRecovery:
         plan_recovery(rho, FilterElement(0.857, Z))
         assert shapes == [(4, 4)]
 
+    def test_largest_weight_one_half_is_nothing_to_recover(self):
+        # a Bell-diagonal state is separable exactly when w_max <= 1/2; at w_max = 1/2,
+        # eigh can return 0.5000000000000001 (93 of these 2,000 states where this was written)
+        rng = np.random.default_rng(2000)
+        for _ in range(2000):
+            half = rng.integers(4)
+            weights = np.insert(rng.dirichlet(np.ones(3)) / 2, half, 0.5)
+            rho = sum(w * b for w, b in zip(weights, BELL_PROJECTORS))
+            plan = plan_recovery(rho, FilterElement(0.857, Z))
+            assert plan.nothing_to_recover and plan.predicted_concurrence == 0.0, weights
+
+    @pytest.mark.parametrize("c0, recovered", [(5e-13, False), (2e-12, True)])
+    def test_c0_within_1e12_of_zero_counts_as_zero(self, c0, recovered):
+        w_max = 0.5 + c0 / 2
+        rho = w_max * bell_state("phi+") + (1 - w_max) / 3 * sum(BELL_PROJECTORS[1:])
+        plan = plan_recovery(rho, FilterElement(0.857, Z))
+        assert plan.nothing_to_recover is not recovered
+        assert (plan.predicted_concurrence > 0.0) is recovered
+
     def test_makes_no_svd(self, monkeypatch):
         # C0 = 2 w_max - 1 from the spectrum the validation took: no Wootters SVD
         svds = count_calls(monkeypatch, np.linalg, "svd")
